@@ -1,0 +1,78 @@
+"""Golden traces: the integrator must keep reproducing recorded runs.
+
+The reference traces in ``golden_traces.npz`` were recorded from the
+per-step object engine that preceded the batched engine. They hold 0.5 s
+slices of the five bundled scenarios, each with forward Euler at its native
+dt and with RK4 at dt = 5e-4 (decimation 2e-3), one delayed Euler slice of
+c1_sim and one c4_sim Euler slice with its force pulse moved inside the
+slice. Only every ``STRIDE``-th recorded sample is stored.
+
+Regenerate (only when a change of the model itself is intended) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import ftteleop as ft
+
+GOLDEN = Path(__file__).with_name("golden_traces.npz")
+BUNDLED = ("c1_sim", "c2_sim", "c3_sim", "c4_sim", "c1_spring")
+SLICE = 0.5
+STRIDE = 5
+TOL = 1e-10
+
+
+def golden_scenarios() -> dict:
+    """Slice name -> scenario, in a fixed order."""
+    out = {}
+    for name in BUNDLED:
+        base = replace(ft.read_bundled_scenario(name), horizon=SLICE)
+        out[f"{name}_euler"] = base
+        out[f"{name}_rk4"] = replace(base, integrator="rk4", dt=5e-4, decimation=2e-3)
+    c1 = out["c1_sim_euler"]
+    out["c1_sim_delay"] = replace(c1, delay=5e-3)
+    c4 = out["c4_sim_euler"]
+    out["c4_sim_pulse"] = replace(c4, profile_r=replace(c4.profile_r, start=0.2, stop=0.3))
+    return {key: replace(s, label=key) for key, s in out.items()}
+
+
+def _gap(trace: ft.SimTrace, expected: np.ndarray) -> float:
+    got = trace.matrix()[::STRIDE]
+    assert got.shape == expected.shape
+    assert np.array_equal(np.isnan(got), np.isnan(expected))
+    return float(np.nanmax(np.abs(got - expected)))
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with np.load(GOLDEN) as data:
+        return {key: data[key] for key in data.files}
+
+
+def test_golden_file_covers_every_slice(golden):
+    assert sorted(golden) == sorted(golden_scenarios())
+    assert GOLDEN.stat().st_size < 300_000
+
+
+@pytest.mark.parametrize("key", list(golden_scenarios()))
+def test_run_matches_golden(golden, key):
+    assert _gap(ft.run(golden_scenarios()[key]), golden[key]) <= TOL
+
+
+def test_mixed_run_batch_matches_golden(golden):
+    scenarios = golden_scenarios()
+    traces = ft.run_batch(list(scenarios.values()))
+    gaps = {key: _gap(trace, golden[key]) for key, trace in zip(scenarios, traces)}
+    assert max(gaps.values()) <= TOL, gaps
+
+
+if __name__ == "__main__":
+    slices = golden_scenarios()
+    np.savez_compressed(GOLDEN, **{key: ft.run(s).matrix()[::STRIDE]
+                                   for key, s in slices.items()})
+    print(f"wrote {len(slices)} slices to {GOLDEN} ({GOLDEN.stat().st_size} bytes)")
