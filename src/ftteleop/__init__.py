@@ -21,6 +21,7 @@ from .closed_loop_sim import (
     passivity_ledger,
     rk4_step,
     run,
+    run_batch,
     state_bounds_from_energy,
     step,
 )
@@ -73,6 +74,7 @@ from .scenario import (
     load_scenario,
     parse_scenario,
     read_bundled_scenario,
+    with_simulation,
     with_weights,
 )
 

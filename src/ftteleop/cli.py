@@ -16,8 +16,6 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import replace
-
 import numpy as np
 
 from .closed_loop_sim import (
@@ -25,6 +23,7 @@ from .closed_loop_sim import (
     convergence_time,
     passivity_ledger,
     run,
+    run_batch,
 )
 from .controllers import validate_saturation
 from .homogeneity_audit import (
@@ -39,6 +38,7 @@ from .scenario import (
     bundled_scenario_names,
     load_scenario,
     read_bundled_scenario,
+    with_simulation,
     with_weights,
 )
 
@@ -84,7 +84,7 @@ def _load(args):
             overrides["decimation"] = args.dt
     if args.delay is not None:
         overrides["delay"] = args.delay
-    return replace(cfg, **overrides) if overrides else cfg
+    return with_simulation(cfg, **overrides) if overrides else cfg
 
 
 def _out_path(args, cfg, suffix: str, explicit: str | None) -> str:
@@ -129,11 +129,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _load(args)
-    ft_cfg = cfg
-    asym_cfg = with_weights(cfg, 1.0, 1.0)
     results = {}
-    for tag, scenario in (("finite-time", ft_cfg), ("asymptotic", asym_cfg)):
-        trace = run(scenario)
+    traces = run_batch([cfg, with_weights(cfg, 1.0, 1.0)])
+    for tag, trace in zip(("finite-time", "asymptotic"), traces):
         tstar = convergence_time(trace, args.tol)
         tail_max = None
         if tstar is not None:

@@ -3,8 +3,9 @@
 A scenario couples two manipulators through one of the controller variants,
 optionally applies scripted external force profiles, and is integrated with
 an explicit fixed-step scheme (forward Euler by default, classic RK4 for
-step-size studies). Runs are deterministic: identical scenarios produce
-bit-identical traces.
+step-size studies). One engine integrates many scenarios at once as stacked
+arrays (run_batch); a single run is its B = 1 case. Runs are deterministic:
+identical scenarios produce bit-identical traces, alone or in a batch.
 
 The recorded trace carries the full state, torques, forces, the inter-robot
 error norm and the shaped total energy at a decimated sample interval, and
@@ -17,20 +18,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .controllers import (
     LOCAL,
     REMOTE,
-    ControlAction,
     ControllerConfig,
     ControllerState,
-    control_action,
-    dissipation_rate,
-    shaped_potential,
+    control_law,
+    law_dissipation,
+    law_potential,
+    stack_laws,
 )
-from .robot_dynamics import RobotParams, RobotState, energies, forward_dynamics
+from .robot_dynamics import (
+    RobotParams,
+    RobotState,
+    SingularInertiaError,
+    coriolis_kernel,
+    gravity_kernel,
+    inertia_kernel,
+    link_angles,
+    solve_spd,
+    stack_arm_arrays,
+)
 
 __all__ = [
     "ForceProfile",
@@ -41,6 +53,7 @@ __all__ = [
     "step",
     "rk4_step",
     "run",
+    "run_batch",
     "convergence_time",
     "energy_audit",
     "EnergyAudit",
@@ -99,14 +112,9 @@ class ForceProfile:
                 raise ValueError("spring damping must be nonnegative (passive map)")
 
     def __call__(self, t: float, q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
-        if self.kind == "pulse" and self.start <= t < self.stop:
-            return self.amplitude
-        if self.kind == "spring_damper":
-            f = -self.stiffness * (q - self.anchor)
-            if self.damping is not None:
-                f = f - self.damping * qdot
-            return f
-        return np.zeros_like(q)
+        q = np.asarray(q, float)
+        forces = _stack_forces([[self]], q.size)
+        return _force(forces, t, q[None, None], np.asarray(qdot, float)[None, None])[0, 0]
 
     def spring_energy(self, q: np.ndarray) -> float:
         """Energy stored in the spring at position q (0 for other kinds)."""
@@ -172,44 +180,133 @@ class Scenario:
         )
 
 
-def _forces(profiles, state: TeleopState):
-    profile_l, profile_r = profiles
-    f_l = profile_l(state.time, state.local.q, state.local.qdot)
-    f_r = profile_r(state.time, state.remote.q, state.remote.qdot)
-    return f_l, f_r
+class _Forces(NamedTuple):
+    """Force profiles of a (B, 2) grid of robots, stacked for the engine.
+
+    A field is None when no profile of the grid uses it. Robots without a
+    pulse get an empty window, robots without a spring zero coefficients.
+    """
+
+    amplitude: np.ndarray | None   # (B, 2, n)
+    start: np.ndarray | None       # (B, 2, 1)
+    stop: np.ndarray | None        # (B, 2, 1)
+    stiffness: np.ndarray | None   # (B, 2, n)
+    damping: np.ndarray | None     # (B, 2, n)
+    anchor: np.ndarray | None      # (B, 2, n)
 
 
-def _accelerations(config, params_l, params_r, state: TeleopState,
-                   action: ControlAction, f_l, f_r):
-    acc_l = forward_dynamics(params_l, state.local, action.tau_l, f_l)
-    acc_r = forward_dynamics(params_r, state.remote, action.tau_r, f_r)
-    return acc_l, acc_r
+def _stack_forces(rows, n: int) -> _Forces:
+    kinds = {p.kind for row in rows for p in row}
 
+    def grid(kind, get, default):
+        if kind not in kinds:
+            return None
+        return np.array([[get(p) if p.kind == kind and get(p) is not None else default
+                          for p in row] for row in rows], dtype=float)
 
-def _advance_euler(state: TeleopState, action: ControlAction,
-                   acc_l: np.ndarray, acc_r: np.ndarray, dt: float) -> TeleopState:
-    arrays = [
-        state.local.q + dt * state.local.qdot,
-        state.local.qdot + dt * acc_l,
-        state.remote.q + dt * state.remote.qdot,
-        state.remote.qdot + dt * acc_r,
-    ]
-    ctrl = None
-    if state.ctrl is not None:
-        arrays.append(state.ctrl.theta_l + dt * action.theta_dot_l)
-        arrays.append(state.ctrl.theta_r + dt * action.theta_dot_r)
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise SimulationUnstableError(
-            f"non-finite state after the step ending at t = {state.time + dt:.6f} s; "
-            "reduce dt or soften the gains")
-    if state.ctrl is not None:
-        ctrl = ControllerState(theta_l=arrays[4], theta_r=arrays[5])
-    return TeleopState(
-        local=RobotState(q=arrays[0], qdot=arrays[1]),
-        remote=RobotState(q=arrays[2], qdot=arrays[3]),
-        ctrl=ctrl,
-        time=state.time + dt,
+    zeros = np.zeros(n)
+    return _Forces(
+        amplitude=grid("pulse", lambda p: p.amplitude, zeros),
+        start=grid("pulse", lambda p: [p.start], [np.inf]),
+        stop=grid("pulse", lambda p: [p.stop], [-np.inf]),
+        stiffness=grid("spring_damper", lambda p: p.stiffness, zeros),
+        damping=grid("spring_damper", lambda p: p.damping, zeros),
+        anchor=grid("spring_damper", lambda p: p.anchor, zeros),
     )
+
+
+def _force(forces: _Forces, t: float, q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
+    f = np.zeros_like(q)
+    if forces.amplitude is not None:
+        f = np.where((forces.start <= t) & (t < forces.stop), forces.amplitude, 0.0)
+    if forces.stiffness is not None:
+        f = f - forces.stiffness * (q - forces.anchor) - forces.damping * qdot
+    return f
+
+
+def _state_array(state: TeleopState, virtual: bool) -> np.ndarray:
+    """The (k, 2, n) engine layout of a state: q, qdot and, if virtual, theta."""
+    rows = [(state.local.q, state.remote.q), (state.local.qdot, state.remote.qdot)]
+    if virtual:
+        if state.ctrl is None:
+            raise ValueError("the output-feedback variants require a ControllerState")
+        rows.append((state.ctrl.theta_l, state.ctrl.theta_r))
+    return np.array(rows, dtype=float)
+
+
+def _teleop_state(x: np.ndarray, t: float) -> TeleopState:
+    ctrl = ControllerState(theta_l=x[2, 0], theta_r=x[2, 1]) if len(x) == 3 else None
+    return TeleopState(local=RobotState(q=x[0, 0], qdot=x[1, 0]),
+                       remote=RobotState(q=x[0, 1], qdot=x[1, 1]), ctrl=ctrl, time=t)
+
+
+class _Batch:
+    """The closed loop of B scenarios that share the joint count and variant.
+
+    The state is one array x of shape (B, k, 2, n): q, qdot and, for C2/C4,
+    theta (k = 3), each with rows (local, remote).
+    """
+
+    def __init__(self, arm_rows, configs, profile_rows, labels):
+        self.arms = stack_arm_arrays(arm_rows)
+        self.law = stack_laws(configs)
+        self.forces = _stack_forces(profile_rows, configs[0].n)
+        self.labels = list(labels)
+
+    @classmethod
+    def of(cls, scenarios) -> "_Batch":
+        return cls([(s.params_l, s.params_r) for s in scenarios], [s.config for s in scenarios],
+                   [(s.profile_l, s.profile_r) for s in scenarios], [s.label for s in scenarios])
+
+    def check_finite(self, x: np.ndarray, t: float) -> None:
+        """Raise SimulationUnstableError naming the first member whose slice
+        of x (leading axis B) is not finite."""
+        finite = np.isfinite(x).reshape(len(x), -1).all(axis=1)
+        if not finite.all():
+            raise SimulationUnstableError(
+                f"{self.labels[int(np.argmin(finite))]}: non-finite state at t = {t:.6f} s; "
+                "reduce dt or soften the gains")
+
+    def rhs(self, t: float, x: np.ndarray, q_seen: np.ndarray | None = None):
+        """dx/dt at (t, x), plus the torques, forces and inertia matrices used.
+
+        ``q_seen`` is the exchanged position each side receives; by default
+        the other side's current one.
+        """
+        q, qdot = x[:, 0], x[:, 1]
+        phi = link_angles(q)
+        gravity = gravity_kernel(self.arms, phi)
+        tau, theta_dot = control_law(self.law, q, qdot, x[:, 2] if self.law.virtual else None,
+                                     q[:, ::-1] if q_seen is None else q_seen, gravity)
+        f = _force(self.forces, t, q, qdot)
+        m = inertia_kernel(self.arms, phi)
+        rhs = ((tau - coriolis_kernel(self.arms, phi, qdot)) - gravity) + f
+        try:
+            acc = solve_spd(m, rhs)
+        except SingularInertiaError:
+            self.check_finite(x, t)
+            self.check_finite(m, t)
+            raise
+        dx = np.empty_like(x)
+        dx[:, 0] = qdot
+        dx[:, 1] = acc
+        if self.law.virtual:
+            dx[:, 2] = theta_dot
+        return dx, tau, f, m
+
+    def euler(self, t: float, x: np.ndarray, dx: np.ndarray, dt: float) -> np.ndarray:
+        x1 = x + dt * dx
+        self.check_finite(x1, t + dt)
+        return x1
+
+    def rk4(self, t: float, x: np.ndarray, k1: np.ndarray, dt: float) -> np.ndarray:
+        """Classic RK4 from x, given the slope k1 = rhs(t, x) already evaluated."""
+        k2 = self.rhs(t + 0.5 * dt, x + 0.5 * dt * k1)[0]
+        k3 = self.rhs(t + 0.5 * dt, x + 0.5 * dt * k2)[0]
+        k4 = self.rhs(t + dt, x + dt * k3)[0]
+        x1 = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        self.check_finite(x1, t + dt)
+        return x1
 
 
 def step(state: TeleopState, config: ControllerConfig, params_l: RobotParams,
@@ -222,60 +319,20 @@ def step(state: TeleopState, config: ControllerConfig, params_l: RobotParams,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    f_l, f_r = _forces(profiles, state)
-    action = control_action(config, params_l, params_r, state.local, state.remote, state.ctrl)
-    acc_l, acc_r = _accelerations(config, params_l, params_r, state, action, f_l, f_r)
-    return _advance_euler(state, action, acc_l, acc_r, dt)
-
-
-def _pack(state: TeleopState, n: int) -> np.ndarray:
-    parts = [state.local.q, state.remote.q, state.local.qdot, state.remote.qdot]
-    if state.ctrl is not None:
-        parts += [state.ctrl.theta_l, state.ctrl.theta_r]
-    return np.concatenate(parts)
-
-
-def _unpack(x: np.ndarray, n: int, has_theta: bool, t: float) -> TeleopState:
-    ctrl = None
-    if has_theta:
-        ctrl = ControllerState(theta_l=x[4 * n:5 * n], theta_r=x[5 * n:6 * n])
-    return TeleopState(
-        local=RobotState(q=x[0:n], qdot=x[2 * n:3 * n]),
-        remote=RobotState(q=x[n:2 * n], qdot=x[3 * n:4 * n]),
-        ctrl=ctrl,
-        time=t,
-    )
+    batch = _Batch([(params_l, params_r)], [config], [profiles], ["step"])
+    x = _state_array(state, config.has_virtual_state)[None]
+    dx = batch.rhs(state.time, x)[0]
+    return _teleop_state(batch.euler(state.time, x, dx, dt)[0], state.time + dt)
 
 
 def rk4_step(state: TeleopState, config, params_l, params_r, profiles, dt: float) -> TeleopState:
     """Classic fourth-order Runge-Kutta step (for step-size studies)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    n = params_l.n
-    has_theta = state.ctrl is not None
-
-    def rhs(x: np.ndarray, t: float) -> np.ndarray:
-        s = _unpack(x, n, has_theta, t)
-        f_l, f_r = _forces(profiles, s)
-        action = control_action(config, params_l, params_r, s.local, s.remote, s.ctrl)
-        acc_l, acc_r = _accelerations(config, params_l, params_r, s, action, f_l, f_r)
-        parts = [s.local.qdot, s.remote.qdot, acc_l, acc_r]
-        if has_theta:
-            parts += [action.theta_dot_l, action.theta_dot_r]
-        return np.concatenate(parts)
-
-    x0 = _pack(state, n)
-    t0 = state.time
-    k1 = rhs(x0, t0)
-    k2 = rhs(x0 + 0.5 * dt * k1, t0 + 0.5 * dt)
-    k3 = rhs(x0 + 0.5 * dt * k2, t0 + 0.5 * dt)
-    k4 = rhs(x0 + dt * k3, t0 + dt)
-    x1 = x0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(x1)):
-        raise SimulationUnstableError(
-            f"non-finite state after the step ending at t = {t0 + dt:.6f} s; "
-            "reduce dt or soften the gains")
-    return _unpack(x1, n, has_theta, t0 + dt)
+    batch = _Batch([(params_l, params_r)], [config], [profiles], ["step"])
+    x = _state_array(state, config.has_virtual_state)[None]
+    k1 = batch.rhs(state.time, x)[0]
+    return _teleop_state(batch.rk4(state.time, x, k1, dt)[0], state.time + dt)
 
 
 @dataclass(eq=False)
@@ -344,92 +401,88 @@ class SimTrace:
         return bool(np.any(self.f_l != 0.0) or np.any(self.f_r != 0.0))
 
 
-def _total_energy(config, params_l, params_r, state: TeleopState) -> float:
-    kin_l, _ = energies(params_l, state.local)
-    kin_r, _ = energies(params_r, state.remote)
-    return shaped_potential(config, state.local, state.remote, state.ctrl) + kin_l + kin_r
+def _schedule(scenario) -> tuple:
+    """What scenarios must share to be integrated together: joint count,
+    variant, integrator, dt, step count, decimation stride and delay steps."""
+    dt = float(scenario.dt)
+    delay_steps = int(round(scenario.delay / dt)) if scenario.delay else 0
+    if delay_steps > 0 and scenario.integrator != "euler":
+        raise ValueError("the transport-delay option is supported with the euler integrator only")
+    return (scenario.params_l.n, scenario.config.variant, scenario.integrator, dt,
+            int(round(scenario.horizon / dt)), max(1, int(round(scenario.decimation / dt))),
+            delay_steps)
 
 
-def _delayed_action(config, params_l, params_r, state: TeleopState,
-                    q_l_delayed: np.ndarray, q_r_delayed: np.ndarray) -> ControlAction:
-    """Torques when each side sees the other's position with transport delay.
+def _integrate(scenarios, integrator: str, dt: float, steps: int, every: int,
+               delay_steps: int) -> list[SimTrace]:
+    """Integrate one group of scenarios together and record their traces."""
+    batch = _Batch.of(scenarios)
+    virtual = batch.law.virtual
+    x = np.array([_state_array(s.initial_state(), virtual) for s in scenarios])
+    # transport delay: ring buffer of the last delay_steps + 1 exchanged positions
+    ring = np.empty((delay_steps + 1,) + x[:, 0].shape) if delay_steps else None
+    rec_t, rec_x, rec_tau, rec_f, rec_m = [], [], [], [], []
+    t = 0.0
+    for k in range(steps + 1):
+        q_seen = None
+        if ring is not None:
+            ring[k % len(ring)] = x[:, 0]
+            q_seen = ring[max(0, k - delay_steps) % len(ring)][:, ::-1]
+        dx, tau, f, m = batch.rhs(t, x, q_seen)
+        if k % every == 0 or k == steps:
+            for out, value in zip((rec_t, rec_x, rec_tau, rec_f, rec_m), (t, x, tau, f, m)):
+                out.append(value)
+        if k == steps:
+            break
+        x = batch.rk4(t, x, dx, dt) if integrator == "rk4" else batch.euler(t, x, dx, dt)
+        t = t + dt
 
-    Only the exchanged position is delayed; every local quantity (own
-    position, own velocity, virtual state) stays fresh. Experimental
-    plumbing: none of the stability monitors account for it.
+    times, xs, taus, fs = (np.array(v) for v in (rec_t, rec_x, rec_tau, rec_f))
+    q, qdot = xs[:, :, 0], xs[:, :, 1]
+    theta = xs[:, :, 2] if virtual else np.full_like(q, np.nan)
+    kinetic = 0.5 * np.einsum("sbki,sbkij,sbkj->sbk", qdot, np.array(rec_m), qdot)
+    energy = law_potential(batch.law, q, theta) + kinetic[..., LOCAL] + kinetic[..., REMOTE]
+    err_norm = np.linalg.norm(q[:, :, LOCAL] - q[:, :, REMOTE], axis=-1)
+    return [
+        SimTrace(t=times.copy(), q_l=q[:, b, LOCAL], q_r=q[:, b, REMOTE],
+                 qd_l=qdot[:, b, LOCAL], qd_r=qdot[:, b, REMOTE],
+                 th_l=theta[:, b, LOCAL], th_r=theta[:, b, REMOTE],
+                 tau_l=taus[:, b, LOCAL], tau_r=taus[:, b, REMOTE],
+                 f_l=fs[:, b, LOCAL], f_r=fs[:, b, REMOTE],
+                 err_norm=err_norm[:, b], energy=energy[:, b], dt=dt)
+        for b in range(len(scenarios))
+    ]
+
+
+def run_batch(scenarios) -> list[SimTrace]:
+    """Integrate many scenarios over [0, horizon]; traces in input order.
+
+    Scenarios that share the joint count, variant, integrator, dt, step
+    count, decimation stride and delay steps are integrated together as one
+    stacked array; each trace equals that of ``run`` on its scenario alone.
+    If a member's state stops being finite, SimulationUnstableError names
+    the first such member of its group, in input order, and the time.
     """
-    remote_view = RobotState(q=q_r_delayed, qdot=state.remote.qdot)
-    local_view = RobotState(q=q_l_delayed, qdot=state.local.qdot)
-    act_l = control_action(config, params_l, params_r, state.local, remote_view, state.ctrl)
-    act_r = control_action(config, params_l, params_r, local_view, state.remote, state.ctrl)
-    return ControlAction(tau_l=act_l.tau_l, tau_r=act_r.tau_r,
-                         theta_dot_l=act_l.theta_dot_l, theta_dot_r=act_r.theta_dot_r)
+    scenarios = list(scenarios)
+    groups: dict[tuple, list[int]] = {}
+    for i, scenario in enumerate(scenarios):
+        groups.setdefault(_schedule(scenario), []).append(i)
+    traces: list = [None] * len(scenarios)
+    for (_, _, integrator, dt, steps, every, delay_steps), members in groups.items():
+        group = _integrate([scenarios[i] for i in members], integrator, dt, steps, every,
+                           delay_steps)
+        for i, trace in zip(members, group):
+            traces[i] = trace
+    return traces
 
 
 def run(scenario) -> SimTrace:
     """Integrate a scenario over [0, horizon] and record the decimated trace.
 
-    Raises SimulationUnstableError with the offending time if the state
-    leaves the finite range.
+    The B = 1 case of run_batch. Raises SimulationUnstableError with the
+    offending time if the state leaves the finite range.
     """
-    config: ControllerConfig = scenario.config
-    params_l, params_r = scenario.params_l, scenario.params_r
-    n = params_l.n
-    dt = float(scenario.dt)
-    steps = int(round(scenario.horizon / dt))
-    every = max(1, int(round(scenario.decimation / dt)))
-    profiles = (scenario.profile_l, scenario.profile_r)
-
-    delay_steps = int(round(scenario.delay / dt)) if scenario.delay else 0
-    if delay_steps > 0 and scenario.integrator != "euler":
-        raise ValueError("the transport-delay option is supported with the euler integrator only")
-    history_l: list[np.ndarray] = []
-    history_r: list[np.ndarray] = []
-
-    state = scenario.initial_state()
-    records = []
-    for k in range(steps + 1):
-        f_l, f_r = _forces(profiles, state)
-        if delay_steps > 0:
-            history_l.append(state.local.q)
-            history_r.append(state.remote.q)
-            j = max(0, k - delay_steps)
-            action = _delayed_action(config, params_l, params_r, state,
-                                     history_l[j], history_r[j])
-        else:
-            action = control_action(config, params_l, params_r,
-                                    state.local, state.remote, state.ctrl)
-
-        if k % every == 0 or k == steps:
-            records.append((
-                state.time, state.local.q, state.remote.q,
-                state.local.qdot, state.remote.qdot,
-                state.ctrl.theta_l if state.ctrl else np.full(n, np.nan),
-                state.ctrl.theta_r if state.ctrl else np.full(n, np.nan),
-                action.tau_l, action.tau_r, f_l, f_r,
-                float(np.linalg.norm(state.local.q - state.remote.q)),
-                _total_energy(config, params_l, params_r, state),
-            ))
-        if k == steps:
-            break
-
-        if scenario.integrator == "rk4":
-            state = rk4_step(state, config, params_l, params_r, profiles, dt)
-        else:
-            acc_l, acc_r = _accelerations(config, params_l, params_r, state, action, f_l, f_r)
-            state = _advance_euler(state, action, acc_l, acc_r, dt)
-
-    cols = list(zip(*records))
-    return SimTrace(
-        t=np.array(cols[0]),
-        q_l=np.array(cols[1]), q_r=np.array(cols[2]),
-        qd_l=np.array(cols[3]), qd_r=np.array(cols[4]),
-        th_l=np.array(cols[5]), th_r=np.array(cols[6]),
-        tau_l=np.array(cols[7]), tau_r=np.array(cols[8]),
-        f_l=np.array(cols[9]), f_r=np.array(cols[10]),
-        err_norm=np.array(cols[11]), energy=np.array(cols[12]),
-        dt=dt,
-    )
+    return run_batch([scenario])[0]
 
 
 def convergence_time(trace: SimTrace, tol: float):
@@ -491,14 +544,10 @@ def energy_audit(trace: SimTrace, config: ControllerConfig,
     """
     if trace.has_forces():
         raise ValueError("energy audit requires a free-motion trace (all forces zero)")
-    hdot = np.empty(trace.samples)
-    for i in range(trace.samples):
-        state_l = RobotState(q=trace.q_l[i], qdot=trace.qd_l[i])
-        state_r = RobotState(q=trace.q_r[i], qdot=trace.qd_r[i])
-        ctrl = None
-        if config.has_virtual_state:
-            ctrl = ControllerState(theta_l=trace.th_l[i], theta_r=trace.th_r[i])
-        hdot[i] = dissipation_rate(config, state_l, state_r, ctrl)
+    pair = lambda local, remote: np.stack([local, remote], axis=1)[:, None]
+    theta = pair(trace.th_l, trace.th_r) if config.has_virtual_state else None
+    hdot = law_dissipation(stack_laws([config]), pair(trace.q_l, trace.q_r),
+                           pair(trace.qd_l, trace.qd_r), theta)[:, 0]
     hdot_numeric = np.diff(trace.energy) / np.diff(trace.t)
     dt = trace.dt if math.isfinite(trace.dt) else float(np.min(np.diff(trace.t)))
     if step_increase_tol is None:

@@ -23,11 +23,18 @@ theta (by convention initialized at the robot's starting position).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .robot_dynamics import RobotParams, RobotState, gravity_vector
-from .scalar_ops import Weights, s_integral, sat_pow, signed_pow
+from .robot_dynamics import (
+    RobotParams,
+    RobotState,
+    gravity_kernel,
+    link_angles,
+    stack_arm_arrays,
+)
+from .scalar_ops import Weights
 
 __all__ = [
     "VARIANTS",
@@ -43,6 +50,11 @@ __all__ = [
     "c3_torques",
     "c4_torques_and_theta_dot",
     "control_action",
+    "StackedLaw",
+    "stack_laws",
+    "control_law",
+    "law_potential",
+    "law_dissipation",
     "theta_rate",
     "shaped_potential",
     "dissipation_rate",
@@ -208,141 +220,204 @@ class ControlAction:
     theta_dot_r: np.ndarray | None = None
 
 
-def _proportional(config: ControllerConfig, error: np.ndarray) -> np.ndarray:
-    if config.is_bounded:
-        return config.k_s * sat_pow(error, config.p_pos, config.delta_p)
-    return config.k_s * signed_pow(error, config.p_pos)
+# --- the stacked law ------------------------------------------------------
+#
+# C1-C4 differ in the channel map (signed power, or saturated power with a
+# level delta) and in the damping source (the measured velocity, or the
+# virtual state theta with its rate law). The kernels below evaluate the law
+# for B configs of one variant at once, on states of shape (B, 2, n) with
+# rows (local, remote); the single-state functions are their B = 1 case.
+
+
+class StackedLaw(NamedTuple):
+    """Gains of B controller configs of one variant, stacked for the kernels.
+
+    Gains, exponents and saturation levels are (B, 2, n) with rows (local,
+    remote), except the shared k_s, which is (B, 1, n).
+    ``damping`` is d_s for C1/C3 and k_c for C2/C4; ``speed`` is
+    (k_c / d_c)^(1 / p_vel), the virtual-state rate gain. The saturation
+    levels are infinite for the unbounded variants.
+    """
+
+    k_s: np.ndarray
+    damping: np.ndarray
+    d_c: np.ndarray | None
+    speed: np.ndarray | None
+    p_pos: np.ndarray
+    p_vel: np.ndarray
+    p_theta: np.ndarray
+    delta_p: np.ndarray
+    delta_d: np.ndarray
+
+    @property
+    def virtual(self) -> bool:
+        return self.d_c is not None
+
+
+def stack_laws(configs) -> StackedLaw:
+    """Stack configs that share variant and joint count (checked)."""
+    first = configs[0]
+    if any(c.variant != first.variant or c.n != first.n for c in configs):
+        raise ValueError("stacked configs must share the variant and the joint count")
+    virtual = first.has_virtual_state
+
+    def per_member(get):
+        # full (B, 2, n) exponents: numpy's power takes another code path for
+        # a broadcast exponent, which would make results depend on B
+        return np.repeat(np.array([get(c) for c in configs], dtype=float), 2 * first.n) \
+            .reshape(len(configs), 2, first.n)
+
+    return StackedLaw(
+        k_s=np.array([c.k_s for c in configs])[:, None, :],
+        damping=np.array([c.k_c if virtual else c.d_s for c in configs]),
+        d_c=np.array([c.d_c for c in configs]) if virtual else None,
+        speed=np.array([(c.k_c / c.d_c) ** (1.0 / c.p_vel) for c in configs])
+        if virtual else None,
+        p_pos=per_member(lambda c: c.p_pos),
+        p_vel=per_member(lambda c: c.p_vel),
+        p_theta=per_member(lambda c: c.weights.theta_exponent),
+        delta_p=per_member(lambda c: c.delta_p if c.is_bounded else np.inf),
+        delta_d=per_member(lambda c: c.delta_d if c.is_bounded else np.inf),
+    )
+
+
+def _channel(x: np.ndarray, p, delta) -> np.ndarray:
+    """Signed power |x|^p sign(x), saturated at |x| = delta (inf: never)."""
+    return np.sign(x) * np.minimum(np.abs(x), delta) ** p
+
+
+def _channel_integral(x: np.ndarray, p, delta) -> np.ndarray:
+    """Integral of the channel map from 0 to x (the s_integral kernel)."""
+    a = np.abs(x)
+    m = np.minimum(a, delta)
+    return m ** (p + 1.0) / (p + 1.0) + m**p * (a - m)
+
+
+def _theta_rate(law: StackedLaw, theta_err: np.ndarray) -> np.ndarray:
+    return -law.speed * _channel(theta_err, law.p_theta, law.delta_d)
+
+
+def control_law(law: StackedLaw, q, qdot, theta, q_seen, gravity):
+    """Torques (B, 2, n) and virtual-state rates (None for C1/C3).
+
+    ``q_seen`` holds, per side, the other robot's position as this side
+    receives it (q with its rows swapped when nothing delays the exchange);
+    ``gravity`` is each robot's own gravity torque, cancelled exactly.
+    """
+    prop = law.k_s * _channel(q - q_seen, law.p_pos, law.delta_p)
+    if not law.virtual:
+        return -prop - law.damping * _channel(qdot, law.p_vel, law.delta_d) + gravity, None
+    theta_err = theta - q
+    tau = -prop + law.damping * _channel(theta_err, law.p_pos, law.delta_d) + gravity
+    return tau, _theta_rate(law, theta_err)
+
+
+def law_potential(law: StackedLaw, q, theta=None) -> np.ndarray:
+    """Shaped potential energy of states (..., B, 2, n), shape (..., B).
+
+    Positive definite in the error (and, for C2/C4, the virtual-state
+    mismatch); its error gradient is minus the proportional torque term.
+    """
+    err = q[..., :1, :] - q[..., 1:, :]
+    value = np.sum(law.k_s * _channel_integral(err, law.p_pos[:, :1], law.delta_p[:, :1]),
+                   axis=(-2, -1))
+    if law.virtual:
+        value = value + np.sum(law.damping * _channel_integral(theta - q, law.p_pos, law.delta_d),
+                               axis=(-2, -1))
+    return value
+
+
+def law_dissipation(law: StackedLaw, q, qdot, theta=None) -> np.ndarray:
+    """Analytic decay rate (<= 0) of the shaped energy in free motion,
+    shape (..., B).
+
+    C1/C3 dissipate through the measured joint velocities, C2/C4 through the
+    virtual-state velocities; saturation only slows the decay, it never
+    changes its sign.
+    """
+    if not law.virtual:
+        power = law.damping * qdot * _channel(qdot, law.p_vel, law.delta_d)
+    else:
+        power = law.d_c * np.abs(_theta_rate(law, theta - q)) ** (law.p_vel + 1.0)
+    return -np.sum(power, axis=(-2, -1))
+
+
+def _stacked(config, state_l, state_r, ctrl):
+    """B = 1 inputs of the kernels: the law, and q, qdot, theta as (1, 2, n)."""
+    if config.has_virtual_state and ctrl is None:
+        raise ValueError(f"{config.variant} requires a ControllerState")
+    q = np.array([[state_l.q, state_r.q]])
+    qdot = np.array([[state_l.qdot, state_r.qdot]])
+    theta = np.array([[ctrl.theta_l, ctrl.theta_r]]) if config.has_virtual_state else None
+    return stack_laws([config]), q, qdot, theta
+
+
+def control_action(config, params_l, params_r, state_l, state_r,
+                   ctrl: ControllerState | None = None) -> ControlAction:
+    """The configured variant's torques (and virtual-state rates)."""
+    law, q, qdot, theta = _stacked(config, state_l, state_r, ctrl)
+    arms = stack_arm_arrays([(params_l, params_r)])
+    tau, theta_dot = control_law(law, q, qdot, theta, q[:, ::-1],
+                                 gravity_kernel(arms, link_angles(q)))
+    if theta_dot is None:
+        return ControlAction(tau[0, LOCAL], tau[0, REMOTE])
+    return ControlAction(tau[0, LOCAL], tau[0, REMOTE], theta_dot[0, LOCAL], theta_dot[0, REMOTE])
+
+
+def _variant_action(variant, config, *args) -> ControlAction:
+    if config.variant != variant:
+        raise ValueError(f"expected a {variant} config, got {config.variant}")
+    return control_action(config, *args)
 
 
 def c1_torques(config, params_l: RobotParams, params_r: RobotParams,
                state_l: RobotState, state_r: RobotState):
     """State-feedback law: shaped spring on the error plus joint damping."""
-    if config.variant != "C1":
-        raise ValueError(f"expected a C1 config, got {config.variant}")
-    prop = _proportional(config, state_l.q - state_r.q)
-    tau_l = -prop - config.d_s[LOCAL] * signed_pow(state_l.qdot, config.p_vel) \
-        + gravity_vector(params_l, state_l.q)
-    tau_r = prop - config.d_s[REMOTE] * signed_pow(state_r.qdot, config.p_vel) \
-        + gravity_vector(params_r, state_r.q)
-    return tau_l, tau_r
-
-
-def theta_rate(config: ControllerConfig, theta_err: np.ndarray, side: int) -> np.ndarray:
-    """Virtual-state velocity from the accumulated mismatch theta - q."""
-    speed = (config.k_c[side] / config.d_c[side]) ** (1.0 / config.p_vel)
-    if config.is_bounded:
-        return -speed * sat_pow(theta_err, config.weights.theta_exponent, config.delta_d)
-    return -speed * signed_pow(theta_err, config.weights.theta_exponent)
+    action = _variant_action("C1", config, params_l, params_r, state_l, state_r)
+    return action.tau_l, action.tau_r
 
 
 def c2_torques_and_theta_dot(config, params_l, params_r, state_l, state_r,
                              ctrl: ControllerState):
     """Output-feedback law: no velocity in any output; damping is injected
     through the virtual-state dynamics."""
-    if config.variant != "C2":
-        raise ValueError(f"expected a C2 config, got {config.variant}")
-    tt_l = ctrl.theta_l - state_l.q
-    tt_r = ctrl.theta_r - state_r.q
-    prop = _proportional(config, state_l.q - state_r.q)
-    tau_l = -prop + config.k_c[LOCAL] * signed_pow(tt_l, config.p_pos) \
-        + gravity_vector(params_l, state_l.q)
-    tau_r = prop + config.k_c[REMOTE] * signed_pow(tt_r, config.p_pos) \
-        + gravity_vector(params_r, state_r.q)
-    return tau_l, tau_r, theta_rate(config, tt_l, LOCAL), theta_rate(config, tt_r, REMOTE)
+    action = _variant_action("C2", config, params_l, params_r, state_l, state_r, ctrl)
+    return action.tau_l, action.tau_r, action.theta_dot_l, action.theta_dot_r
 
 
 def c3_torques(config, params_l, params_r, state_l, state_r):
     """Bounded state-feedback law; see validate_saturation for the torque cap."""
-    if config.variant != "C3":
-        raise ValueError(f"expected a C3 config, got {config.variant}")
-    prop = _proportional(config, state_l.q - state_r.q)
-    tau_l = -prop - config.d_s[LOCAL] * sat_pow(state_l.qdot, config.p_vel, config.delta_d) \
-        + gravity_vector(params_l, state_l.q)
-    tau_r = prop - config.d_s[REMOTE] * sat_pow(state_r.qdot, config.p_vel, config.delta_d) \
-        + gravity_vector(params_r, state_r.q)
-    return tau_l, tau_r
+    action = _variant_action("C3", config, params_l, params_r, state_l, state_r)
+    return action.tau_l, action.tau_r
 
 
 def c4_torques_and_theta_dot(config, params_l, params_r, state_l, state_r,
                              ctrl: ControllerState):
     """Bounded output-feedback law."""
-    if config.variant != "C4":
-        raise ValueError(f"expected a C4 config, got {config.variant}")
-    tt_l = ctrl.theta_l - state_l.q
-    tt_r = ctrl.theta_r - state_r.q
-    prop = _proportional(config, state_l.q - state_r.q)
-    tau_l = -prop + config.k_c[LOCAL] * sat_pow(tt_l, config.p_pos, config.delta_d) \
-        + gravity_vector(params_l, state_l.q)
-    tau_r = prop + config.k_c[REMOTE] * sat_pow(tt_r, config.p_pos, config.delta_d) \
-        + gravity_vector(params_r, state_r.q)
-    return tau_l, tau_r, theta_rate(config, tt_l, LOCAL), theta_rate(config, tt_r, REMOTE)
+    action = _variant_action("C4", config, params_l, params_r, state_l, state_r, ctrl)
+    return action.tau_l, action.tau_r, action.theta_dot_l, action.theta_dot_r
 
 
-def control_action(config, params_l, params_r, state_l, state_r,
-                   ctrl: ControllerState | None = None) -> ControlAction:
-    """Dispatch to the configured variant's torque (and virtual-rate) law."""
-    if config.variant == "C1":
-        tau_l, tau_r = c1_torques(config, params_l, params_r, state_l, state_r)
-        return ControlAction(tau_l, tau_r)
-    if config.variant == "C3":
-        tau_l, tau_r = c3_torques(config, params_l, params_r, state_l, state_r)
-        return ControlAction(tau_l, tau_r)
-    if ctrl is None:
-        raise ValueError(f"{config.variant} requires a ControllerState")
-    if config.variant == "C2":
-        return ControlAction(*c2_torques_and_theta_dot(
-            config, params_l, params_r, state_l, state_r, ctrl))
-    return ControlAction(*c4_torques_and_theta_dot(
-        config, params_l, params_r, state_l, state_r, ctrl))
+def theta_rate(config: ControllerConfig, theta_err: np.ndarray, side: int) -> np.ndarray:
+    """Virtual-state velocity from the accumulated mismatch theta - q."""
+    law = stack_laws([config])
+    err = np.zeros((1, 2, config.n))
+    err[0, side] = theta_err
+    return _theta_rate(law, err)[0, side]
 
 
 def shaped_potential(config, state_l: RobotState, state_r: RobotState,
                      ctrl: ControllerState | None = None) -> float:
-    """Designed potential energy of the shaped closed loop.
-
-    Positive definite in the error coordinates (and virtual-state mismatch
-    for C2/C4); its error gradient is minus the proportional torque term.
-    """
-    err = state_l.q - state_r.q
-    p = config.p_pos
-    if config.is_bounded:
-        value = float(np.sum(config.k_s * s_integral(err, config.delta_p, p)))
-    else:
-        value = float(np.sum(config.k_s * np.abs(err) ** (p + 1.0))) / (p + 1.0)
-    if config.has_virtual_state:
-        if ctrl is None:
-            raise ValueError(f"{config.variant} requires a ControllerState")
-        for side, tt in ((LOCAL, ctrl.theta_l - state_l.q), (REMOTE, ctrl.theta_r - state_r.q)):
-            if config.is_bounded:
-                value += float(np.sum(config.k_c[side] * s_integral(tt, config.delta_d, p)))
-            else:
-                value += float(np.sum(config.k_c[side] * np.abs(tt) ** (p + 1.0))) / (p + 1.0)
-    return value
+    """Designed potential energy of the shaped closed loop (see law_potential)."""
+    law, q, _, theta = _stacked(config, state_l, state_r, ctrl)
+    return float(law_potential(law, q, theta)[0])
 
 
 def dissipation_rate(config, state_l: RobotState, state_r: RobotState,
                      ctrl: ControllerState | None = None) -> float:
-    """Analytic decay rate of the total shaped energy in free motion (<= 0).
-
-    C1/C3 dissipate through the measured joint velocities, C2/C4 through the
-    virtual-state velocities; saturation only slows the decay, it never
-    changes its sign.
-    """
-    p = config.p_vel
-    total = 0.0
-    if config.uses_velocity:
-        for side, qd in ((LOCAL, state_l.qdot), (REMOTE, state_r.qdot)):
-            if config.is_bounded:
-                total += float(np.sum(config.d_s[side] * qd * sat_pow(qd, p, config.delta_d)))
-            else:
-                total += float(np.sum(config.d_s[side] * np.abs(qd) ** (p + 1.0)))
-    else:
-        if ctrl is None:
-            raise ValueError(f"{config.variant} requires a ControllerState")
-        for side, tt in ((LOCAL, ctrl.theta_l - state_l.q), (REMOTE, ctrl.theta_r - state_r.q)):
-            td = theta_rate(config, tt, side)
-            total += float(np.sum(config.d_c[side] * np.abs(td) ** (p + 1.0)))
-    return -total
+    """Analytic decay rate of the total shaped energy (see law_dissipation)."""
+    law, q, qdot, theta = _stacked(config, state_l, state_r, ctrl)
+    return float(law_dissipation(law, q, qdot, theta)[0])
 
 
 @dataclass(frozen=True)

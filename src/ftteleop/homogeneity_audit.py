@@ -26,8 +26,7 @@ from .robot_dynamics import (
     RobotParams,
     RobotState,
     SingularInertiaError,
-    coriolis_matrix,
-    gravity_vector,
+    forward_dynamics,
     mass_matrix,
 )
 from .scalar_ops import dilate, signed_pow
@@ -179,9 +178,7 @@ def full_field(config: ControllerConfig, params_l: RobotParams,
         out = [qd_l, qd_r]
         for params, state, tau in ((params_l, state_l, action.tau_l),
                                    (params_r, state_r, action.tau_r)):
-            rhs = tau - coriolis_matrix(params, state.q, state.qdot) @ state.qdot
-            rhs -= gravity_vector(params, state.q)
-            out.append(np.linalg.solve(mass_matrix(params, state.q), rhs))
+            out.append(forward_dynamics(params, state, tau))
         if cfg.has_virtual_state:
             out.append(action.theta_dot_l - qd_l)
             out.append(action.theta_dot_r - qd_r)

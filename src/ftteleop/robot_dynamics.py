@@ -9,8 +9,10 @@ With absolute link angles phi = L q (L the lower-triangular matrix of ones),
 the inertia matrix factors as M(q) = L^T A(phi) L where
 A_ab = W_ab cos(phi_a - phi_b) + delta_ab I_a and W is a constant geometry
 matrix. This gives closed-form M, its configuration gradient, the Coriolis
-matrix from Christoffel symbols of the first kind, and the gravity vector,
-for any joint count.
+matrix from Christoffel symbols of the first kind, the Coriolis vector
+C(q, qd) qd = L^T [(W o sin(phi_a - phi_b)) (L qd)^2] without the matrix,
+and the gravity vector, for any joint count. The kernels work on stacks of
+arms and states; the single-state functions are their unbatched case.
 
 Inertia eigenvalue bounds, the Coriolis quadratic-growth constant and the
 per-joint gravity caps are estimated once per parameter set by dense sampling
@@ -20,9 +22,9 @@ of the configuration torus with a safety margin.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 __all__ = [
     "RobotParams",
@@ -36,6 +38,14 @@ __all__ = [
     "forward_dynamics",
     "energies",
     "derive_bounds",
+    "ArmArrays",
+    "arm_arrays",
+    "stack_arm_arrays",
+    "link_angles",
+    "inertia_kernel",
+    "coriolis_kernel",
+    "gravity_kernel",
+    "solve_spd",
 ]
 
 # configuration grid budget and safety margin for the sampled bounds
@@ -182,28 +192,86 @@ def _check_q(params: RobotParams, q) -> np.ndarray:
     return q
 
 
+# --- batched kernels ------------------------------------------------------
+#
+# The kernels take the model constants of one arm or of a stack of arms
+# (ArmArrays) and the absolute link angles phi = L q, with any leading batch
+# axes. The single-state functions below are their unbatched case.
+
+
+class ArmArrays(NamedTuple):
+    """Model constants of one arm, or of several stacked on leading axes."""
+
+    weights: np.ndarray   # (..., n, n) geometry matrix W
+    inertia: np.ndarray   # (..., n, n) diagonal of rotor inertias
+    gravity: np.ndarray   # (..., n) gravity * (masses @ lever)
+
+
+def arm_arrays(params: RobotParams) -> ArmArrays:
+    return ArmArrays(params._weight_matrix, np.diag(params.inertias),
+                     params.gravity * params._gravity_weights)
+
+
+def stack_arm_arrays(rows) -> ArmArrays:
+    """Constants of a (B, k) grid of arms, stacked on two leading axes."""
+    cells = [[arm_arrays(p) for p in row] for row in rows]
+    return ArmArrays(*(np.array([[c[i] for c in row] for row in cells]) for i in range(3)))
+
+
+def link_angles(q: np.ndarray) -> np.ndarray:
+    """Absolute link angles phi = L q."""
+    return np.asarray(q).cumsum(axis=-1)
+
+
+_REVERSED = {-1: (Ellipsis, slice(None, None, -1)),
+             -2: (Ellipsis, slice(None, None, -1), slice(None))}
+
+
+def _suffix_sum(x: np.ndarray, axis: int) -> np.ndarray:
+    """L^T applied along axis -1 or -2: out[k] = sum over a >= k of x[a]."""
+    rev = _REVERSED[axis]
+    return x[rev].cumsum(axis=axis)[rev]
+
+
+def inertia_kernel(arm: ArmArrays, phi: np.ndarray) -> np.ndarray:
+    """M = L^T A L with A_ab = W_ab cos(phi_a - phi_b) + delta_ab I_a."""
+    a = arm.weights * np.cos(phi[..., :, None] - phi[..., None, :]) + arm.inertia
+    m = _suffix_sum(_suffix_sum(a, -1), -2)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))  # kill rounding asymmetry
+
+
+def coriolis_kernel(arm: ArmArrays, phi: np.ndarray, qdot: np.ndarray) -> np.ndarray:
+    """The Coriolis vector C(q, qd) qd = L^T [(W o sin(phi_a - phi_b)) (L qd)^2].
+
+    Never builds the matrix C.
+    """
+    omega = link_angles(qdot)
+    pull = arm.weights * np.sin(phi[..., :, None] - phi[..., None, :])
+    return _suffix_sum(np.sum(pull * (omega * omega)[..., None, :], axis=-1), -1)
+
+
+def gravity_kernel(arm: ArmArrays, phi: np.ndarray) -> np.ndarray:
+    """Gravity torque L^T (g (masses @ lever) o cos(phi))."""
+    return _suffix_sum(arm.gravity * np.cos(phi), -1)
+
+
+def solve_spd(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve M x = rhs for a stack of inertia matrices, checking they are SPD."""
+    try:
+        np.linalg.cholesky(m)
+        return np.linalg.solve(m, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularInertiaError(
+            "inertia matrix is not positive definite; robot parameters are corrupted"
+        ) from exc
+
+
+# --- single-state functions -----------------------------------------------
+
+
 def mass_matrix(params: RobotParams, q) -> np.ndarray:
     """Symmetric positive-definite joint-space inertia matrix M(q)."""
-    q = _check_q(params, q)
-    lo = params._lower
-    phi = lo @ q
-    c, s = np.cos(phi), np.sin(phi)
-    a = params._weight_matrix * (np.outer(c, c) + np.outer(s, s)) + np.diag(params.inertias)
-    m = lo.T @ a @ lo
-    return 0.5 * (m + m.T)  # kill rounding asymmetry from the matmuls
-
-
-def _mass_gradient(params: RobotParams, q) -> np.ndarray:
-    """dM[k] = dM/dq_k, shape (n, n, n)."""
-    lo = params._lower
-    phi = lo @ q
-    c, s = np.cos(phi), np.sin(phi)
-    sin_diff = np.outer(s, c) - np.outer(c, s)  # sin(phi_a - phi_b)
-    # reach[k, a, b] = 1 if joint k moves phi_a, minus the same for phi_b
-    reach = lo.T[:, :, None] - lo.T[:, None, :]
-    da = -(params._weight_matrix * sin_diff)[None, :, :] * reach
-    dm = np.einsum("ak,cab,bj->ckj", lo, da, lo)
-    return 0.5 * (dm + np.einsum("ckj->cjk", dm))
+    return inertia_kernel(arm_arrays(params), link_angles(_check_q(params, q)))
 
 
 def coriolis_matrix(params: RobotParams, q, qdot) -> np.ndarray:
@@ -214,7 +282,7 @@ def coriolis_matrix(params: RobotParams, q, qdot) -> np.ndarray:
     """
     q = _check_q(params, q)
     qdot = _check_q(params, qdot)
-    dm = _mass_gradient(params, q)
+    dm = _batch_mass_gradient(params, q[None])[0]
     t1 = np.einsum("i,ikj->kj", qdot, dm)
     t2 = np.einsum("i,jki->kj", qdot, dm)
     t3 = np.einsum("i,kij->kj", qdot, dm)
@@ -230,31 +298,22 @@ def potential_energy(params: RobotParams, q) -> float:
 
 def gravity_vector(params: RobotParams, q) -> np.ndarray:
     """Configuration gradient of the potential energy (gravity torque)."""
-    q = _check_q(params, q)
-    lo = params._lower
-    phi = lo @ q
-    return params.gravity * (lo.T @ (params._gravity_weights * np.cos(phi)))
+    return gravity_kernel(arm_arrays(params), link_angles(_check_q(params, q)))
 
 
 def forward_dynamics(params: RobotParams, state: RobotState, tau, f_ext=None) -> np.ndarray:
     """Joint accelerations from the equations of motion.
 
-    Solves M(q) qdd = tau + f_ext - C(q, qd) qd - gravity(q) with an SPD
-    Cholesky factorization.
+    Solves M(q) qdd = tau + f_ext - C(q, qd) qd - gravity(q) after checking
+    that M(q) is positive definite.
     """
     tau = _check_q(params, tau)
-    rhs = tau - coriolis_matrix(params, state.q, state.qdot) @ state.qdot
-    rhs -= gravity_vector(params, state.q)
+    arm, phi = arm_arrays(params), link_angles(_check_q(params, state.q))
+    rhs = tau - coriolis_kernel(arm, phi, state.qdot)
+    rhs -= gravity_kernel(arm, phi)
     if f_ext is not None:
         rhs = rhs + _check_q(params, f_ext)
-    m = mass_matrix(params, state.q)
-    try:
-        factor = cho_factor(m, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInertiaError(
-            "inertia matrix is not positive definite; robot parameters are corrupted"
-        ) from exc
-    return cho_solve(factor, rhs, check_finite=False)
+    return solve_spd(mass_matrix(params, state.q), rhs)
 
 
 def energies(params: RobotParams, state: RobotState) -> tuple[float, float]:
@@ -266,24 +325,10 @@ def energies(params: RobotParams, state: RobotState) -> tuple[float, float]:
 # --- sampled bounds -------------------------------------------------------
 
 
-def _batch_phi_trig(params: RobotParams, q_grid: np.ndarray):
-    phi = q_grid @ params._lower.T
-    return np.cos(phi), np.sin(phi)
-
-
-def _batch_mass(params: RobotParams, q_grid: np.ndarray) -> np.ndarray:
-    c, s = _batch_phi_trig(params, q_grid)
-    a = params._weight_matrix[None] * (
-        np.einsum("na,nb->nab", c, c) + np.einsum("na,nb->nab", s, s)
-    )
-    a += np.diag(params.inertias)[None]
-    lo = params._lower
-    return np.einsum("ak,nab,bj->nkj", lo, a, lo)
-
-
 def _batch_mass_gradient(params: RobotParams, q_grid: np.ndarray) -> np.ndarray:
-    c, s = _batch_phi_trig(params, q_grid)
-    sin_diff = np.einsum("na,nb->nab", s, c) - np.einsum("na,nb->nab", c, s)
+    """dM/dq_c for each configuration, shape (N, n, n, n) indexed [N, c, k, j]."""
+    phi = link_angles(q_grid)
+    sin_diff = np.sin(phi[:, :, None] - phi[:, None, :])
     lo = params._lower
     reach = lo.T[:, :, None] - lo.T[:, None, :]
     da = -(params._weight_matrix[None, None] * sin_diff[:, None]) * reach[None]
@@ -326,16 +371,15 @@ def derive_bounds(params: RobotParams, grid_target: int = _BOUND_GRID_TARGET) ->
     chunk = 2048
     lam_min, lam_max, growth_max = np.inf, -np.inf, 0.0
     grav_max = np.zeros(params.n)
-    lo = params._lower
+    arm = arm_arrays(params)
     for start in range(0, grid.shape[0], chunk):
         q_block = grid[start : start + chunk]
-        eigs = np.linalg.eigvalsh(_batch_mass(params, q_block))
+        phi = link_angles(q_block)
+        eigs = np.linalg.eigvalsh(inertia_kernel(arm, phi))
         lam_min = min(lam_min, float(eigs[:, 0].min()))
         lam_max = max(lam_max, float(eigs[:, -1].max()))
         growth_max = max(growth_max, float(_christoffel_growth(params, q_block).max()))
-        c, _ = _batch_phi_trig(params, q_block)
-        grav = params.gravity * (c * params._gravity_weights) @ lo
-        grav_max = np.maximum(grav_max, np.abs(grav).max(axis=0))
+        grav_max = np.maximum(grav_max, np.abs(gravity_kernel(arm, phi)).max(axis=0))
 
     if lam_max - lam_min < 1e-12 * lam_max:
         inertia_min = inertia_max = lam_max

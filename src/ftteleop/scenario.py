@@ -27,6 +27,7 @@ A scenario file is INI-style text with '#' comments. Sections:
 
     [simulation]
         horizon, dt, decimation [s]; integrator = euler | rk4; delay [s]
+        (a nonzero delay requires the euler integrator)
 
     [output]  (optional)
         trace, report, audit        output file paths
@@ -55,6 +56,7 @@ __all__ = [
     "load_scenario",
     "parse_scenario",
     "dump_scenario",
+    "with_simulation",
     "with_weights",
     "bundled_scenario_names",
     "read_bundled_scenario",
@@ -257,6 +259,27 @@ def _read_profile(reader: _SectionReader, n: int, problems: list) -> ForceProfil
         return ForceProfile()
 
 
+def _simulation_problems(horizon, dt, decimation, integrator, delay) -> list[str]:
+    """The [simulation] rules; None stands for a value that failed to parse."""
+    problems = []
+    if horizon is None or horizon <= 0:
+        problems.append("[simulation] horizon must be positive")
+    if dt is None or dt <= 0:
+        problems.append("[simulation] dt must be positive")
+    elif decimation is not None:
+        if dt > decimation:
+            problems.append("[simulation] dt must not exceed the decimation interval")
+        elif abs(decimation / dt - round(decimation / dt)) > 1e-9:
+            problems.append("[simulation] decimation must be an integer multiple of dt")
+    if integrator not in ("euler", "rk4"):
+        problems.append("[simulation] integrator must be 'euler' or 'rk4'")
+    if delay is None or delay < 0:
+        problems.append("[simulation] delay must be nonnegative")
+    elif delay > 0 and integrator != "euler":
+        problems.append("[simulation] delay > 0 requires integrator = euler")
+    return problems
+
+
 def parse_scenario(text: str, label: str = "scenario") -> ScenarioConfig:
     """Parse and fully validate scenario text; raises ScenarioError with the
     complete list of problems on failure."""
@@ -321,19 +344,7 @@ def parse_scenario(text: str, label: str = "scenario") -> ScenarioConfig:
     delay = sim.scalar("delay", default=0.0)
     if not sim.missing():
         sim.leftovers()
-    if horizon is None or horizon <= 0:
-        problems.append("[simulation] horizon must be positive")
-    if dt is None or dt <= 0:
-        problems.append("[simulation] dt must be positive")
-    elif decimation is not None:
-        if dt > decimation:
-            problems.append("[simulation] dt must not exceed the decimation interval")
-        elif abs(decimation / dt - round(decimation / dt)) > 1e-9:
-            problems.append("[simulation] decimation must be an integer multiple of dt")
-    if integrator not in ("euler", "rk4"):
-        problems.append("[simulation] integrator must be 'euler' or 'rk4'")
-    if delay is None or delay < 0:
-        problems.append("[simulation] delay must be nonnegative")
+    problems += _simulation_problems(horizon, dt, decimation, integrator, delay)
 
     out = _SectionReader(parser, "output", problems)
     trace_path = out.get("trace")
@@ -457,6 +468,18 @@ def dump_scenario(cfg: ScenarioConfig) -> str:
     if out_lines:
         section("output", out_lines)
     return buf.getvalue()
+
+
+def with_simulation(cfg: ScenarioConfig, **changes) -> ScenarioConfig:
+    """Same scenario with new [simulation] values (horizon, dt, decimation,
+    integrator, delay), checked by the scenario file's rules; raises
+    ScenarioError listing every violation."""
+    out = replace(cfg, **changes)
+    problems = _simulation_problems(out.horizon, out.dt, out.decimation, out.integrator,
+                                    out.delay)
+    if problems:
+        raise ScenarioError(problems)
+    return out
 
 
 def with_weights(cfg: ScenarioConfig, r1: float, r2: float) -> ScenarioConfig:

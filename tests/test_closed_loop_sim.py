@@ -1,11 +1,13 @@
 """Integration-loop tests: stepping, traces, monitors and ledgers."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import ftteleop as ft
+from ftteleop import closed_loop_sim
 
 from conftest import BENCHMARK
 
@@ -149,6 +151,74 @@ class TestRun:
             drift[integrator] = abs(trace.energy[-1] - trace.energy[0]) / trace.energy[0]
         assert drift["rk4"] < 1e-9
         assert drift["rk4"] < drift["euler"] * 1e-2
+
+
+class TestRunBatch:
+    def _law_calls(self, scenario) -> int:
+        law = closed_loop_sim.control_law
+        with mock.patch.object(closed_loop_sim, "control_law", wraps=law) as counted:
+            ft.run(scenario)
+        return counted.call_count
+
+    @pytest.mark.parametrize("integrator, per_step", [("euler", 1), ("rk4", 4)])
+    def test_law_calls_per_step(self, integrator, per_step):
+        # the record reuses the step's first evaluation; one more for the last sample
+        base = _scenario(dt=1e-3, integrator=integrator)
+        short = self._law_calls(replace(base, horizon=0.04))
+        longer = self._law_calls(replace(base, horizon=0.08))
+        assert short == 40 * per_step + 1
+        assert longer - short == 40 * per_step
+
+    def test_members_match_their_run_alone_in_input_order(self):
+        scenarios = [
+            _scenario("C1", horizon=0.2, label="a"),
+            _scenario("C4", horizon=0.2, label="b"),
+            _scenario("C1", horizon=0.2, label="c", q0_l=np.array([0.2, 0.1])),
+            _scenario("C1", horizon=0.2, label="d", integrator="rk4"),
+            _scenario("C4", horizon=0.2, label="e", config=ft.ControllerConfig.build(
+                variant="C4", n=2, weights=(1.3, 1.0), k_s=5.0, k_c=18.0, d_c=4.0,
+                delta_p=0.3, delta_d=0.4)),
+            _scenario("C1", horizon=0.2, label="f", delay=5e-3, dt=1e-3),
+        ]
+        traces = ft.run_batch(scenarios)
+        assert len(traces) == len(scenarios)
+        for scenario, trace in zip(scenarios, traces):
+            np.testing.assert_array_equal(trace.matrix(), ft.run(scenario).matrix())
+
+    def test_mixed_forces_in_one_group(self):
+        pulse = ft.ForceProfile(kind="pulse", start=0.05, stop=0.1,
+                                amplitude=np.array([2.0, -1.0]))
+        spring = ft.ForceProfile(kind="spring_damper", stiffness=np.array([30.0, 30.0]),
+                                 anchor=np.zeros(2))
+        scenarios = [_scenario(horizon=0.2, profile_r=pulse), _scenario(horizon=0.2),
+                     _scenario(horizon=0.2, profile_l=spring)]
+        traces = ft.run_batch(scenarios)
+        np.testing.assert_array_equal(traces[1].f_r, np.zeros_like(traces[1].f_r))
+        on = (traces[0].t >= 0.05) & (traces[0].t < 0.1)
+        np.testing.assert_array_equal(traces[0].f_r[on], np.tile([2.0, -1.0], (on.sum(), 1)))
+        np.testing.assert_array_equal(traces[0].f_r[~on], np.zeros(((~on).sum(), 2)))
+        np.testing.assert_allclose(traces[2].f_l, -30.0 * traces[2].q_l)
+        for scenario, trace in zip(scenarios, traces):
+            np.testing.assert_array_equal(trace.matrix(), ft.run(scenario).matrix())
+
+    def test_instability_names_the_member(self):
+        stiff = ft.ControllerConfig.build(variant="C1", n=2, weights=(1.5, 1.0),
+                                          k_s=1e6, d_s=1e6)
+        scenarios = [_scenario(horizon=1.0, dt=5e-2, label="calm"),
+                     _scenario(horizon=1.0, dt=5e-2, label="wild", config=stiff)]
+        with np.errstate(all="ignore"):
+            with pytest.raises(ft.SimulationUnstableError, match=r"^wild: .* t = "):
+                ft.run_batch(scenarios)
+
+    def test_rk4_blow_up_is_an_instability(self):
+        scenario = replace(ft.read_bundled_scenario("c1_sim"), integrator="rk4",
+                           dt=0.2, decimation=0.2)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ft.SimulationUnstableError, match="c1_sim"):
+                ft.run(scenario)
+
+    def test_empty_batch(self):
+        assert ft.run_batch([]) == []
 
 
 class TestConvergenceTime:

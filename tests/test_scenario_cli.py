@@ -1,5 +1,7 @@
 """Scenario-file grammar, validation reporting and the CLI front end."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,12 @@ class TestLoadScenario:
         with pytest.raises(ft.ScenarioError, match="decimation"):
             ft.load_scenario(_write(tmp_path, text))
 
+    def test_delay_needs_euler(self, tmp_path):
+        text = FAST_SCENARIO.replace("decimation = 1e-2",
+                                     "decimation = 1e-2\nintegrator = rk4\ndelay = 2e-3")
+        with pytest.raises(ft.ScenarioError, match="delay > 0 requires integrator = euler"):
+            ft.load_scenario(_write(tmp_path, text))
+
     def test_per_robot_overrides(self, tmp_path):
         text = FAST_SCENARIO.replace(
             "d_s = 8.0", "d_s_local = 8.0\nd_s_remote = 2.0, 3.0")
@@ -192,6 +200,29 @@ class TestCli:
         with np.errstate(all="ignore"):
             code = run_command(["simulate", _write(tmp_path, text)])
         assert code == 4
+
+    def test_rk4_blow_up_exit_code(self, tmp_path, capsys):
+        cfg = ft.read_bundled_scenario("c1_sim")
+        path = _write(tmp_path, ft.dump_scenario(replace(cfg, integrator="rk4")), "c1_rk4.cfg")
+        with np.errstate(all="ignore"):
+            code = run_command(["simulate", path, "--dt", "0.2", "--out", str(tmp_path)])
+        assert code == 4
+        assert "c1_rk4: non-finite state at t =" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, problem", [
+        (["--dt", "-1"], "dt must be positive"),
+        (["--dt", "3e-4"], "decimation must be an integer multiple of dt"),
+        (["--delay", "-0.5"], "delay must be nonnegative"),
+        (["--delay", "0.002"], "delay > 0 requires integrator = euler"),
+    ], ids=["negative-dt", "dt-not-dividing-decimation", "negative-delay", "delay-with-rk4"])
+    def test_override_validated_like_the_file(self, tmp_path, capsys, flags, problem):
+        text = FAST_SCENARIO.replace("horizon = 0.5", "horizon = 0.01")
+        text = text.replace("decimation = 1e-2", "decimation = 1e-3")
+        if "--delay" in flags and flags[1] == "0.002":
+            text = text.replace("decimation = 1e-3", "decimation = 1e-3\nintegrator = rk4")
+        code = run_command(["simulate", _write(tmp_path, text), "--out", str(tmp_path)] + flags)
+        assert code == 3
+        assert problem in capsys.readouterr().err
 
     def test_validate_passes_on_bundled_bounded(self, tmp_path, capsys):
         code = run_command(["validate", "c3_sim", "--out", str(tmp_path)])
