@@ -47,7 +47,6 @@ from .homogeneity_audit import (
     fitted_decay_slope,
     full_field,
     homogeneous_field,
-    homogeneous_part,
     sphere_points,
     stacked_weights,
     vanishing_sweep,

@@ -1,9 +1,9 @@
 """Numerical audit of the closed loop's weighted-homogeneity structure.
 
 The shaped closed loop splits into a dilation-homogeneous core and a
-remainder. The core freezes the inertia matrix at a consensus position and
-keeps only the shaped spring and damping terms; it scales exactly under the
-anisotropic dilation with degree r2 - r1 (negative in the finite-time
+remainder. The core is the unbounded control law with gravity dropped and
+the inertia matrix frozen at a consensus position; it scales exactly under
+the anisotropic dilation with degree r2 - r1 (negative in the finite-time
 regime). The remainder - Coriolis forces plus the configuration dependence
 of the inertia - must fade faster than the core as the dilation shrinks
 toward the origin.
@@ -12,31 +12,37 @@ Both facts are audited by sampling: an exact degree check on the core, and a
 shrinking-dilation sweep measuring the worst remainder over a fixed sphere
 of directions. Sampling can falsify but not certify the limit; the audit is
 evidence for the structure, not a proof.
+
+Both fields map stacks of error-coordinate states of shape (..., dim) to
+their time derivatives of the same shape, so every sample of an audit is
+evaluated in one call of the engine's kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.stats import norm, qmc
 
-from .controllers import LOCAL, REMOTE, ControllerConfig, ControllerState, control_action
+from .controllers import ControllerConfig, control_law, stack_laws
 from .robot_dynamics import (
     RobotParams,
-    RobotState,
     SingularInertiaError,
-    forward_dynamics,
-    mass_matrix,
+    coriolis_kernel,
+    gravity_kernel,
+    inertia_kernel,
+    link_angles,
+    solve_spd,
+    stack_arm_arrays,
 )
-from .scalar_ops import dilate, signed_pow
 
 __all__ = [
     "HomogeneitySpec",
     "sphere_points",
     "stacked_weights",
     "homogeneous_field",
-    "homogeneous_part",
     "full_field",
     "check_degree",
     "vanishing_sweep",
@@ -92,68 +98,73 @@ class HomogeneitySpec:
         )
 
 
+@lru_cache(maxsize=32)
 def sphere_points(dim: int, count: int, seed: int = 0) -> np.ndarray:
-    """Deterministic low-discrepancy directions on the unit sphere.
+    """Deterministic low-discrepancy directions on the unit sphere, (count, dim).
 
     Scrambled Sobol points mapped through the normal quantile and
-    normalized; identical (dim, count, seed) always give the same set.
+    normalized; identical (dim, count, seed) always give the same set. The
+    set is cached and returned read-only.
     """
     sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
     m = int(np.ceil(np.log2(max(count, 2))))
     pts = sampler.random_base2(m)[:count]
     z = norm.ppf(pts)
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    return z / norms
+    out = z / np.linalg.norm(z, axis=1, keepdims=True)
+    out.setflags(write=False)
+    return out
 
 
-def _split(config: ControllerConfig, x: np.ndarray, n: int):
-    tq_l, tq_r = x[0:n], x[n:2 * n]
-    qd_l, qd_r = x[2 * n:3 * n], x[3 * n:4 * n]
-    tt_l = tt_r = None
-    if config.has_virtual_state:
-        tt_l, tt_r = x[4 * n:5 * n], x[5 * n:6 * n]
-    return tq_l, tq_r, qd_l, qd_r, tt_l, tt_r
+def _dilations(spec: HomogeneitySpec, points: np.ndarray) -> np.ndarray:
+    """The points dilated by every grid epsilon, shape (eps, sample, dim)."""
+    return spec.eps_grid[:, None, None] ** spec.weights * points
+
+
+def _error_field(config: ControllerConfig, q_c, dynamics):
+    """A field over stacks of error-coordinate states of shape (..., dim).
+
+    Each state is laid out as position errors, velocities and, for C2/C4,
+    virtual-state mismatches theta - q, each with rows (local, remote) of n
+    joints: the engine's (k, 2, n) layout, flattened. ``dynamics(q, qdot,
+    theta)`` receives positions shifted by q_c as (N, 2, n) stacks and
+    returns the accelerations and the virtual-state rates (None for C1/C3).
+    """
+    k = 3 if config.has_virtual_state else 2
+
+    def field_fn(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, float)
+        blocks = x.reshape(-1, k, 2, config.n)
+        q, qdot = blocks[:, 0] + q_c, blocks[:, 1]
+        theta = blocks[:, 2] + q if k == 3 else None
+        acc, theta_dot = dynamics(q, qdot, theta)
+        rows = [qdot, acc] if theta_dot is None else [qdot, acc, theta_dot - qdot]
+        return np.stack(rows, axis=1).reshape(x.shape)
+
+    return field_fn
 
 
 def homogeneous_field(config: ControllerConfig, params_l: RobotParams,
                       params_r: RobotParams, q_c: np.ndarray):
     """Dilation-homogeneous core of the closed loop, inertia frozen at q_c.
 
-    Returns a callable mapping the stacked error-coordinate state to its
-    time derivative. Saturations never enter the core: near the origin the
-    bounded variants coincide with their unbounded counterparts.
+    The unbounded control law of the configured variant with gravity
+    dropped, accelerating through the inverse inertia at the consensus
+    position. Saturations never enter the core: near the origin the bounded
+    variants coincide with their unbounded counterparts.
     """
-    q_c = np.asarray(q_c, float)
-    n = params_l.n
-    inv_l = np.linalg.inv(mass_matrix(params_l, q_c))
-    inv_r = np.linalg.inv(mass_matrix(params_r, q_c))
-    if not (np.all(np.isfinite(inv_l)) and np.all(np.isfinite(inv_r))):
+    law = stack_laws([config])
+    law = law._replace(delta_p=np.full_like(law.delta_p, np.inf),
+                       delta_d=np.full_like(law.delta_d, np.inf))
+    arms = stack_arm_arrays([(params_l, params_r)])
+    inv = np.linalg.inv(inertia_kernel(arms, link_angles(np.asarray(q_c, float))))
+    if not np.all(np.isfinite(inv)):
         raise SingularInertiaError("frozen inertia matrix is singular at the consensus position")
-    cfg = config
-    p_pos, p_vel = cfg.p_pos, cfg.p_vel
-    theta_exp = cfg.weights.theta_exponent
 
-    def core(x: np.ndarray) -> np.ndarray:
-        tq_l, tq_r, qd_l, qd_r, tt_l, tt_r = _split(cfg, np.asarray(x, float), n)
-        err = signed_pow(tq_l - tq_r, p_pos)
-        if cfg.uses_velocity:
-            acc_l = -inv_l @ (cfg.k_s * err + cfg.d_s[LOCAL] * signed_pow(qd_l, p_vel))
-            acc_r = -inv_r @ (-cfg.k_s * err + cfg.d_s[REMOTE] * signed_pow(qd_r, p_vel))
-            return np.concatenate([qd_l, qd_r, acc_l, acc_r])
-        acc_l = -inv_l @ (cfg.k_s * err - cfg.k_c[LOCAL] * signed_pow(tt_l, p_pos))
-        acc_r = -inv_r @ (-cfg.k_s * err - cfg.k_c[REMOTE] * signed_pow(tt_r, p_pos))
-        rate_l = (cfg.k_c[LOCAL] / cfg.d_c[LOCAL]) ** (1.0 / p_vel)
-        rate_r = (cfg.k_c[REMOTE] / cfg.d_c[REMOTE]) ** (1.0 / p_vel)
-        td_l = -rate_l * signed_pow(tt_l, theta_exp) - qd_l
-        td_r = -rate_r * signed_pow(tt_r, theta_exp) - qd_r
-        return np.concatenate([qd_l, qd_r, acc_l, acc_r, td_l, td_r])
+    def dynamics(q, qdot, theta):
+        tau, theta_dot = control_law(law, q, qdot, theta, q[:, ::-1], 0.0)
+        return (inv @ tau[..., None])[..., 0], theta_dot
 
-    return core
-
-
-def homogeneous_part(config, params_l, params_r, q_c, point) -> np.ndarray:
-    """Evaluate the frozen-inertia core at one stacked state."""
-    return homogeneous_field(config, params_l, params_r, q_c)(point)
+    return _error_field(config, 0.0, dynamics)
 
 
 def full_field(config: ControllerConfig, params_l: RobotParams,
@@ -162,29 +173,20 @@ def full_field(config: ControllerConfig, params_l: RobotParams,
 
     Gravity cancels exactly inside the torque laws, so the field depends on
     q_c only through the configuration-varying inertia and Coriolis terms.
+    Every inertia matrix of the stack is checked to be positive definite.
     """
-    q_c = np.asarray(q_c, float)
-    n = params_l.n
-    cfg = config
+    law = stack_laws([config])
+    arms = stack_arm_arrays([(params_l, params_r)])
 
-    def field_fn(x: np.ndarray) -> np.ndarray:
-        tq_l, tq_r, qd_l, qd_r, tt_l, tt_r = _split(cfg, np.asarray(x, float), n)
-        state_l = RobotState(q=tq_l + q_c, qdot=qd_l)
-        state_r = RobotState(q=tq_r + q_c, qdot=qd_r)
-        ctrl = None
-        if cfg.has_virtual_state:
-            ctrl = ControllerState(theta_l=tt_l + state_l.q, theta_r=tt_r + state_r.q)
-        action = control_action(cfg, params_l, params_r, state_l, state_r, ctrl)
-        out = [qd_l, qd_r]
-        for params, state, tau in ((params_l, state_l, action.tau_l),
-                                   (params_r, state_r, action.tau_r)):
-            out.append(forward_dynamics(params, state, tau))
-        if cfg.has_virtual_state:
-            out.append(action.theta_dot_l - qd_l)
-            out.append(action.theta_dot_r - qd_r)
-        return np.concatenate(out)
+    def dynamics(q, qdot, theta):
+        phi = link_angles(q)
+        grav = gravity_kernel(arms, phi)
+        tau, theta_dot = control_law(law, q, qdot, theta, q[:, ::-1], grav)
+        rhs = tau - coriolis_kernel(arms, phi, qdot)
+        rhs -= grav
+        return solve_spd(inertia_kernel(arms, phi), rhs), theta_dot
 
-    return field_fn
+    return _error_field(config, np.asarray(q_c, float), dynamics)
 
 
 def check_degree(field_fn, spec: HomogeneitySpec, points: np.ndarray | None = None,
@@ -194,21 +196,16 @@ def check_degree(field_fn, spec: HomogeneitySpec, points: np.ndarray | None = No
     For each sampled direction x and each grid epsilon, compares
     field(dilate(x)) against eps^(degree + w_j) field_j(x) component-wise,
     relative to |field_j(x)| with a 1e-12 absolute floor. An exactly
-    homogeneous field returns rounding-level defects.
+    homogeneous field returns rounding-level defects. ``field_fn`` must map
+    stacks (..., dim) to (..., dim).
     """
-    w_in = spec.weights
-    w_out = w_in if out_weights is None else np.asarray(out_weights, float)
+    w_out = spec.weights if out_weights is None else np.asarray(out_weights, float)
     if points is None:
-        points = sphere_points(w_in.size, spec.samples, spec.seed)
-    worst = 0.0
-    for x in points:
-        fx = np.asarray(field_fn(x), float)
-        floor = np.abs(fx) + 1e-12
-        for eps in spec.eps_grid:
-            fd = np.asarray(field_fn(dilate(x, w_in, eps)), float)
-            defect = np.abs(fd - eps ** (spec.degree + w_out) * fx) / floor
-            worst = max(worst, float(defect.max()))
-    return worst
+        points = sphere_points(spec.weights.size, spec.samples, spec.seed)
+    fx = np.asarray(field_fn(points), float)
+    fd = np.asarray(field_fn(_dilations(spec, points)), float)
+    scale = spec.eps_grid[:, None, None] ** (spec.degree + w_out)
+    return float(np.max(np.abs(fd - scale * fx) / (np.abs(fx) + 1e-12)))
 
 
 def vanishing_sweep(config: ControllerConfig, params_l: RobotParams,
@@ -222,20 +219,14 @@ def vanishing_sweep(config: ControllerConfig, params_l: RobotParams,
 
     Returns (eps_grid, deviations).
     """
-    core = homogeneous_field(config, params_l, params_r, q_c)
-    full = full_field(config, params_l, params_r, q_c)
     points = sphere_points(spec.weights.size, spec.samples, spec.seed)
-    core_values = [core(x) for x in points]
-    devs = np.empty(spec.eps_grid.size)
-    for i, eps in enumerate(spec.eps_grid):
-        back = eps ** -(spec.degree + spec.weights)
-        sup = 0.0
-        for x, fx in zip(points, core_values):
-            fd = full(dilate(x, spec.weights, eps))
-            if not np.all(np.isfinite(fd)):
-                raise FloatingPointError(f"full field non-finite at eps={eps}")
-            sup = max(sup, float(np.linalg.norm(back * fd - fx)))
-        devs[i] = sup
+    core_values = homogeneous_field(config, params_l, params_r, q_c)(points)
+    fd = full_field(config, params_l, params_r, q_c)(_dilations(spec, points))
+    bad = ~np.all(np.isfinite(fd), axis=(1, 2))
+    if np.any(bad):
+        raise FloatingPointError(f"full field non-finite at eps={spec.eps_grid[bad.argmax()]}")
+    back = spec.eps_grid[:, None, None] ** -(spec.degree + spec.weights)
+    devs = np.linalg.norm(back * fd - core_values, axis=-1).max(axis=1)
     return spec.eps_grid.copy(), devs
 
 

@@ -90,7 +90,7 @@ class TestCheckDegree:
         params = _params()
         config = _config(variant)
         dim = ft.stacked_weights(config, 2).size
-        value = ft.homogeneous_part(config, params, params, Q_C, np.zeros(dim))
+        value = ft.homogeneous_field(config, params, params, Q_C)(np.zeros(dim))
         np.testing.assert_array_equal(value, np.zeros(dim))
 
 
@@ -109,7 +109,7 @@ class TestFieldComposition:
         acc_r = -inv @ (6.0 * ft.signed_pow(tq_r - tq_l, 1.0 / 3.0)
                         + 8.0 * ft.signed_pow(qd_r, 0.5))
         expected = np.concatenate([qd_l, qd_r, acc_l, acc_r])
-        actual = ft.homogeneous_part(config, params, params, Q_C, x)
+        actual = ft.homogeneous_field(config, params, params, Q_C)(x)
         np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-14)
 
     def test_remainder_is_full_minus_core(self):
@@ -125,6 +125,24 @@ class TestFieldComposition:
         np.testing.assert_array_equal(remainder[:4], np.zeros(4))
         np.testing.assert_allclose(remainder[8:], np.zeros(4), atol=1e-13)
         assert np.linalg.norm(remainder) > 0.0
+
+    @pytest.mark.parametrize("variant", ["C1", "C2", "C3", "C4"])
+    def test_stack_matches_single_points(self, variant):
+        # an (E, S, dim) stack gives the same values as each row alone, and
+        # a 1-D point keeps its shape
+        params = _params()
+        config = _config(variant)
+        dim = ft.stacked_weights(config, 2).size
+        rng = np.random.default_rng(10)
+        stack = rng.normal(size=(3, 5, dim)) * 0.5
+        for make in (ft.homogeneous_field, ft.full_field):
+            field_fn = make(config, params, params, Q_C)
+            values = field_fn(stack)
+            assert values.shape == stack.shape
+            for index in np.ndindex(stack.shape[:-1]):
+                single = field_fn(stack[index])
+                assert single.shape == (dim,)
+                np.testing.assert_allclose(values[index], single, rtol=0.0, atol=1e-13)
 
     def test_full_field_matches_simulation_rhs(self):
         # one Euler step of the simulator equals x + dt * f(x) in the

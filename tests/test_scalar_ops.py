@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ftteleop import Weights, dilate, s_integral, sat_clip, sat_pow, signed_pow
@@ -59,9 +59,15 @@ class TestSignedPow:
 
     @given(a=st.floats(min_value=0.0, max_value=100.0),
            b=st.floats(min_value=0.0, max_value=100.0), p=powers)
+    @example(a=0.0, b=4.698e-162, p=3.0)
     def test_strictly_increasing(self, a, b, p):
+        # rounding keeps the order but not always its strictness: a tiny
+        # b^p underflows to 0, and for p < 1 neighbouring floats can share
+        # a power. The order stays strict where the gap survives rounding.
         if a < b:
-            assert signed_pow(a, p) < signed_pow(b, p)
+            assert signed_pow(a, p) <= signed_pow(b, p)
+            if b >= 2 * a and signed_pow(b, p) >= np.finfo(float).tiny:
+                assert signed_pow(a, p) < signed_pow(b, p)
 
 
 class TestSatPow:
