@@ -30,12 +30,7 @@ from .controllers import (
     ControllerConfig,
     ControllerState,
     SaturationReport,
-    c1_torques,
-    c2_torques_and_theta_dot,
-    c3_torques,
-    c4_torques_and_theta_dot,
     control_action,
-    derive_exponents,
     dissipation_rate,
     shaped_potential,
     theta_rate,
@@ -73,7 +68,6 @@ from .scenario import (
     load_scenario,
     parse_scenario,
     read_bundled_scenario,
-    with_simulation,
     with_weights,
 )
 

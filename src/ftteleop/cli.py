@@ -16,6 +16,8 @@ import argparse
 import os
 import sys
 import tempfile
+from dataclasses import replace
+
 import numpy as np
 
 from .closed_loop_sim import (
@@ -38,7 +40,6 @@ from .scenario import (
     bundled_scenario_names,
     load_scenario,
     read_bundled_scenario,
-    with_simulation,
     with_weights,
 )
 
@@ -84,7 +85,7 @@ def _load(args):
             overrides["decimation"] = args.dt
     if args.delay is not None:
         overrides["delay"] = args.delay
-    return with_simulation(cfg, **overrides) if overrides else cfg
+    return replace(cfg, **overrides) if overrides else cfg
 
 
 def _out_path(args, cfg, suffix: str, explicit: str | None) -> str:

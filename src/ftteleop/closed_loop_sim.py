@@ -49,6 +49,7 @@ __all__ = [
     "TeleopState",
     "SimTrace",
     "Scenario",
+    "ScenarioError",
     "SimulationUnstableError",
     "step",
     "rk4_step",
@@ -61,6 +62,14 @@ __all__ = [
     "PassivityLedger",
     "state_bounds_from_energy",
 ]
+
+
+class ScenarioError(ValueError):
+    """Carries every validation problem found in a scenario."""
+
+    def __init__(self, problems):
+        self.problems = list(problems)
+        super().__init__("invalid scenario:\n" + "\n".join(f"  - {p}" for p in self.problems))
 
 
 class SimulationUnstableError(RuntimeError):
@@ -139,9 +148,34 @@ class TeleopState:
             raise ValueError("controller state dimension mismatch")
 
 
+def _simulation_problems(horizon, dt, decimation, integrator, delay) -> list[str]:
+    """The [simulation] rules; None stands for a value that failed to parse."""
+    problems = []
+    if horizon is None or horizon <= 0:
+        problems.append("[simulation] horizon must be positive")
+    if dt is None or dt <= 0:
+        problems.append("[simulation] dt must be positive")
+    elif decimation is not None:
+        if dt > decimation:
+            problems.append("[simulation] dt must not exceed the decimation interval")
+        elif abs(decimation / dt - round(decimation / dt)) > 1e-9:
+            problems.append("[simulation] decimation must be an integer multiple of dt")
+    if integrator not in ("euler", "rk4"):
+        problems.append("[simulation] integrator must be 'euler' or 'rk4'")
+    if delay is None or delay < 0:
+        problems.append("[simulation] delay must be nonnegative")
+    elif delay > 0 and integrator != "euler":
+        problems.append("[simulation] delay > 0 requires integrator = euler")
+    return problems
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Everything one closed-loop run needs."""
+    """Everything one closed-loop run needs.
+
+    The [simulation] values are checked when a scenario is built, also by
+    dataclasses.replace; a violation raises ScenarioError listing them all.
+    """
 
     params_l: RobotParams
     params_r: RobotParams
@@ -160,6 +194,12 @@ class Scenario:
     integrator: str = "euler"
     delay: float = 0.0
     label: str = "scenario"
+
+    def __post_init__(self):
+        problems = _simulation_problems(self.horizon, self.dt, self.decimation,
+                                        self.integrator, self.delay)
+        if problems:
+            raise ScenarioError(problems)
 
     def initial_state(self) -> TeleopState:
         n = self.params_l.n
@@ -406,8 +446,6 @@ def _schedule(scenario) -> tuple:
     variant, integrator, dt, step count, decimation stride and delay steps."""
     dt = float(scenario.dt)
     delay_steps = int(round(scenario.delay / dt)) if scenario.delay else 0
-    if delay_steps > 0 and scenario.integrator != "euler":
-        raise ValueError("the transport-delay option is supported with the euler integrator only")
     return (scenario.params_l.n, scenario.config.variant, scenario.integrator, dt,
             int(round(scenario.horizon / dt)), max(1, int(round(scenario.decimation / dt))),
             delay_steps)

@@ -34,7 +34,7 @@ from .robot_dynamics import (
     link_angles,
     stack_arm_arrays,
 )
-from .scalar_ops import Weights
+from .scalar_ops import Weights, channel, channel_integral
 
 __all__ = [
     "VARIANTS",
@@ -44,11 +44,6 @@ __all__ = [
     "ControllerState",
     "ControlAction",
     "SaturationReport",
-    "derive_exponents",
-    "c1_torques",
-    "c2_torques_and_theta_dot",
-    "c3_torques",
-    "c4_torques_and_theta_dot",
     "control_action",
     "StackedLaw",
     "stack_laws",
@@ -63,15 +58,6 @@ __all__ = [
 
 VARIANTS = ("C1", "C2", "C3", "C4")
 LOCAL, REMOTE = 0, 1
-
-
-def derive_exponents(weights: Weights) -> tuple[float, float]:
-    """Exponent pair (position-like, velocity-like) from the weight pair.
-
-    Both lie in (0, 1) in the finite-time regime r1 > r2 and equal 1 when
-    r1 = r2. Inadmissible weight pairs are rejected by Weights itself.
-    """
-    return weights.pos_exponent, weights.vel_exponent
 
 
 def _per_robot_gain(value, n: int, name: str, allow_zero: bool = False) -> np.ndarray:
@@ -141,9 +127,8 @@ class ControllerConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        p_pos, p_vel = derive_exponents(self.weights)
-        object.__setattr__(self, "p_pos", p_pos)
-        object.__setattr__(self, "p_vel", p_vel)
+        object.__setattr__(self, "p_pos", self.weights.pos_exponent)
+        object.__setattr__(self, "p_vel", self.weights.vel_exponent)
         if self.uses_velocity:
             if self.d_s is None:
                 raise ValueError(f"{self.variant} requires the velocity damping gain d_s")
@@ -205,11 +190,6 @@ class ControllerState:
         object.__setattr__(self, "theta_r", np.atleast_1d(np.asarray(self.theta_r, float)))
         if not (np.all(np.isfinite(self.theta_l)) and np.all(np.isfinite(self.theta_r))):
             raise ValueError("controller state must be finite")
-
-    @classmethod
-    def at_robot_positions(cls, q_l, q_r) -> "ControllerState":
-        """Default initialization theta_i(0) = q_i(0)."""
-        return cls(theta_l=np.array(q_l, float), theta_r=np.array(q_r, float))
 
 
 @dataclass(frozen=True)
@@ -281,20 +261,8 @@ def stack_laws(configs) -> StackedLaw:
     )
 
 
-def _channel(x: np.ndarray, p, delta) -> np.ndarray:
-    """Signed power |x|^p sign(x), saturated at |x| = delta (inf: never)."""
-    return np.sign(x) * np.minimum(np.abs(x), delta) ** p
-
-
-def _channel_integral(x: np.ndarray, p, delta) -> np.ndarray:
-    """Integral of the channel map from 0 to x (the s_integral kernel)."""
-    a = np.abs(x)
-    m = np.minimum(a, delta)
-    return m ** (p + 1.0) / (p + 1.0) + m**p * (a - m)
-
-
 def _theta_rate(law: StackedLaw, theta_err: np.ndarray) -> np.ndarray:
-    return -law.speed * _channel(theta_err, law.p_theta, law.delta_d)
+    return -law.speed * channel(theta_err, law.p_theta, law.delta_d)
 
 
 def control_law(law: StackedLaw, q, qdot, theta, q_seen, gravity):
@@ -304,11 +272,11 @@ def control_law(law: StackedLaw, q, qdot, theta, q_seen, gravity):
     receives it (q with its rows swapped when nothing delays the exchange);
     ``gravity`` is each robot's own gravity torque, cancelled exactly.
     """
-    prop = law.k_s * _channel(q - q_seen, law.p_pos, law.delta_p)
+    prop = law.k_s * channel(q - q_seen, law.p_pos, law.delta_p)
     if not law.virtual:
-        return -prop - law.damping * _channel(qdot, law.p_vel, law.delta_d) + gravity, None
+        return -prop - law.damping * channel(qdot, law.p_vel, law.delta_d) + gravity, None
     theta_err = theta - q
-    tau = -prop + law.damping * _channel(theta_err, law.p_pos, law.delta_d) + gravity
+    tau = -prop + law.damping * channel(theta_err, law.p_pos, law.delta_d) + gravity
     return tau, _theta_rate(law, theta_err)
 
 
@@ -319,10 +287,10 @@ def law_potential(law: StackedLaw, q, theta=None) -> np.ndarray:
     mismatch); its error gradient is minus the proportional torque term.
     """
     err = q[..., :1, :] - q[..., 1:, :]
-    value = np.sum(law.k_s * _channel_integral(err, law.p_pos[:, :1], law.delta_p[:, :1]),
+    value = np.sum(law.k_s * channel_integral(err, law.p_pos[:, :1], law.delta_p[:, :1]),
                    axis=(-2, -1))
     if law.virtual:
-        value = value + np.sum(law.damping * _channel_integral(theta - q, law.p_pos, law.delta_d),
+        value = value + np.sum(law.damping * channel_integral(theta - q, law.p_pos, law.delta_d),
                                axis=(-2, -1))
     return value
 
@@ -336,7 +304,7 @@ def law_dissipation(law: StackedLaw, q, qdot, theta=None) -> np.ndarray:
     changes its sign.
     """
     if not law.virtual:
-        power = law.damping * qdot * _channel(qdot, law.p_vel, law.delta_d)
+        power = law.damping * qdot * channel(qdot, law.p_vel, law.delta_d)
     else:
         power = law.d_c * np.abs(_theta_rate(law, theta - q)) ** (law.p_vel + 1.0)
     return -np.sum(power, axis=(-2, -1))
@@ -362,40 +330,6 @@ def control_action(config, params_l, params_r, state_l, state_r,
     if theta_dot is None:
         return ControlAction(tau[0, LOCAL], tau[0, REMOTE])
     return ControlAction(tau[0, LOCAL], tau[0, REMOTE], theta_dot[0, LOCAL], theta_dot[0, REMOTE])
-
-
-def _variant_action(variant, config, *args) -> ControlAction:
-    if config.variant != variant:
-        raise ValueError(f"expected a {variant} config, got {config.variant}")
-    return control_action(config, *args)
-
-
-def c1_torques(config, params_l: RobotParams, params_r: RobotParams,
-               state_l: RobotState, state_r: RobotState):
-    """State-feedback law: shaped spring on the error plus joint damping."""
-    action = _variant_action("C1", config, params_l, params_r, state_l, state_r)
-    return action.tau_l, action.tau_r
-
-
-def c2_torques_and_theta_dot(config, params_l, params_r, state_l, state_r,
-                             ctrl: ControllerState):
-    """Output-feedback law: no velocity in any output; damping is injected
-    through the virtual-state dynamics."""
-    action = _variant_action("C2", config, params_l, params_r, state_l, state_r, ctrl)
-    return action.tau_l, action.tau_r, action.theta_dot_l, action.theta_dot_r
-
-
-def c3_torques(config, params_l, params_r, state_l, state_r):
-    """Bounded state-feedback law; see validate_saturation for the torque cap."""
-    action = _variant_action("C3", config, params_l, params_r, state_l, state_r)
-    return action.tau_l, action.tau_r
-
-
-def c4_torques_and_theta_dot(config, params_l, params_r, state_l, state_r,
-                             ctrl: ControllerState):
-    """Bounded output-feedback law."""
-    action = _variant_action("C4", config, params_l, params_r, state_l, state_r, ctrl)
-    return action.tau_l, action.tau_r, action.theta_dot_l, action.theta_dot_r
 
 
 def theta_rate(config: ControllerConfig, theta_err: np.ndarray, side: int) -> np.ndarray:

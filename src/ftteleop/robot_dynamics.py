@@ -8,15 +8,17 @@ in-plane along -y (set the acceleration to 0 for a horizontal workspace).
 With absolute link angles phi = L q (L the lower-triangular matrix of ones),
 the inertia matrix factors as M(q) = L^T A(phi) L where
 A_ab = W_ab cos(phi_a - phi_b) + delta_ab I_a and W is a constant geometry
-matrix. This gives closed-form M, its configuration gradient, the Coriolis
-matrix from Christoffel symbols of the first kind, the Coriolis vector
-C(q, qd) qd = L^T [(W o sin(phi_a - phi_b)) (L qd)^2] without the matrix,
-and the gravity vector, for any joint count. The kernels work on stacks of
-arms and states; the single-state functions are their unbatched case.
+matrix. Every Coriolis quantity comes from the one factor
+S = W o sin(phi_a - phi_b): the Christoffel matrix C = L^T S diag(L qd) L,
+the vector C(q, qd) qd = L^T [S (L qd)^2] without the matrix, and the
+quadratic forms [C(q, v) v]_k = v^T L^T diag(sum_{a>=k} S_a.) L v behind
+the growth bound. The kernels work on stacks of arms and states; the
+single-state functions are their unbatched case.
 
-Inertia eigenvalue bounds, the Coriolis quadratic-growth constant and the
-per-joint gravity caps are estimated once per parameter set by dense sampling
-of the configuration torus with a safety margin.
+The per-joint gravity caps are exact (all links horizontal). The inertia
+eigenvalue bounds and the Coriolis quadratic-growth constant are estimated
+once per parameter set by dense sampling of the configuration torus with a
+safety margin.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ class SingularInertiaError(RuntimeError):
 
 @dataclass(frozen=True)
 class DerivedBounds:
-    """Sampled model bounds: inertia eigenvalue range, Coriolis growth
-    constant (||C(q, v) v|| <= coriolis_gain ||v||^2) and per-joint caps on
-    the gravity torque magnitude."""
+    """Model bounds: the sampled inertia eigenvalue range and Coriolis growth
+    constant (||C(q, v) v|| <= coriolis_gain ||v||^2), and the exact
+    per-joint caps on the gravity torque magnitude."""
 
     inertia_min: float
     inertia_max: float
@@ -142,12 +144,8 @@ class RobotParams:
             lever[k, :k] = self.lengths[:k]
             lever[k, k] = self.com_offsets[k]
         weight_matrix = np.einsum("k,ka,kb->ab", self.masses, lever, lever)
-        gravity_weights = self.masses @ lever
-        lower = np.tril(np.ones((n, n)))
-        object.__setattr__(self, "_lever", _readonly(lever))
         object.__setattr__(self, "_weight_matrix", _readonly(weight_matrix))
-        object.__setattr__(self, "_gravity_weights", _readonly(gravity_weights))
-        object.__setattr__(self, "_lower", _readonly(lower))
+        object.__setattr__(self, "_gravity_weights", _readonly(self.masses @ lever))
 
         object.__setattr__(self, "bounds", derive_bounds(self))
         if self.bounds.inertia_max / self.bounds.inertia_min > _MAX_CONDITION:
@@ -233,21 +231,30 @@ def _suffix_sum(x: np.ndarray, axis: int) -> np.ndarray:
     return x[rev].cumsum(axis=axis)[rev]
 
 
+def _congruence(x: np.ndarray) -> np.ndarray:
+    """L^T X L for a stack of (n, n) matrices X."""
+    return _suffix_sum(_suffix_sum(x, -1), -2)
+
+
 def inertia_kernel(arm: ArmArrays, phi: np.ndarray) -> np.ndarray:
     """M = L^T A L with A_ab = W_ab cos(phi_a - phi_b) + delta_ab I_a."""
-    a = arm.weights * np.cos(phi[..., :, None] - phi[..., None, :]) + arm.inertia
-    m = _suffix_sum(_suffix_sum(a, -1), -2)
+    m = _congruence(arm.weights * np.cos(phi[..., :, None] - phi[..., None, :]) + arm.inertia)
     return 0.5 * (m + np.swapaxes(m, -1, -2))  # kill rounding asymmetry
 
 
+def _coriolis_factor(arm: ArmArrays, phi: np.ndarray) -> np.ndarray:
+    """S = W o sin(phi_a - phi_b), the factor of every Coriolis quantity."""
+    return arm.weights * np.sin(phi[..., :, None] - phi[..., None, :])
+
+
 def coriolis_kernel(arm: ArmArrays, phi: np.ndarray, qdot: np.ndarray) -> np.ndarray:
-    """The Coriolis vector C(q, qd) qd = L^T [(W o sin(phi_a - phi_b)) (L qd)^2].
+    """The Coriolis vector C(q, qd) qd = L^T [S (L qd)^2].
 
     Never builds the matrix C.
     """
     omega = link_angles(qdot)
-    pull = arm.weights * np.sin(phi[..., :, None] - phi[..., None, :])
-    return _suffix_sum(np.sum(pull * (omega * omega)[..., None, :], axis=-1), -1)
+    return _suffix_sum(np.sum(_coriolis_factor(arm, phi) * (omega * omega)[..., None, :],
+                              axis=-1), -1)
 
 
 def gravity_kernel(arm: ArmArrays, phi: np.ndarray) -> np.ndarray:
@@ -275,24 +282,20 @@ def mass_matrix(params: RobotParams, q) -> np.ndarray:
 
 
 def coriolis_matrix(params: RobotParams, q, qdot) -> np.ndarray:
-    """Coriolis/centrifugal matrix from Christoffel symbols of the first kind.
+    """Coriolis/centrifugal matrix C = L^T S diag(L qd) L.
 
-    Built from the analytic configuration gradient of M, so dM/dt - 2C is
-    skew-symmetric and C(q, v) v grows at most quadratically in v.
+    It is the matrix of Christoffel symbols of the first kind of the
+    factored inertia, so dM/dt - 2C is skew-symmetric and C(q, v) v grows
+    at most quadratically in v.
     """
-    q = _check_q(params, q)
-    qdot = _check_q(params, qdot)
-    dm = _batch_mass_gradient(params, q[None])[0]
-    t1 = np.einsum("i,ikj->kj", qdot, dm)
-    t2 = np.einsum("i,jki->kj", qdot, dm)
-    t3 = np.einsum("i,kij->kj", qdot, dm)
-    return 0.5 * (t1 + t2 - t3)
+    phi = link_angles(_check_q(params, q))
+    omega = link_angles(_check_q(params, qdot))
+    return _congruence(_coriolis_factor(arm_arrays(params), phi) * omega)
 
 
 def potential_energy(params: RobotParams, q) -> float:
     """Gravitational potential energy [J], zero with all links horizontal."""
-    q = _check_q(params, q)
-    phi = params._lower @ q
+    phi = link_angles(_check_q(params, q))
     return float(params.gravity * params._gravity_weights @ np.sin(phi))
 
 
@@ -325,61 +328,51 @@ def energies(params: RobotParams, state: RobotState) -> tuple[float, float]:
 # --- sampled bounds -------------------------------------------------------
 
 
-def _batch_mass_gradient(params: RobotParams, q_grid: np.ndarray) -> np.ndarray:
-    """dM/dq_c for each configuration, shape (N, n, n, n) indexed [N, c, k, j]."""
-    phi = link_angles(q_grid)
-    sin_diff = np.sin(phi[:, :, None] - phi[:, None, :])
-    lo = params._lower
-    reach = lo.T[:, :, None] - lo.T[:, None, :]
-    da = -(params._weight_matrix[None, None] * sin_diff[:, None]) * reach[None]
-    return np.einsum("ak,ncab,bj->nckj", lo, da, lo)
-
-
-def _christoffel_growth(params: RobotParams, q_grid: np.ndarray) -> np.ndarray:
+def _coriolis_growth(arm: ArmArrays, phi: np.ndarray) -> np.ndarray:
     """Per-sample bound on ||C(q, v) v|| / ||v||^2.
 
-    [C(q, v) v]_k is the quadratic form v^T G_k(q) v; the bound is the root
-    sum of squares of the symmetrized forms' spectral radii.
+    [C(q, v) v]_k is the quadratic form v^T G_k v with the symmetric
+    G_k = L^T diag(sum_{a>=k} S_a.) L; the bound is the root sum of squares
+    of their spectral radii.
     """
-    dm = _batch_mass_gradient(params, q_grid)
-    # gamma[n, k, i, j]: Christoffel symbol of the first kind for output row k
-    gamma = 0.5 * (
-        np.einsum("nikj->nkij", dm) + np.einsum("njki->nkij", dm) - dm
-    )
-    sym = 0.5 * (gamma + np.transpose(gamma, (0, 1, 3, 2)))
-    eigs = np.linalg.eigvalsh(sym)
-    radii = np.max(np.abs(eigs), axis=-1)
+    d = _suffix_sum(_coriolis_factor(arm, phi), -2)   # d[k] = sum_{a>=k} S_a.
+    n = phi.shape[-1]
+    # (L^T diag(d_k) L)_ij = sum over a >= max(i, j) of d_k[a]
+    forms = _suffix_sum(d, -1)[..., np.maximum.outer(np.arange(n), np.arange(n))]
+    radii = np.max(np.abs(np.linalg.eigvalsh(forms)), axis=-1)
     return np.sqrt(np.sum(radii**2, axis=-1))
 
 
 def _configuration_grid(n: int, target: int) -> np.ndarray:
     per_joint = max(2, int(np.ceil(target ** (1.0 / n))))
     axis = np.linspace(-np.pi, np.pi, per_joint, endpoint=False)
+    if per_joint % 2:  # put q = 0 on the grid; even counts hold it to rounding
+        axis -= axis[per_joint // 2]
     grid = np.meshgrid(*([axis] * n), indexing="ij")
     return np.stack([g.ravel() for g in grid], axis=-1)
 
 
 def derive_bounds(params: RobotParams, grid_target: int = _BOUND_GRID_TARGET) -> DerivedBounds:
-    """Estimate model bounds by dense sampling of the configuration torus.
+    """Model bounds of one arm.
 
-    All quantities are periodic in the absolute link angles, so a uniform
-    grid over [-pi, pi)^n covers the reachable set. Extremes carry a x1.05
-    margin (skipped when the quantity is configuration-independent, e.g. a
-    single pendulum's constant inertia).
+    The gravity caps are exact: every joint's gravity torque is largest in
+    magnitude with all links horizontal. The inertia eigenvalues and the
+    Coriolis growth are sampled on a uniform grid over [-pi, pi)^n that
+    holds q = 0; all quantities are periodic in the absolute link angles, so
+    the grid covers the reachable set. Sampled extremes carry a x1.05
+    margin (skipped when the inertia is configuration-independent, e.g. a
+    single pendulum's).
     """
     grid = _configuration_grid(params.n, grid_target)
     chunk = 2048
     lam_min, lam_max, growth_max = np.inf, -np.inf, 0.0
-    grav_max = np.zeros(params.n)
     arm = arm_arrays(params)
     for start in range(0, grid.shape[0], chunk):
-        q_block = grid[start : start + chunk]
-        phi = link_angles(q_block)
+        phi = link_angles(grid[start : start + chunk])
         eigs = np.linalg.eigvalsh(inertia_kernel(arm, phi))
         lam_min = min(lam_min, float(eigs[:, 0].min()))
         lam_max = max(lam_max, float(eigs[:, -1].max()))
-        growth_max = max(growth_max, float(_christoffel_growth(params, q_block).max()))
-        grav_max = np.maximum(grav_max, np.abs(gravity_kernel(arm, phi)).max(axis=0))
+        growth_max = max(growth_max, float(_coriolis_growth(arm, phi).max()))
 
     if lam_max - lam_min < 1e-12 * lam_max:
         inertia_min = inertia_max = lam_max
@@ -390,5 +383,5 @@ def derive_bounds(params: RobotParams, grid_target: int = _BOUND_GRID_TARGET) ->
         inertia_min=inertia_min,
         inertia_max=inertia_max,
         coriolis_gain=growth_max * _BOUND_MARGIN,
-        gravity_caps=_readonly(grav_max * _BOUND_MARGIN),
+        gravity_caps=_readonly(gravity_kernel(arm, np.zeros(params.n))),
     )

@@ -5,6 +5,10 @@ magnitude-limited variant, the C1 potential-energy kernel obtained by
 integrating the saturated power, and the anisotropic dilation used by the
 homogeneity audit. Vector inputs are handled element-wise. All arithmetic
 is 64-bit floating point.
+
+The powers share two unchecked kernels, ``channel`` and its integral
+``channel_integral``; the control law calls them directly on inputs that
+were validated once, and the public functions check their inputs first.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ __all__ = [
     "sat_clip",
     "sat_pow",
     "s_integral",
+    "channel",
+    "channel_integral",
     "dilate",
 ]
 
@@ -37,6 +43,21 @@ def _as_finite_array(name: str, x) -> np.ndarray:
     return arr
 
 
+def channel(x: np.ndarray, p, delta) -> np.ndarray:
+    """Signed power |x|^p sign(x), saturated at |x| = delta (inf: never).
+
+    Unchecked; p and delta broadcast against x.
+    """
+    return np.sign(x) * np.minimum(np.abs(x), delta) ** p
+
+
+def channel_integral(x: np.ndarray, p, delta) -> np.ndarray:
+    """Integral of the channel map from 0 to x. Unchecked."""
+    a = np.abs(x)
+    m = np.minimum(a, delta)
+    return m ** (p + 1.0) / (p + 1.0) + m**p * (a - m)
+
+
 def signed_pow(x, p: float):
     """|x|^p * sign(x), element-wise.
 
@@ -45,7 +66,7 @@ def signed_pow(x, p: float):
     """
     p = _check_positive("p", p)
     arr = _as_finite_array("x", x)
-    out = np.sign(arr) * np.abs(arr) ** p
+    out = channel(arr, p, np.inf)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -61,19 +82,14 @@ def sat_pow(x, p: float, delta: float):
     """Saturated signed power.
 
     Returns |x|^p * sign(x) while |x| < delta and delta^p * sign(x) beyond,
-    so the output magnitude never exceeds delta^p. The two branches agree at
-    |x| = delta; a single >= comparison picks the saturated one there.
-    Commutes with the magnitude clip: sat_pow(x, p, d) equals
+    so the output magnitude never exceeds delta^p; the two branches agree at
+    |x| = delta. Commutes with the magnitude clip: sat_pow(x, p, d) equals
     signed_pow(sat_clip(x, d), p) exactly.
     """
     p = _check_positive("p", p)
     delta = _check_positive("delta", delta)
     arr = _as_finite_array("x", x)
-    out = np.where(
-        np.abs(arr) < delta,
-        np.sign(arr) * np.abs(arr) ** p,
-        np.sign(arr) * delta**p,
-    )
+    out = channel(arr, p, delta)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -81,20 +97,15 @@ def s_integral(x, delta: float, p: float):
     """Integral of sat_pow from 0 to x; the bounded potential-energy kernel.
 
     Piecewise: |x|^(p+1) / (p+1) inside the linear band, and the affine
-    continuation delta^p |x| - p delta^(p+1) / (p+1) beyond. Nonnegative,
-    zero only at x = 0, continuously differentiable with derivative
-    sat_pow(x, p, delta), and bounded below by delta^p |x| / (p+1) for
-    |x| >= delta.
+    continuation delta^(p+1) / (p+1) + delta^p (|x| - delta) beyond.
+    Nonnegative, zero only at x = 0, continuously differentiable with
+    derivative sat_pow(x, p, delta), and bounded below by
+    delta^p |x| / (p+1) for |x| >= delta.
     """
     p = _check_positive("p", p)
     delta = _check_positive("delta", delta)
     arr = _as_finite_array("x", x)
-    a = np.abs(arr)
-    out = np.where(
-        a < delta,
-        a ** (p + 1.0) / (p + 1.0),
-        delta**p * a - p / (p + 1.0) * delta ** (p + 1.0),
-    )
+    out = channel_integral(arr, p, delta)
     return float(out) if arr.ndim == 0 else out
 
 

@@ -45,7 +45,7 @@ from importlib import resources
 
 import numpy as np
 
-from .closed_loop_sim import ForceProfile, Scenario
+from .closed_loop_sim import ForceProfile, Scenario, ScenarioError, _simulation_problems
 from .controllers import ControllerConfig, validate_saturation
 from .robot_dynamics import RobotParams
 from .scalar_ops import Weights
@@ -56,21 +56,12 @@ __all__ = [
     "load_scenario",
     "parse_scenario",
     "dump_scenario",
-    "with_simulation",
     "with_weights",
     "bundled_scenario_names",
     "read_bundled_scenario",
 ]
 
 _FORCE_KINDS = ("zero", "pulse", "spring_damper")
-
-
-class ScenarioError(ValueError):
-    """Carries every validation problem found in a scenario file."""
-
-    def __init__(self, problems):
-        self.problems = list(problems)
-        super().__init__("invalid scenario:\n" + "\n".join(f"  - {p}" for p in self.problems))
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,27 +248,6 @@ def _read_profile(reader: _SectionReader, n: int, problems: list) -> ForceProfil
     except ValueError as exc:
         problems.append(f"[{reader.section}] {exc}")
         return ForceProfile()
-
-
-def _simulation_problems(horizon, dt, decimation, integrator, delay) -> list[str]:
-    """The [simulation] rules; None stands for a value that failed to parse."""
-    problems = []
-    if horizon is None or horizon <= 0:
-        problems.append("[simulation] horizon must be positive")
-    if dt is None or dt <= 0:
-        problems.append("[simulation] dt must be positive")
-    elif decimation is not None:
-        if dt > decimation:
-            problems.append("[simulation] dt must not exceed the decimation interval")
-        elif abs(decimation / dt - round(decimation / dt)) > 1e-9:
-            problems.append("[simulation] decimation must be an integer multiple of dt")
-    if integrator not in ("euler", "rk4"):
-        problems.append("[simulation] integrator must be 'euler' or 'rk4'")
-    if delay is None or delay < 0:
-        problems.append("[simulation] delay must be nonnegative")
-    elif delay > 0 and integrator != "euler":
-        problems.append("[simulation] delay > 0 requires integrator = euler")
-    return problems
 
 
 def parse_scenario(text: str, label: str = "scenario") -> ScenarioConfig:
@@ -468,18 +438,6 @@ def dump_scenario(cfg: ScenarioConfig) -> str:
     if out_lines:
         section("output", out_lines)
     return buf.getvalue()
-
-
-def with_simulation(cfg: ScenarioConfig, **changes) -> ScenarioConfig:
-    """Same scenario with new [simulation] values (horizon, dt, decimation,
-    integrator, delay), checked by the scenario file's rules; raises
-    ScenarioError listing every violation."""
-    out = replace(cfg, **changes)
-    problems = _simulation_problems(out.horizon, out.dt, out.decimation, out.integrator,
-                                    out.delay)
-    if problems:
-        raise ScenarioError(problems)
-    return out
 
 
 def with_weights(cfg: ScenarioConfig, r1: float, r2: float) -> ScenarioConfig:

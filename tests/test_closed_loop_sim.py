@@ -52,8 +52,9 @@ class TestStep:
             local=ft.RobotState(q=[1.0, -0.4], qdot=np.zeros(2)),
             remote=ft.RobotState(q=[1.3, 0.3], qdot=np.zeros(2)))
         profiles = (ft.ForceProfile(), ft.ForceProfile())
-        tau_l, tau_r = ft.c1_torques(c1_config, benchmark_params, benchmark_params,
-                                     state.local, state.remote)
+        action = ft.control_action(c1_config, benchmark_params, benchmark_params,
+                                   state.local, state.remote)
+        tau_l, tau_r = action.tau_l, action.tau_r
         acc_l = ft.forward_dynamics(benchmark_params, state.local, tau_l)
         acc_r = ft.forward_dynamics(benchmark_params, state.remote, tau_r)
         out = ft.step(state, c1_config, benchmark_params, benchmark_params, profiles, dt)
@@ -67,8 +68,9 @@ class TestStep:
         state = ft.TeleopState(
             local=ft.RobotState(q=[1.0, -0.4], qdot=[0.1, -0.2]),
             remote=ft.RobotState(q=[1.3, 0.3], qdot=[0.0, 0.3]))
-        tau_l, tau_r = ft.c1_torques(c1_config, benchmark_params, benchmark_params,
-                                     state.local, state.remote)
+        action = ft.control_action(c1_config, benchmark_params, benchmark_params,
+                                   state.local, state.remote)
+        tau_l, tau_r = action.tau_l, action.tau_r
         acc_l = ft.forward_dynamics(benchmark_params, state.local, tau_l)
         acc_r = ft.forward_dynamics(benchmark_params, state.remote, tau_r)
         profiles = (ft.ForceProfile(), ft.ForceProfile())
@@ -84,6 +86,31 @@ class TestStep:
         with pytest.raises(ValueError):
             ft.step(state, c1_config, benchmark_params, benchmark_params,
                     (ft.ForceProfile(), ft.ForceProfile()), 0.0)
+
+
+class TestScenarioValidation:
+    """The [simulation] rules hold for a Scenario however it is built."""
+
+    @pytest.mark.parametrize("changes, problem", [
+        (dict(horizon=-1.0), "horizon must be positive"),
+        (dict(dt=0.0), "dt must be positive"),
+        (dict(dt=2e-3), "dt must not exceed the decimation interval"),
+        (dict(dt=3e-4), "decimation must be an integer multiple of dt"),
+        (dict(integrator="rk45"), "integrator must be 'euler' or 'rk4'"),
+        (dict(delay=-0.5), "delay must be nonnegative"),
+        (dict(integrator="rk4", delay=2e-3), "delay > 0 requires integrator = euler"),
+    ], ids=["horizon", "dt", "dt-above-decimation", "decimation-multiple", "integrator",
+            "delay", "delay-integrator"])
+    def test_replace_checks_each_rule(self, changes, problem):
+        base = ft.read_bundled_scenario("c1_sim")   # dt 1e-4, decimation 1e-3
+        with pytest.raises(ft.ScenarioError) as info:
+            replace(base, **changes)
+        assert info.value.problems == [f"[simulation] {problem}"]
+
+    def test_constructor_lists_every_problem(self):
+        with pytest.raises(ft.ScenarioError) as info:
+            _scenario(horizon=0.0, integrator="midpoint")
+        assert len(info.value.problems) == 2
 
 
 class TestRun:

@@ -18,6 +18,16 @@ def _flat_params():
     return ft.RobotParams(**BENCHMARK, gravity=0.0)
 
 
+def _torques(*args):
+    action = ft.control_action(*args)
+    return action.tau_l, action.tau_r
+
+
+def _torques_and_theta_dot(*args):
+    action = ft.control_action(*args)
+    return action.tau_l, action.tau_r, action.theta_dot_l, action.theta_dot_r
+
+
 def _config(variant, **kwargs):
     base = dict(variant=variant, n=2, weights=(1.5, 1.0), k_s=6.0)
     if variant in ("C1", "C3"):
@@ -32,22 +42,26 @@ def _config(variant, **kwargs):
     return ft.ControllerConfig.build(**base)
 
 
+def _exponents(weights):
+    return weights.pos_exponent, weights.vel_exponent
+
+
 class TestExponents:
     def test_benchmark_weights(self):
-        p_pos, p_vel = ft.derive_exponents(ft.Weights(1.5, 1.0))
+        p_pos, p_vel = _exponents(ft.Weights(1.5, 1.0))
         assert p_pos == pytest.approx(1.0 / 3.0, rel=1e-15)
         assert p_vel == pytest.approx(0.5, rel=1e-15)
 
     def test_equal_weights_are_linear(self):
-        assert ft.derive_exponents(ft.Weights(1.0, 1.0)) == (1.0, 1.0)
+        assert _exponents(ft.Weights(1.0, 1.0)) == (1.0, 1.0)
 
     def test_rejects_discontinuous(self):
         with pytest.raises(ValueError):
-            ft.derive_exponents(ft.Weights(2.0, 1.0))
+            _exponents(ft.Weights(2.0, 1.0))
 
     def test_rejects_inverted(self):
         with pytest.raises(ValueError):
-            ft.derive_exponents(ft.Weights(0.8, 1.0))
+            _exponents(ft.Weights(0.8, 1.0))
 
 
 class TestGravityCancellation:
@@ -56,7 +70,7 @@ class TestGravityCancellation:
         q = np.array([0.7, -1.1])
         state_l, state_r = _rest_consensus(q)
         config = _config(variant)
-        ctrl = ft.ControllerState.at_robot_positions(q, q)
+        ctrl = ft.ControllerState(theta_l=q, theta_r=q)
         action = ft.control_action(config, benchmark_params, benchmark_params,
                                    state_l, state_r, ctrl)
         expected = ft.gravity_vector(benchmark_params, q)
@@ -72,7 +86,7 @@ class TestC1:
         params = _flat_params()
         state_l = ft.RobotState(q=[1.0, 0.0], qdot=[0.0, 0.0])
         state_r = ft.RobotState(q=[0.0, 0.0], qdot=[0.0, 0.0])
-        tau_l, tau_r = ft.c1_torques(_config("C1"), params, params, state_l, state_r)
+        tau_l, tau_r = _torques(_config("C1"), params, params, state_l, state_r)
         np.testing.assert_allclose(tau_l, [-6.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(tau_r, [6.0, 0.0], atol=1e-15)
 
@@ -81,7 +95,7 @@ class TestC1:
         params = _flat_params()
         state_l = ft.RobotState(q=[0.008, 0.0], qdot=[0.0, 0.0])
         state_r = ft.RobotState(q=[0.0, 0.0], qdot=[0.0, 0.0])
-        tau_l, _ = ft.c1_torques(_config("C1"), params, params, state_l, state_r)
+        tau_l, _ = _torques(_config("C1"), params, params, state_l, state_r)
         assert tau_l[0] == pytest.approx(-1.2, rel=1e-12)
 
     def test_proportional_antisymmetry(self):
@@ -93,7 +107,7 @@ class TestC1:
             q_l, q_r = rng.normal(size=(2, 2))
             state_l = ft.RobotState(q=q_l, qdot=np.zeros(2))
             state_r = ft.RobotState(q=q_r, qdot=np.zeros(2))
-            tau_l, tau_r = ft.c1_torques(config, params, params, state_l, state_r)
+            tau_l, tau_r = _torques(config, params, params, state_l, state_r)
             np.testing.assert_array_equal(tau_l, -tau_r)
 
     def test_damping_uses_own_velocity_only(self):
@@ -101,14 +115,9 @@ class TestC1:
         config = _config("C1")
         state_l = ft.RobotState(q=[0.0, 0.0], qdot=[4.0, 0.0])
         state_r = ft.RobotState(q=[0.0, 0.0], qdot=[0.0, 0.0])
-        tau_l, tau_r = ft.c1_torques(config, params, params, state_l, state_r)
+        tau_l, tau_r = _torques(config, params, params, state_l, state_r)
         np.testing.assert_allclose(tau_l, [-8.0 * 2.0, 0.0], rtol=1e-14)
         np.testing.assert_array_equal(tau_r, np.zeros(2))
-
-    def test_wrong_variant_rejected(self, benchmark_params):
-        state = ft.RobotState(q=np.zeros(2), qdot=np.zeros(2))
-        with pytest.raises(ValueError, match="C1"):
-            ft.c1_torques(_config("C2"), benchmark_params, benchmark_params, state, state)
 
 
 class TestC2:
@@ -134,7 +143,7 @@ class TestC2:
         for qd in ([0.0, 0.0], [3.0, -2.0]):
             state_l = ft.RobotState(q=[1.0, -0.4], qdot=qd)
             state_r = ft.RobotState(q=[0.2, 0.3], qdot=qd)
-            out.append(ft.c2_torques_and_theta_dot(config, params, params,
+            out.append(_torques_and_theta_dot(config, params, params,
                                                    state_l, state_r, ctrl))
         for a, b in zip(out[0], out[1]):
             np.testing.assert_array_equal(a, b)
@@ -146,7 +155,7 @@ class TestC2:
         state_l = ft.RobotState(q=[0.0, 0.0], qdot=[0.0, 0.0])
         state_r = ft.RobotState(q=[0.0, 0.0], qdot=[0.0, 0.0])
         ctrl = ft.ControllerState(theta_l=[0.001, 0.0], theta_r=[0.0, 0.0])
-        tau_l, tau_r, td_l, td_r = ft.c2_torques_and_theta_dot(
+        tau_l, tau_r, td_l, td_r = _torques_and_theta_dot(
             config, params, params, state_l, state_r, ctrl)
         assert tau_l[0] == pytest.approx(20.0 * 0.001 ** (1.0 / 3.0), rel=1e-12)
         assert td_l[0] < 0.0
@@ -161,7 +170,7 @@ class TestC3:
                                            k_s=1.0, d_s=0.0, delta_p=0.2, delta_d=0.5)
         state_l = ft.RobotState(q=[8.0, 0.0], qdot=[0.0, 0.0])
         state_r = ft.RobotState(q=[0.0, 0.0], qdot=[0.0, 0.0])
-        tau_l, _ = ft.c3_torques(config, params, params, state_l, state_r)
+        tau_l, _ = _torques(config, params, params, state_l, state_r)
         assert tau_l[0] == pytest.approx(-(0.2 ** (1.0 / 3.0)), rel=1e-12)
         assert tau_l[0] == -ft.sat_pow(8.0, 1.0 / 3.0, 0.2)
 
@@ -172,7 +181,7 @@ class TestC3:
         for _ in range(100):
             state_l = ft.RobotState(q=rng.normal(size=2) * 3, qdot=rng.normal(size=2) * 3)
             state_r = ft.RobotState(q=rng.normal(size=2) * 3, qdot=rng.normal(size=2) * 3)
-            tau_l, tau_r = ft.c3_torques(config, benchmark_params, benchmark_params,
+            tau_l, tau_r = _torques(config, benchmark_params, benchmark_params,
                                          state_l, state_r)
             net_l = tau_l - ft.gravity_vector(benchmark_params, state_l.q)
             net_r = tau_r - ft.gravity_vector(benchmark_params, state_r.q)
@@ -187,7 +196,7 @@ class TestC4:
         state_l = ft.RobotState(q=[5.0, 0.0], qdot=[0.0, 0.0])
         state_r = ft.RobotState(q=[0.0, 0.0], qdot=[0.0, 0.0])
         ctrl = ft.ControllerState(theta_l=[-3.0, 0.0], theta_r=[0.0, 0.0])
-        tau_l, tau_r, td_l, _ = ft.c4_torques_and_theta_dot(
+        tau_l, tau_r, td_l, _ = _torques_and_theta_dot(
             config, params, params, state_l, state_r, ctrl)
         # proportional cap k_s delta_p^p_pos, virtual cap k_c delta_d^p_pos
         assert tau_l[0] == pytest.approx(
@@ -198,9 +207,9 @@ class TestC4:
     def test_consensus_fixed_point(self, benchmark_params):
         q = np.array([0.4, 0.9])
         state_l, state_r = _rest_consensus(q)
-        ctrl = ft.ControllerState.at_robot_positions(q, q)
+        ctrl = ft.ControllerState(theta_l=q, theta_r=q)
         config = _config("C4", d_c=4.0)
-        tau_l, tau_r, td_l, td_r = ft.c4_torques_and_theta_dot(
+        tau_l, tau_r, td_l, td_r = _torques_and_theta_dot(
             config, benchmark_params, benchmark_params, state_l, state_r, ctrl)
         grav = ft.gravity_vector(benchmark_params, q)
         np.testing.assert_array_equal(tau_l, grav)

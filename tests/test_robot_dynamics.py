@@ -7,6 +7,8 @@ touch the implementation's precomputed geometry matrices.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from unittest import mock
 
 import ftteleop as ft
@@ -60,6 +62,33 @@ def mass_oracle(q):
 def potential_oracle(q, gravity=9.81):
     masses = BENCHMARK["masses"]
     return gravity * float(np.dot(masses, com_positions(q)[:, 1]))
+
+
+def random_chain(rng, n):
+    """A random planar n-link chain, drawn as the benchmark draws its chains."""
+    lengths = rng.uniform(0.3, 1.0, n)
+    return dict(masses=rng.uniform(0.5, 2.0, n), lengths=lengths,
+                com_offsets=lengths * rng.uniform(0.2, 0.9, n),
+                inertias=rng.uniform(0.005, 0.1, n))
+
+
+def christoffel_oracle(params, q, qd, h=1e-5):
+    """C_kj = 1/2 sum_i (dM_kj/dq_i + dM_ki/dq_j - dM_ij/dq_k) qd_i, with the
+    inertia gradient taken by central differences of mass_matrix alone."""
+    dm = np.array([(ft.mass_matrix(params, q + h * e) - ft.mass_matrix(params, q - h * e))
+                   / (2 * h) for e in np.eye(len(q))])   # dm[i] = dM/dq_i
+    return 0.5 * (np.einsum("i,ikj->kj", qd, dm) + np.einsum("i,jki->kj", qd, dm)
+                  - np.einsum("i,kij->kj", qd, dm))
+
+
+def gravity_closed_form(chain, gravity=9.81):
+    """g * sum_{a>=j} (masses @ lever)_a: joint j's torque with all links horizontal."""
+    n = len(chain["masses"])
+    lever = np.zeros((n, n))
+    for k in range(n):
+        lever[k, :k] = chain["lengths"][:k]
+        lever[k, k] = chain["com_offsets"][k]
+    return gravity * np.cumsum((chain["masses"] @ lever)[::-1])[::-1]
 
 
 # --- inertia ----------------------------------------------------------------
@@ -127,6 +156,30 @@ class TestCoriolis:
         actual = ft.coriolis_matrix(benchmark_params, q, qd) @ qd
         np.testing.assert_allclose(actual, expected, atol=1e-4)
 
+    @pytest.mark.parametrize("n", [1, 3, 4, 6])
+    def test_matches_christoffel_oracle(self, n):
+        rng = np.random.default_rng([n, 13])
+        params = ft.RobotParams(**random_chain(rng, n))
+        for _ in range(10):
+            q, qd = rng.uniform(-np.pi, np.pi, n), rng.normal(size=n)
+            oracle = christoffel_oracle(params, q, qd)
+            scale = np.linalg.norm(ft.mass_matrix(params, q)) * np.linalg.norm(qd)
+            np.testing.assert_allclose(ft.coriolis_matrix(params, q, qd), oracle,
+                                       rtol=0, atol=1e-8 * scale)
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 6])
+    def test_skew_symmetry_at_more_joints(self, n):
+        rng = np.random.default_rng([n, 14])
+        params = ft.RobotParams(**random_chain(rng, n))
+        h = 1e-5
+        for _ in range(20):
+            q, qd, x = rng.normal(size=(3, n))
+            c = ft.coriolis_matrix(params, q, qd)
+            m_dot = (ft.mass_matrix(params, q + h * qd)
+                     - ft.mass_matrix(params, q - h * qd)) / (2 * h)
+            scale = np.linalg.norm(ft.mass_matrix(params, q)) * np.linalg.norm(qd)
+            assert abs(x @ ((m_dot - 2 * c) @ x)) < 1e-8 * scale * (x @ x)
+
     def test_quadratic_growth_bound(self, benchmark_params):
         rng = np.random.default_rng(6)
         gain = benchmark_params.bounds.coriolis_gain
@@ -173,6 +226,17 @@ class TestGravity:
                 worst = np.maximum(worst, np.abs(
                     ft.gravity_vector(benchmark_params, np.array([q1, q2]))))
         assert np.all(worst <= caps)
+
+    @settings(max_examples=25)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_caps_are_the_exact_bound(self, n, seed):
+        rng = np.random.default_rng(seed)
+        chain = random_chain(rng, n)
+        params = ft.RobotParams(**chain)
+        caps = params.bounds.gravity_caps
+        np.testing.assert_allclose(caps, gravity_closed_form(chain), rtol=1e-12, atol=0)
+        for q in rng.uniform(-np.pi, np.pi, (100, n)):
+            assert np.all(np.abs(ft.gravity_vector(params, q)) <= caps)
 
 
 class TestForwardDynamics:
@@ -270,6 +334,24 @@ class TestDeriveBounds:
                 ft.mass_matrix(benchmark_params, rng.uniform(-np.pi, np.pi, 2)))
             assert eigs[0] >= b.inertia_min
             assert eigs[-1] <= b.inertia_max
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_grid_holds_the_origin(self, n):
+        grid = robot_dynamics._configuration_grid(n, 10_000)
+        assert np.min(np.max(np.abs(grid), axis=1)) <= 1e-15
+
+    def test_six_link_bounds_hold_at_random_configurations(self):
+        # the benchmark's fixed 6-link chain: 5 grid points per joint, an odd
+        # count, so the grid holds q = 0 only because it is shifted there
+        params = ft.RobotParams(**random_chain(np.random.default_rng(6), 6))
+        b = params.bounds
+        rng = np.random.default_rng([6, 6])
+        for _ in range(2000):
+            q, v = rng.uniform(-np.pi, np.pi, 6), rng.normal(size=6)
+            eigs = np.linalg.eigvalsh(ft.mass_matrix(params, q))
+            assert b.inertia_min <= eigs[0] and eigs[-1] <= b.inertia_max
+            growth = np.linalg.norm(ft.coriolis_matrix(params, q, v) @ v) / (v @ v)
+            assert growth <= b.coriolis_gain
 
     def test_horizontal_plane_zero_gravity_caps(self, benchmark_params_flat):
         np.testing.assert_array_equal(
