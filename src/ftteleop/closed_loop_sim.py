@@ -169,12 +169,37 @@ def _simulation_problems(horizon, dt, decimation, integrator, delay) -> list[str
     return problems
 
 
+# scenario-file key of each initial vector, with its Scenario field
+_INITIAL_FIELDS = (("q_local", "q0_l"), ("q_remote", "q0_r"), ("qdot_local", "qd0_l"),
+                   ("qdot_remote", "qd0_r"), ("theta_local", "theta0_l"),
+                   ("theta_remote", "theta0_r"))
+
+
+def _initial_problems(n_local, n_remote, initial) -> list[str]:
+    """The joint-count and [initial] rules: both robots have the same joint
+    count, and each initial vector (file key -> values, None when not given)
+    has that many entries, all finite."""
+    problems = []
+    if n_local != n_remote:
+        problems.append("local and remote robots must have the same joint count")
+    for name, vec in initial.items():
+        if vec is None:
+            continue
+        vec = np.asarray(vec, dtype=float)
+        if n_local and vec.size != n_local:
+            problems.append(f"[initial] {name} must have {n_local} entries")
+        if not np.isfinite(vec).all():
+            problems.append(f"[initial] {name} must be finite")
+    return problems
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Everything one closed-loop run needs.
 
-    The [simulation] values are checked when a scenario is built, also by
-    dataclasses.replace; a violation raises ScenarioError listing them all.
+    The joint counts, the initial vectors and the [simulation] values are
+    checked when a scenario is built, also by dataclasses.replace; a
+    violation raises ScenarioError listing them all.
     """
 
     params_l: RobotParams
@@ -196,8 +221,10 @@ class Scenario:
     label: str = "scenario"
 
     def __post_init__(self):
-        problems = _simulation_problems(self.horizon, self.dt, self.decimation,
-                                        self.integrator, self.delay)
+        initial = {key: getattr(self, name) for key, name in _INITIAL_FIELDS}
+        problems = _initial_problems(self.params_l.n, self.params_r.n, initial)
+        problems += _simulation_problems(self.horizon, self.dt, self.decimation,
+                                         self.integrator, self.delay)
         if problems:
             raise ScenarioError(problems)
 
@@ -280,23 +307,44 @@ def _teleop_state(x: np.ndarray, t: float) -> TeleopState:
                        remote=RobotState(q=x[0, 1], qdot=x[1, 1]), ctrl=ctrl, time=t)
 
 
-class _Batch:
-    """The closed loop of B scenarios that share the joint count and variant.
+def _initial_array(scenario: Scenario, virtual: bool) -> np.ndarray:
+    """The (k, 2, n) engine layout of a scenario's start; with ``virtual``, a
+    C1/C3 scenario gets theta = q0, where its law holds theta still."""
+    x = _state_array(scenario.initial_state(), scenario.config.has_virtual_state)
+    return np.concatenate([x, x[:1]]) if virtual and len(x) == 2 else x
 
-    The state is one array x of shape (B, k, 2, n): q, qdot and, for C2/C4,
-    theta (k = 3), each with rows (local, remote).
+
+def _take(fields, keep):
+    """The members selected by ``keep`` of a tuple of stacked arrays (None stays None)."""
+    return type(fields)(*(None if v is None else v[keep] for v in fields))
+
+
+class _Batch:
+    """The closed loop of B scenarios that share the joint count.
+
+    The state is one array x of shape (B, k, 2, n): q, qdot and, when some
+    member is C2/C4, theta (k = 3), each with rows (local, remote).
     """
 
-    def __init__(self, arm_rows, configs, profile_rows, labels):
-        self.arms = stack_arm_arrays(arm_rows)
-        self.law = stack_laws(configs)
-        self.forces = _stack_forces(profile_rows, configs[0].n)
-        self.labels = list(labels)
+    def __init__(self, arms, law, forces, labels):
+        self.arms, self.law, self.forces, self.labels = arms, law, forces, list(labels)
+
+    @classmethod
+    def stack(cls, arm_rows, configs, profile_rows, labels) -> "_Batch":
+        return cls(stack_arm_arrays(arm_rows), stack_laws(configs),
+                   _stack_forces(profile_rows, configs[0].n), labels)
 
     @classmethod
     def of(cls, scenarios) -> "_Batch":
-        return cls([(s.params_l, s.params_r) for s in scenarios], [s.config for s in scenarios],
-                   [(s.profile_l, s.profile_r) for s in scenarios], [s.label for s in scenarios])
+        return cls.stack([(s.params_l, s.params_r) for s in scenarios],
+                         [s.config for s in scenarios],
+                         [(s.profile_l, s.profile_r) for s in scenarios],
+                         [s.label for s in scenarios])
+
+    def take(self, keep: np.ndarray) -> "_Batch":
+        """The members where the boolean mask ``keep`` is set."""
+        return _Batch(_take(self.arms, keep), _take(self.law, keep), _take(self.forces, keep),
+                      [label for label, kept in zip(self.labels, keep) if kept])
 
     def check_finite(self, x: np.ndarray, t: float) -> None:
         """Raise SimulationUnstableError naming the first member whose slice
@@ -359,7 +407,7 @@ def step(state: TeleopState, config: ControllerConfig, params_l: RobotParams,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    batch = _Batch([(params_l, params_r)], [config], [profiles], ["step"])
+    batch = _Batch.stack([(params_l, params_r)], [config], [profiles], ["step"])
     x = _state_array(state, config.has_virtual_state)[None]
     dx = batch.rhs(state.time, x)[0]
     return _teleop_state(batch.euler(state.time, x, dx, dt)[0], state.time + dt)
@@ -369,7 +417,7 @@ def rk4_step(state: TeleopState, config, params_l, params_r, profiles, dt: float
     """Classic fourth-order Runge-Kutta step (for step-size studies)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    batch = _Batch([(params_l, params_r)], [config], [profiles], ["step"])
+    batch = _Batch.stack([(params_l, params_r)], [config], [profiles], ["step"])
     x = _state_array(state, config.has_virtual_state)[None]
     k1 = batch.rhs(state.time, x)[0]
     return _teleop_state(batch.rk4(state.time, x, k1, dt)[0], state.time + dt)
@@ -443,72 +491,103 @@ class SimTrace:
 
 def _schedule(scenario) -> tuple:
     """What scenarios must share to be integrated together: joint count,
-    variant, integrator, dt, step count, decimation stride and delay steps."""
+    integrator, dt, decimation stride and delay steps. Variants and horizons
+    may differ."""
     dt = float(scenario.dt)
     delay_steps = int(round(scenario.delay / dt)) if scenario.delay else 0
-    return (scenario.params_l.n, scenario.config.variant, scenario.integrator, dt,
-            int(round(scenario.horizon / dt)), max(1, int(round(scenario.decimation / dt))),
-            delay_steps)
+    return (scenario.params_l.n, scenario.integrator, dt,
+            max(1, int(round(scenario.decimation / dt))), delay_steps)
 
 
-def _integrate(scenarios, integrator: str, dt: float, steps: int, every: int,
+def _integrate(scenarios, integrator: str, dt: float, every: int,
                delay_steps: int) -> list[SimTrace]:
-    """Integrate one group of scenarios together and record their traces."""
+    """Integrate one group of scenarios together and record their traces.
+
+    Each member runs its own step count and is recorded every ``every``
+    steps and at its last step. Past its last step a member is frozen: it
+    leaves the stacked state, so it is no longer updated, finite-checked or
+    recorded.
+    """
     batch = _Batch.of(scenarios)
-    virtual = batch.law.virtual
-    x = np.array([_state_array(s.initial_state(), virtual) for s in scenarios])
+    law = batch.law
+    x = np.array([_initial_array(s, law.virtual) for s in scenarios])
+    steps = np.array([int(round(s.horizon / dt)) for s in scenarios])
+    stops = sorted(set(steps.tolist()))
+    size, n = len(scenarios), x.shape[-1]
+    samples = -(-steps // every) + 1
+    rec_t = np.zeros((samples.max(), size))
+    rec_x = np.zeros(rec_t.shape + x.shape[1:])
+    rec_tau, rec_f = np.zeros(rec_t.shape + (2, n)), np.zeros(rec_t.shape + (2, n))
+    rec_m = np.zeros(rec_t.shape + (2, n, n))
+    alive, last = np.arange(size), steps   # running members: input index, last step
+    cols = slice(None)   # their record columns; a basic slice until one stops, for speed
     # transport delay: ring buffer of the last delay_steps + 1 exchanged positions
     ring = np.empty((delay_steps + 1,) + x[:, 0].shape) if delay_steps else None
-    rec_t, rec_x, rec_tau, rec_f, rec_m = [], [], [], [], []
     t = 0.0
-    for k in range(steps + 1):
+    for k in range(stops[-1] + 1):
         q_seen = None
         if ring is not None:
             ring[k % len(ring)] = x[:, 0]
             q_seen = ring[max(0, k - delay_steps) % len(ring)][:, ::-1]
         dx, tau, f, m = batch.rhs(t, x, q_seen)
-        if k % every == 0 or k == steps:
-            for out, value in zip((rec_t, rec_x, rec_tau, rec_f, rec_m), (t, x, tau, f, m)):
-                out.append(value)
-        if k == steps:
-            break
+        done = last == k if k == stops[0] else None
+        on_grid = k % every == 0
+        if on_grid or done is not None:
+            at = cols if on_grid else alive[done]
+            s = -(-k // every)
+            rec_t[s, at] = t
+            for out, value in ((rec_x, x), (rec_tau, tau), (rec_f, f), (rec_m, m)):
+                out[s, at] = value if on_grid else value[done]
+        if done is not None:
+            stops.pop(0)
+            if not stops:
+                break
+            keep = ~done
+            alive, last = alive[keep], last[keep]
+            cols = alive
+            x, dx, batch = x[keep], dx[keep], batch.take(keep)
+            if ring is not None:
+                ring = ring[:, keep]
         x = batch.rk4(t, x, dx, dt) if integrator == "rk4" else batch.euler(t, x, dx, dt)
         t = t + dt
 
-    times, xs, taus, fs = (np.array(v) for v in (rec_t, rec_x, rec_tau, rec_f))
-    q, qdot = xs[:, :, 0], xs[:, :, 1]
-    theta = xs[:, :, 2] if virtual else np.full_like(q, np.nan)
-    kinetic = 0.5 * np.einsum("sbki,sbkij,sbkj->sbk", qdot, np.array(rec_m), qdot)
-    energy = law_potential(batch.law, q, theta) + kinetic[..., LOCAL] + kinetic[..., REMOTE]
+    q, qdot = rec_x[:, :, 0], rec_x[:, :, 1]
+    theta = rec_x[:, :, 2] if law.virtual else np.full_like(q, np.nan)
+    kinetic = 0.5 * np.einsum("sbki,sbkij,sbkj->sbk", qdot, rec_m, qdot)
+    energy = law_potential(law, q, theta) + kinetic[..., LOCAL] + kinetic[..., REMOTE]
+    if law.virtual_mask is not None:
+        theta = np.where(law.virtual_mask, theta, np.nan)
     err_norm = np.linalg.norm(q[:, :, LOCAL] - q[:, :, REMOTE], axis=-1)
     return [
-        SimTrace(t=times.copy(), q_l=q[:, b, LOCAL], q_r=q[:, b, REMOTE],
-                 qd_l=qdot[:, b, LOCAL], qd_r=qdot[:, b, REMOTE],
-                 th_l=theta[:, b, LOCAL], th_r=theta[:, b, REMOTE],
-                 tau_l=taus[:, b, LOCAL], tau_r=taus[:, b, REMOTE],
-                 f_l=fs[:, b, LOCAL], f_r=fs[:, b, REMOTE],
-                 err_norm=err_norm[:, b], energy=energy[:, b], dt=dt)
-        for b in range(len(scenarios))
+        SimTrace(t=rec_t[:c, b].copy(), q_l=q[:c, b, LOCAL], q_r=q[:c, b, REMOTE],
+                 qd_l=qdot[:c, b, LOCAL], qd_r=qdot[:c, b, REMOTE],
+                 th_l=theta[:c, b, LOCAL], th_r=theta[:c, b, REMOTE],
+                 tau_l=rec_tau[:c, b, LOCAL], tau_r=rec_tau[:c, b, REMOTE],
+                 f_l=rec_f[:c, b, LOCAL], f_r=rec_f[:c, b, REMOTE],
+                 err_norm=err_norm[:c, b], energy=energy[:c, b], dt=dt)
+        for b, c in enumerate(samples.tolist())
     ]
 
 
 def run_batch(scenarios) -> list[SimTrace]:
     """Integrate many scenarios over [0, horizon]; traces in input order.
 
-    Scenarios that share the joint count, variant, integrator, dt, step
-    count, decimation stride and delay steps are integrated together as one
-    stacked array; each trace equals that of ``run`` on its scenario alone.
-    If a member's state stops being finite, SimulationUnstableError names
-    the first such member of its group, in input order, and the time.
+    Scenarios that share the joint count, integrator, dt, decimation stride
+    and delay steps are integrated together as one stacked array, whatever
+    their variants and horizons. A member past its horizon is frozen (no
+    longer updated, checked or recorded), so each trace ends at its own
+    horizon and equals that of ``run`` on its scenario alone. C1/C3 traces
+    hold NaN theta columns. If a member's state stops being finite,
+    SimulationUnstableError names the first such member of its group, in
+    input order, and the time.
     """
     scenarios = list(scenarios)
     groups: dict[tuple, list[int]] = {}
     for i, scenario in enumerate(scenarios):
         groups.setdefault(_schedule(scenario), []).append(i)
     traces: list = [None] * len(scenarios)
-    for (_, _, integrator, dt, steps, every, delay_steps), members in groups.items():
-        group = _integrate([scenarios[i] for i in members], integrator, dt, steps, every,
-                           delay_steps)
+    for (_, integrator, dt, every, delay_steps), members in groups.items():
+        group = _integrate([scenarios[i] for i in members], integrator, dt, every, delay_steps)
         for i, trace in zip(members, group):
             traces[i] = trace
     return traces

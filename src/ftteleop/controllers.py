@@ -205,18 +205,26 @@ class ControlAction:
 # C1-C4 differ in the channel map (signed power, or saturated power with a
 # level delta) and in the damping source (the measured velocity, or the
 # virtual state theta with its rate law). The kernels below evaluate the law
-# for B configs of one variant at once, on states of shape (B, 2, n) with
-# rows (local, remote); the single-state functions are their B = 1 case.
+# for B configs of one joint count at once, any mix of variants, on states of
+# shape (B, 2, n) with rows (local, remote); the single-state functions are
+# their B = 1 case.
 
 
 class StackedLaw(NamedTuple):
-    """Gains of B controller configs of one variant, stacked for the kernels.
+    """Gains of B controller configs of one joint count, stacked for the kernels.
 
     Gains, exponents and saturation levels are (B, 2, n) with rows (local,
-    remote), except the shared k_s, which is (B, 1, n).
-    ``damping`` is d_s for C1/C3 and k_c for C2/C4; ``speed`` is
-    (k_c / d_c)^(1 / p_vel), the virtual-state rate gain. The saturation
+    remote), except the shared k_s, which is (B, 1, n). The saturation
     levels are infinite for the unbounded variants.
+    ``damping`` is d_s for the members that damp through the measured
+    velocity (C1/C3) and k_c for those that damp through theta (C2/C4).
+    ``p_damp`` is the exponent of the damping channel: p_vel on qdot, or
+    p_pos on the mismatch theta - q. ``d_c`` and ``speed`` =
+    (k_c / d_c)^(1 / p_vel), the virtual-state rate gain, are None when no
+    member holds theta. A stack that mixes both damping sources carries
+    ``virtual_mask``, the (B, 1, 1) mask of its C2/C4 members; its C1/C3
+    members get d_c = speed = 0, so their theta stays where it starts. The
+    mask is None for a stack of one source.
     """
 
     k_s: np.ndarray
@@ -226,20 +234,25 @@ class StackedLaw(NamedTuple):
     p_pos: np.ndarray
     p_vel: np.ndarray
     p_theta: np.ndarray
+    p_damp: np.ndarray
     delta_p: np.ndarray
     delta_d: np.ndarray
+    virtual_mask: np.ndarray | None
 
     @property
     def virtual(self) -> bool:
+        """Whether the stack holds theta (some member is C2/C4)."""
         return self.d_c is not None
 
 
 def stack_laws(configs) -> StackedLaw:
-    """Stack configs that share variant and joint count (checked)."""
+    """Stack configs that share the joint count (checked); variants may mix."""
     first = configs[0]
-    if any(c.variant != first.variant or c.n != first.n for c in configs):
-        raise ValueError("stacked configs must share the variant and the joint count")
-    virtual = first.has_virtual_state
+    if any(c.n != first.n for c in configs):
+        raise ValueError("stacked configs must share the joint count")
+    virtual = [c.has_virtual_state for c in configs]
+    mask = np.array(virtual)[:, None, None] if any(virtual) and not all(virtual) else None
+    zeros = np.zeros((2, first.n))
 
     def per_member(get):
         # full (B, 2, n) exponents: numpy's power takes another code path for
@@ -247,17 +260,28 @@ def stack_laws(configs) -> StackedLaw:
         return np.repeat(np.array([get(c) for c in configs], dtype=float), 2 * first.n) \
             .reshape(len(configs), 2, first.n)
 
+    def theta_gain(get):
+        if not any(virtual):
+            return None
+        return np.array([get(c) if c.has_virtual_state else zeros for c in configs])
+
+    p_pos, p_vel = per_member(lambda c: c.p_pos), per_member(lambda c: c.p_vel)
+    if mask is not None:
+        p_damp = np.where(mask, p_pos, p_vel)
+    else:
+        p_damp = p_pos if virtual[0] else p_vel
     return StackedLaw(
         k_s=np.array([c.k_s for c in configs])[:, None, :],
-        damping=np.array([c.k_c if virtual else c.d_s for c in configs]),
-        d_c=np.array([c.d_c for c in configs]) if virtual else None,
-        speed=np.array([(c.k_c / c.d_c) ** (1.0 / c.p_vel) for c in configs])
-        if virtual else None,
-        p_pos=per_member(lambda c: c.p_pos),
-        p_vel=per_member(lambda c: c.p_vel),
+        damping=np.array([c.k_c if c.has_virtual_state else c.d_s for c in configs]),
+        d_c=theta_gain(lambda c: c.d_c),
+        speed=theta_gain(lambda c: (c.k_c / c.d_c) ** (1.0 / c.p_vel)),
+        p_pos=p_pos,
+        p_vel=p_vel,
         p_theta=per_member(lambda c: c.weights.theta_exponent),
+        p_damp=p_damp,
         delta_p=per_member(lambda c: c.delta_p if c.is_bounded else np.inf),
         delta_d=per_member(lambda c: c.delta_d if c.is_bounded else np.inf),
+        virtual_mask=mask,
     )
 
 
@@ -266,17 +290,22 @@ def _theta_rate(law: StackedLaw, theta_err: np.ndarray) -> np.ndarray:
 
 
 def control_law(law: StackedLaw, q, qdot, theta, q_seen, gravity):
-    """Torques (B, 2, n) and virtual-state rates (None for C1/C3).
+    """Torques (B, 2, n) and virtual-state rates (None if no member holds theta).
 
     ``q_seen`` holds, per side, the other robot's position as this side
     receives it (q with its rows swapped when nothing delays the exchange);
     ``gravity`` is each robot's own gravity torque, cancelled exactly.
+    In a mixed stack the C1/C3 members damp through qdot and get a zero
+    theta rate; since the channel is odd, their damping term is that of
+    -qdot with the sign flipped, which gives each member the torque its
+    variant gives alone, to the bit.
     """
     prop = law.k_s * channel(q - q_seen, law.p_pos, law.delta_p)
     if not law.virtual:
-        return -prop - law.damping * channel(qdot, law.p_vel, law.delta_d) + gravity, None
+        return -prop - law.damping * channel(qdot, law.p_damp, law.delta_d) + gravity, None
     theta_err = theta - q
-    tau = -prop + law.damping * channel(theta_err, law.p_pos, law.delta_d) + gravity
+    damped = theta_err if law.virtual_mask is None else np.where(law.virtual_mask, theta_err, -qdot)
+    tau = -prop + law.damping * channel(damped, law.p_damp, law.delta_d) + gravity
     return tau, _theta_rate(law, theta_err)
 
 
@@ -290,8 +319,10 @@ def law_potential(law: StackedLaw, q, theta=None) -> np.ndarray:
     value = np.sum(law.k_s * channel_integral(err, law.p_pos[:, :1], law.delta_p[:, :1]),
                    axis=(-2, -1))
     if law.virtual:
-        value = value + np.sum(law.damping * channel_integral(theta - q, law.p_pos, law.delta_d),
-                               axis=(-2, -1))
+        virtual = law.damping * channel_integral(theta - q, law.p_pos, law.delta_d)
+        if law.virtual_mask is not None:
+            virtual = np.where(law.virtual_mask, virtual, 0.0)
+        value = value + np.sum(virtual, axis=(-2, -1))
     return value
 
 
@@ -303,10 +334,12 @@ def law_dissipation(law: StackedLaw, q, qdot, theta=None) -> np.ndarray:
     virtual-state velocities; saturation only slows the decay, it never
     changes its sign.
     """
+    velocity = lambda: law.damping * qdot * channel(qdot, law.p_vel, law.delta_d)
     if not law.virtual:
-        power = law.damping * qdot * channel(qdot, law.p_vel, law.delta_d)
-    else:
-        power = law.d_c * np.abs(_theta_rate(law, theta - q)) ** (law.p_vel + 1.0)
+        return -np.sum(velocity(), axis=(-2, -1))
+    power = law.d_c * np.abs(_theta_rate(law, theta - q)) ** (law.p_vel + 1.0)
+    if law.virtual_mask is not None:
+        power = np.where(law.virtual_mask, power, velocity())
     return -np.sum(power, axis=(-2, -1))
 
 

@@ -45,7 +45,14 @@ from importlib import resources
 
 import numpy as np
 
-from .closed_loop_sim import ForceProfile, Scenario, ScenarioError, _simulation_problems
+from .closed_loop_sim import (
+    _INITIAL_FIELDS,
+    ForceProfile,
+    Scenario,
+    ScenarioError,
+    _initial_problems,
+    _simulation_problems,
+)
 from .controllers import ControllerConfig, validate_saturation
 from .robot_dynamics import RobotParams
 from .scalar_ops import Weights
@@ -264,9 +271,6 @@ def parse_scenario(text: str, label: str = "scenario") -> ScenarioConfig:
     problems: list[str] = []
     robot_l = _read_robot(_SectionReader(parser, "robot.local", problems), problems)
     robot_r = _read_robot(_SectionReader(parser, "robot.remote", problems), problems)
-    if robot_l is not None and robot_r is not None and robot_l.n != robot_r.n:
-        problems.append("local and remote robots must have the same joint count")
-        robot_r = None
 
     # validate the controller block even when a robot block failed: infer the
     # joint count from whatever source is available so all errors surface
@@ -283,25 +287,15 @@ def parse_scenario(text: str, label: str = "scenario") -> ScenarioConfig:
     config = _read_controller(_SectionReader(parser, "controller", problems), n, problems)
 
     init = _SectionReader(parser, "initial", problems)
-    q0_l = q0_r = None
-    qd0_l = qd0_r = theta0_l = theta0_r = None
+    initial = {}
     if init.missing():
         problems.append("missing section [initial]")
     else:
-        q0_l = init.floats("q_local", required=True)
-        q0_r = init.floats("q_remote", required=True)
-        qd0_l = init.floats("qdot_local")
-        qd0_r = init.floats("qdot_remote")
-        theta0_l = init.floats("theta_local")
-        theta0_r = init.floats("theta_remote")
+        for key, _ in _INITIAL_FIELDS:
+            initial[key] = init.floats(key, required=key in ("q_local", "q_remote"))
         init.leftovers()
-        for name, vec in (("q_local", q0_l), ("q_remote", q0_r), ("qdot_local", qd0_l),
-                          ("qdot_remote", qd0_r), ("theta_local", theta0_l),
-                          ("theta_remote", theta0_r)):
-            if vec is not None and n and vec.size != n:
-                problems.append(f"[initial] {name} must have {n} entries")
-            if vec is not None and not np.all(np.isfinite(vec)):
-                problems.append(f"[initial] {name} must be finite")
+    counts = [n if robot is None else robot.n for robot in (robot_l, robot_r)]
+    problems += _initial_problems(*counts, initial)
 
     profile_l = _read_profile(_SectionReader(parser, "forces.local", problems), n or 1, problems)
     profile_r = _read_profile(_SectionReader(parser, "forces.remote", problems), n or 1, problems)
@@ -330,7 +324,8 @@ def parse_scenario(text: str, label: str = "scenario") -> ScenarioConfig:
             problems.append(f"unknown section [{section}]")
 
     # bounded variants with finite limits must pass the saturation condition
-    if config is not None and config.is_bounded and robot_l is not None and robot_r is not None:
+    if (config is not None and config.is_bounded and robot_l is not None and robot_r is not None
+            and robot_l.n == robot_r.n):
         report = validate_saturation(config, robot_l, robot_r)
         if not report.ok:
             problems.append(
@@ -342,8 +337,9 @@ def parse_scenario(text: str, label: str = "scenario") -> ScenarioConfig:
 
     return ScenarioConfig(
         params_l=robot_l, params_r=robot_r, config=config,
-        q0_l=q0_l, q0_r=q0_r, qd0_l=qd0_l, qd0_r=qd0_r,
-        theta0_l=theta0_l, theta0_r=theta0_r,
+        q0_l=initial["q_local"], q0_r=initial["q_remote"],
+        qd0_l=initial["qdot_local"], qd0_r=initial["qdot_remote"],
+        theta0_l=initial["theta_local"], theta0_r=initial["theta_remote"],
         profile_l=profile_l, profile_r=profile_r,
         horizon=horizon, dt=dt, decimation=decimation,
         integrator=integrator, delay=delay, label=label,
@@ -442,12 +438,7 @@ def dump_scenario(cfg: ScenarioConfig) -> str:
 
 def with_weights(cfg: ScenarioConfig, r1: float, r2: float) -> ScenarioConfig:
     """Same scenario with a different weight pair (gains untouched)."""
-    new_weights = Weights(r1=r1, r2=r2)
-    new_config = ControllerConfig(
-        variant=cfg.config.variant, weights=new_weights, n=cfg.config.n,
-        k_s=cfg.config.k_s, d_s=cfg.config.d_s, k_c=cfg.config.k_c, d_c=cfg.config.d_c,
-        delta_p=cfg.config.delta_p, delta_d=cfg.config.delta_d)
-    return replace(cfg, config=new_config)
+    return replace(cfg, config=replace(cfg.config, weights=Weights(r1=r1, r2=r2)))
 
 
 def bundled_scenario_names() -> list[str]:

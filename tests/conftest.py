@@ -23,15 +23,21 @@ BENCHMARK = dict(
 
 @dataclass(frozen=True)
 class TimedRun:
+    """One member of a batched run; ``wall`` is the wall time of the whole
+    run_batch call that held it."""
+
     trace: ft.SimTrace
     wall: float
     scenario: object
 
 
-def _timed(scenario) -> TimedRun:
+def _timed_batch(scenarios: dict) -> dict:
+    """Integrate the named scenarios in one run_batch call."""
     start = time.perf_counter()
-    trace = ft.run(scenario)
-    return TimedRun(trace=trace, wall=time.perf_counter() - start, scenario=scenario)
+    traces = ft.run_batch(scenarios.values())
+    wall = time.perf_counter() - start
+    return {name: TimedRun(trace=trace, wall=wall, scenario=scenario)
+            for (name, scenario), trace in zip(scenarios.items(), traces)}
 
 
 @pytest.fixture(scope="session")
@@ -51,63 +57,84 @@ def c1_config() -> ft.ControllerConfig:
 
 
 @pytest.fixture(scope="session")
-def c1_run() -> TimedRun:
+def euler_runs() -> dict:
+    """The Euler runs at the bundled dt 1e-4, as one batched call."""
+    c1 = ft.read_bundled_scenario("c1_sim")
+    spring = ft.read_bundled_scenario("c1_spring")
+    c2_spring = ft.ControllerConfig.build(
+        variant="C2", n=2, weights=(1.5, 1.0), k_s=6.0, k_c=20.0, d_c=8.0)
+    return _timed_batch({
+        "c1": c1,
+        "c1_asymptotic": ft.with_weights(c1, 1.0, 1.0),
+        "c2": ft.read_bundled_scenario("c2_sim"),
+        "c3": ft.read_bundled_scenario("c3_sim"),
+        "c4": ft.read_bundled_scenario("c4_sim"),
+        "spring": spring,
+        # the output-feedback variant under the same passive environment
+        "c2_spring": replace(spring, config=c2_spring, horizon=4.0),
+    })
+
+
+@pytest.fixture(scope="session")
+def rk4_runs() -> dict:
+    """High-accuracy RK4 twins of C2 and C4 for tail-behavior checks.
+
+    Forward Euler chatters at the non-smooth origin with velocity amplitude
+    above 1e-3; the RK4 option resolves the converged tail cleanly."""
+    return _timed_batch({
+        name: replace(ft.read_bundled_scenario(f"{name}_sim"), integrator="rk4",
+                      dt=5e-4, decimation=2e-3)
+        for name in ("c2", "c4")
+    })
+
+
+@pytest.fixture(scope="session")
+def c1_run(euler_runs) -> TimedRun:
     """The bundled free-motion C1 benchmark at its native resolution."""
-    return _timed(ft.read_bundled_scenario("c1_sim"))
+    return euler_runs["c1"]
 
 
 @pytest.fixture(scope="session")
 def c1_run_half_dt() -> TimedRun:
     cfg = ft.read_bundled_scenario("c1_sim")
-    return _timed(replace(cfg, dt=cfg.dt / 2.0))
+    return _timed_batch({"c1": replace(cfg, dt=cfg.dt / 2.0)})["c1"]
 
 
 @pytest.fixture(scope="session")
-def c1_asymptotic_run() -> TimedRun:
-    cfg = ft.with_weights(ft.read_bundled_scenario("c1_sim"), 1.0, 1.0)
-    return _timed(cfg)
+def c1_asymptotic_run(euler_runs) -> TimedRun:
+    return euler_runs["c1_asymptotic"]
 
 
 @pytest.fixture(scope="session")
-def c2_run() -> TimedRun:
-    return _timed(ft.read_bundled_scenario("c2_sim"))
+def c2_run(euler_runs) -> TimedRun:
+    return euler_runs["c2"]
 
 
 @pytest.fixture(scope="session")
-def c3_run() -> TimedRun:
-    return _timed(ft.read_bundled_scenario("c3_sim"))
+def c3_run(euler_runs) -> TimedRun:
+    return euler_runs["c3"]
 
 
 @pytest.fixture(scope="session")
-def c4_run() -> TimedRun:
-    return _timed(ft.read_bundled_scenario("c4_sim"))
+def c4_run(euler_runs) -> TimedRun:
+    return euler_runs["c4"]
 
 
 @pytest.fixture(scope="session")
-def c2_rk4_run() -> TimedRun:
-    """High-accuracy twin of the C2 scenario for tail-behavior checks.
-
-    Forward Euler chatters at the non-smooth origin with velocity amplitude
-    above 1e-3; the RK4 option resolves the converged tail cleanly."""
-    cfg = ft.read_bundled_scenario("c2_sim")
-    return _timed(replace(cfg, integrator="rk4", dt=5e-4, decimation=2e-3))
+def c2_rk4_run(rk4_runs) -> TimedRun:
+    return rk4_runs["c2"]
 
 
 @pytest.fixture(scope="session")
-def c4_rk4_run() -> TimedRun:
-    cfg = ft.read_bundled_scenario("c4_sim")
-    return _timed(replace(cfg, integrator="rk4", dt=5e-4, decimation=2e-3))
+def c4_rk4_run(rk4_runs) -> TimedRun:
+    return rk4_runs["c4"]
 
 
 @pytest.fixture(scope="session")
-def spring_run() -> TimedRun:
-    return _timed(ft.read_bundled_scenario("c1_spring"))
+def spring_run(euler_runs) -> TimedRun:
+    return euler_runs["spring"]
 
 
 @pytest.fixture(scope="session")
-def c2_spring_run() -> TimedRun:
-    """Output-feedback variant under the same passive environment."""
-    base = ft.read_bundled_scenario("c1_spring")
-    config = ft.ControllerConfig.build(
-        variant="C2", n=2, weights=(1.5, 1.0), k_s=6.0, k_c=20.0, d_c=8.0)
-    return _timed(replace(base, config=config, horizon=4.0))
+def c2_spring_run(euler_runs) -> TimedRun:
+    return euler_runs["c2_spring"]

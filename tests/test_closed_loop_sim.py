@@ -112,6 +112,48 @@ class TestScenarioValidation:
             _scenario(horizon=0.0, integrator="midpoint")
         assert len(info.value.problems) == 2
 
+    _INITIAL = [("q0_l", "q_local"), ("q0_r", "q_remote"), ("qd0_l", "qdot_local"),
+                ("qd0_r", "qdot_remote"), ("theta0_l", "theta_local"),
+                ("theta0_r", "theta_remote")]
+
+    @pytest.mark.parametrize("name, key", _INITIAL, ids=[key for _, key in _INITIAL])
+    def test_replace_checks_initial_length(self, name, key):
+        base = ft.read_bundled_scenario("c1_sim")
+        with pytest.raises(ft.ScenarioError) as info:
+            replace(base, **{name: np.zeros(3)})
+        assert info.value.problems == [f"[initial] {key} must have 2 entries"]
+
+    @pytest.mark.parametrize("name, key", _INITIAL, ids=[key for _, key in _INITIAL])
+    def test_replace_checks_initial_finite(self, name, key):
+        base = ft.read_bundled_scenario("c2_sim")
+        with pytest.raises(ft.ScenarioError) as info:
+            replace(base, **{name: np.array([0.1, np.nan])})
+        assert info.value.problems == [f"[initial] {key} must be finite"]
+
+    def test_replace_checks_joint_counts(self):
+        base = ft.read_bundled_scenario("c1_sim")
+        three = ft.RobotParams(masses=[1.0] * 3, lengths=[0.5] * 3, com_offsets=[0.25] * 3,
+                               inertias=[0.02] * 3)
+        with pytest.raises(ft.ScenarioError) as info:
+            replace(base, params_r=three)
+        assert info.value.problems == ["local and remote robots must have the same joint count"]
+
+    def test_constructor_checks_initial_vectors(self):
+        with pytest.raises(ft.ScenarioError) as info:
+            _scenario(q0_l=np.zeros(3), qd0_r=np.array([np.inf, 0.0]), dt=0.0)
+        assert info.value.problems == ["[initial] q_local must have 2 entries",
+                                       "[initial] qdot_remote must be finite",
+                                       "[simulation] dt must be positive"]
+
+    def test_file_and_library_name_the_same_problem(self):
+        base = ft.read_bundled_scenario("c1_sim")
+        text = ft.dump_scenario(base).replace("q_local = 1.0, -0.4", "q_local = 1.0, -0.4, 0.2")
+        with pytest.raises(ft.ScenarioError) as from_file:
+            ft.parse_scenario(text)
+        with pytest.raises(ft.ScenarioError) as from_replace:
+            replace(base, q0_l=np.array([1.0, -0.4, 0.2]))
+        assert from_file.value.problems == from_replace.value.problems
+
 
 class TestRun:
     def test_zero_initial_error_stays_zero(self):
@@ -180,21 +222,92 @@ class TestRun:
         assert drift["rk4"] < drift["euler"] * 1e-2
 
 
+_PULSE = ft.ForceProfile(kind="pulse", start=0.05, stop=0.1, amplitude=np.array([2.0, -1.0]))
+_SPRING = ft.ForceProfile(kind="spring_damper", stiffness=np.array([30.0, 30.0]),
+                          damping=np.array([1.0, 2.0]), anchor=np.zeros(2))
+_STIFF = ft.ControllerConfig.build(variant="C1", n=2, weights=(1.5, 1.0), k_s=1e6, d_s=1e6)
+
+
 class TestRunBatch:
-    def _law_calls(self, scenario) -> int:
+    def _law_calls(self, scenarios) -> int:
         law = closed_loop_sim.control_law
         with mock.patch.object(closed_loop_sim, "control_law", wraps=law) as counted:
-            ft.run(scenario)
+            ft.run_batch(scenarios)
         return counted.call_count
 
     @pytest.mark.parametrize("integrator, per_step", [("euler", 1), ("rk4", 4)])
     def test_law_calls_per_step(self, integrator, per_step):
         # the record reuses the step's first evaluation; one more for the last sample
         base = _scenario(dt=1e-3, integrator=integrator)
-        short = self._law_calls(replace(base, horizon=0.04))
-        longer = self._law_calls(replace(base, horizon=0.08))
+        short = self._law_calls([replace(base, horizon=0.04)])
+        longer = self._law_calls([replace(base, horizon=0.08)])
         assert short == 40 * per_step + 1
         assert longer - short == 40 * per_step
+
+    @pytest.mark.parametrize("integrator, per_step", [("euler", 1), ("rk4", 4)])
+    def test_law_calls_per_step_in_a_mixed_group(self, integrator, per_step):
+        # C1, C4 and a C2 member that stops halfway share each law call
+        def group(horizon):
+            return [_scenario(variant, dt=1e-3, integrator=integrator, horizon=h)
+                    for variant, h in (("C1", horizon), ("C4", horizon), ("C2", horizon / 2))]
+        short = self._law_calls(group(0.04))
+        longer = self._law_calls(group(0.08))
+        assert short == 40 * per_step + 1
+        assert longer - short == 40 * per_step
+
+    @pytest.mark.parametrize("schedule", [{}, dict(integrator="rk4"), dict(delay=5e-3)],
+                             ids=["euler", "rk4", "delay"])
+    def test_mixed_variants_and_horizons_match_their_run_alone(self, schedule):
+        scenarios = [
+            _scenario("C1", horizon=0.2, label="a"),
+            _scenario("C2", horizon=0.137, label="b", profile_r=_PULSE),   # off the stride
+            _scenario("C3", horizon=0.25, label="c", profile_l=_SPRING),
+            _scenario("C4", horizon=0.1, label="d", profile_r=_PULSE),
+            _scenario("C1", horizon=0.3, label="e", q0_l=np.array([0.2, 0.1])),
+        ]
+        scenarios = [replace(s, **schedule) for s in scenarios]
+        with mock.patch.object(closed_loop_sim, "_integrate",
+                               wraps=closed_loop_sim._integrate) as groups:
+            traces = ft.run_batch(scenarios)
+        assert groups.call_count == 1
+        for scenario, trace in zip(scenarios, traces):
+            assert trace.t[-1] == pytest.approx(scenario.horizon, abs=1e-12)
+            assert trace.samples == int(np.ceil(round(scenario.horizon / 1e-3) / 10)) + 1
+            assert np.array_equal(trace.matrix(), ft.run(scenario).matrix(), equal_nan=True)
+
+    def test_c1_c3_keep_nan_theta_in_a_virtual_group(self):
+        scenarios = [_scenario("C1"), _scenario("C2"), _scenario("C3"), _scenario("C4")]
+        traces = ft.run_batch(scenarios)
+        for scenario, trace in zip(scenarios, traces):
+            for theta in (trace.th_l, trace.th_r):
+                if scenario.config.has_virtual_state:
+                    assert np.all(np.isfinite(theta))
+                else:
+                    assert np.all(np.isnan(theta))
+
+    def test_instability_names_the_first_member_across_variants(self):
+        # C3 with unreachable levels steps exactly like C1: both blow up together
+        wild3 = ft.ControllerConfig.build(variant="C3", n=2, weights=(1.5, 1.0), k_s=1e6,
+                                          d_s=1e6, delta_p=1e300, delta_d=1e300)
+        scenarios = [_scenario("C2", horizon=1.0, dt=5e-2, label="calm"),
+                     _scenario(horizon=1.0, dt=5e-2, label="wild3", config=wild3),
+                     _scenario(horizon=1.0, dt=5e-2, label="wild1", config=_STIFF)]
+        with np.errstate(all="ignore"):
+            with pytest.raises(ft.SimulationUnstableError, match=r"^wild3: .* t = 0.4"):
+                ft.run_batch(scenarios)
+            with pytest.raises(ft.SimulationUnstableError, match=r"^wild1: .* t = 0.4"):
+                ft.run_batch(scenarios[::-1])
+
+    def test_frozen_member_is_not_stepped_past_its_horizon(self):
+        # alone, the stiff member turns non-finite at t = 0.4 s
+        wild = _scenario(horizon=0.35, dt=5e-2, label="wild", config=_STIFF)
+        calm = _scenario("C4", horizon=1.0, dt=5e-2, label="calm")
+        with np.errstate(all="ignore"):
+            traces = ft.run_batch([wild, calm])
+            assert traces[0].t[-1] == pytest.approx(0.35)
+            assert np.array_equal(traces[0].matrix(), ft.run(wild).matrix(), equal_nan=True)
+            with pytest.raises(ft.SimulationUnstableError, match="wild"):
+                ft.run(replace(wild, horizon=1.0))
 
     def test_members_match_their_run_alone_in_input_order(self):
         scenarios = [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ftteleop as ft
+from ftteleop import controllers
 from ftteleop.controllers import LOCAL, REMOTE
 
 from conftest import BENCHMARK
@@ -303,6 +304,51 @@ class TestDissipation:
         state_r = ft.RobotState(q=np.zeros(2), qdot=[0.5, 0.0])
         expected = -8.0 * (2.0**1.5 + 1.0**1.5 + 0.5**1.5)
         assert ft.dissipation_rate(config, state_l, state_r) == pytest.approx(expected, rel=1e-12)
+
+
+class TestMixedStack:
+    """One stack of C1-C4 gives each member what its own stack gives."""
+
+    VARIANTS = ("C1", "C2", "C3", "C4")
+
+    def _states(self, rng, size):
+        q, qdot, theta = (rng.normal(size=(size, 2, 2)) for _ in range(3))
+        return q, qdot, theta
+
+    def test_kernels_match_each_member_alone(self):
+        configs = [_config(v) for v in self.VARIANTS]
+        law = controllers.stack_laws(configs)
+        assert law.virtual
+        np.testing.assert_array_equal(law.virtual_mask.ravel(), [False, True, False, True])
+        q, qdot, theta = self._states(np.random.default_rng(5), len(configs))
+        gravity = np.random.default_rng(6).normal(size=q.shape)
+        tau, theta_dot = controllers.control_law(law, q, qdot, theta, q[:, ::-1], gravity)
+        potential = controllers.law_potential(law, q, theta)
+        dissipation = controllers.law_dissipation(law, q, qdot, theta)
+        for b, config in enumerate(configs):
+            alone = controllers.stack_laws([config])
+            one = slice(b, b + 1)
+            th = theta[one] if config.has_virtual_state else None
+            tau_b, theta_dot_b = controllers.control_law(alone, q[one], qdot[one], th,
+                                                q[one, ::-1], gravity[one])
+            np.testing.assert_array_equal(tau[one], tau_b)
+            assert controllers.law_potential(alone, q[one], th) == potential[b]
+            assert controllers.law_dissipation(alone, q[one], qdot[one], th) == dissipation[b]
+            if config.has_virtual_state:
+                np.testing.assert_array_equal(theta_dot[one], theta_dot_b)
+            else:
+                assert theta_dot_b is None
+                np.testing.assert_array_equal(theta_dot[one], np.zeros((1, 2, 2)))
+
+    @pytest.mark.parametrize("variants", [("C1", "C3"), ("C2", "C4")])
+    def test_one_damping_source_needs_no_mask(self, variants):
+        law = controllers.stack_laws([_config(v) for v in variants])
+        assert law.virtual_mask is None
+        assert law.virtual == (variants[0] == "C2")
+
+    def test_joint_counts_must_match(self):
+        with pytest.raises(ValueError, match="joint count"):
+            controllers.stack_laws([_config("C1"), _config("C2", n=3)])
 
 
 class TestSaturationGate:
