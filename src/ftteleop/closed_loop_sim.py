@@ -27,6 +27,7 @@ from .controllers import (
     REMOTE,
     ControllerConfig,
     ControllerState,
+    StackedLaw,
     control_law,
     law_dissipation,
     law_potential,
@@ -499,6 +500,46 @@ def _schedule(scenario) -> tuple:
             max(1, int(round(scenario.decimation / dt))), delay_steps)
 
 
+class _Cohort:
+    """The members of a group that share a step count, with their records:
+    one row per recorded step, so a group's records hold its members' own
+    samples, not B times the longest horizon."""
+
+    def __init__(self, members: np.ndarray, last: int, every: int, x_shape: tuple):
+        self.members, self.last = members, last
+        self.cols = members   # their positions among the running members
+        rows = (-(-last // every) + 1, len(members))
+        n = x_shape[-1]
+        self.t = np.zeros(rows[0])
+        self.x = np.zeros(rows + x_shape)
+        self.tau, self.f = np.zeros(rows + (2, n)), np.zeros(rows + (2, n))
+        self.m = np.zeros(rows + (2, n, n))
+
+    def record(self, row: int, t: float, x, tau, f, m) -> None:
+        self.t[row] = t
+        for out, value in ((self.x, x), (self.tau, tau), (self.f, f), (self.m, m)):
+            out[row] = value[self.cols]
+
+    def traces(self, law: StackedLaw, dt: float) -> list[SimTrace]:
+        law = _take(law, self.members)
+        q, qdot = self.x[:, :, 0], self.x[:, :, 1]
+        theta = self.x[:, :, 2] if law.virtual else np.full_like(q, np.nan)
+        kinetic = 0.5 * np.einsum("sbki,sbkij,sbkj->sbk", qdot, self.m, qdot)
+        energy = law_potential(law, q, theta) + kinetic[..., LOCAL] + kinetic[..., REMOTE]
+        if law.virtual:
+            theta = np.where(law.virtual_mask, theta, np.nan)
+        err_norm = np.linalg.norm(q[:, :, LOCAL] - q[:, :, REMOTE], axis=-1)
+        return [
+            SimTrace(t=self.t.copy(), q_l=q[:, b, LOCAL], q_r=q[:, b, REMOTE],
+                     qd_l=qdot[:, b, LOCAL], qd_r=qdot[:, b, REMOTE],
+                     th_l=theta[:, b, LOCAL], th_r=theta[:, b, REMOTE],
+                     tau_l=self.tau[:, b, LOCAL], tau_r=self.tau[:, b, REMOTE],
+                     f_l=self.f[:, b, LOCAL], f_r=self.f[:, b, REMOTE],
+                     err_norm=err_norm[:, b], energy=energy[:, b], dt=dt)
+            for b in range(len(self.members))
+        ]
+
+
 def _integrate(scenarios, integrator: str, dt: float, every: int,
                delay_steps: int) -> list[SimTrace]:
     """Integrate one group of scenarios together and record their traces.
@@ -512,61 +553,44 @@ def _integrate(scenarios, integrator: str, dt: float, every: int,
     law = batch.law
     x = np.array([_initial_array(s, law.virtual) for s in scenarios])
     steps = np.array([int(round(s.horizon / dt)) for s in scenarios])
-    stops = sorted(set(steps.tolist()))
-    size, n = len(scenarios), x.shape[-1]
-    samples = -(-steps // every) + 1
-    rec_t = np.zeros((samples.max(), size))
-    rec_x = np.zeros(rec_t.shape + x.shape[1:])
-    rec_tau, rec_f = np.zeros(rec_t.shape + (2, n)), np.zeros(rec_t.shape + (2, n))
-    rec_m = np.zeros(rec_t.shape + (2, n, n))
-    alive, last = np.arange(size), steps   # running members: input index, last step
-    cols = slice(None)   # their record columns; a basic slice until one stops, for speed
+    cohorts = [_Cohort(np.flatnonzero(steps == last), last, every, x.shape[1:])
+               for last in np.unique(steps).tolist()]
+    live = list(cohorts)   # in stop order
+    if len(live) == 1:
+        live[0].cols = slice(None)   # a basic slice, for speed
+    alive = np.arange(len(scenarios))   # input index of each running member
     # transport delay: ring buffer of the last delay_steps + 1 exchanged positions
     ring = np.empty((delay_steps + 1,) + x[:, 0].shape) if delay_steps else None
     t = 0.0
-    for k in range(stops[-1] + 1):
+    for k in range(live[-1].last + 1):
         q_seen = None
         if ring is not None:
             ring[k % len(ring)] = x[:, 0]
             q_seen = ring[max(0, k - delay_steps) % len(ring)][:, ::-1]
         dx, tau, f, m = batch.rhs(t, x, q_seen)
-        done = last == k if k == stops[0] else None
-        on_grid = k % every == 0
-        if on_grid or done is not None:
-            at = cols if on_grid else alive[done]
-            s = -(-k // every)
-            rec_t[s, at] = t
-            for out, value in ((rec_x, x), (rec_tau, tau), (rec_f, f), (rec_m, m)):
-                out[s, at] = value if on_grid else value[done]
-        if done is not None:
-            stops.pop(0)
-            if not stops:
+        for cohort in live:
+            if k % every == 0 or k == cohort.last:
+                cohort.record(-(-k // every), t, x, tau, f, m)
+        if k == live[0].last:
+            live.pop(0)
+            if not live:
                 break
-            keep = ~done
-            alive, last = alive[keep], last[keep]
-            cols = alive
+            keep = steps[alive] > k
+            alive = alive[keep]
+            for cohort in live:
+                cohort.cols = slice(None) if len(live) == 1 else \
+                    np.searchsorted(alive, cohort.members)
             x, dx, batch = x[keep], dx[keep], batch.take(keep)
             if ring is not None:
                 ring = ring[:, keep]
         x = batch.rk4(t, x, dx, dt) if integrator == "rk4" else batch.euler(t, x, dx, dt)
         t = t + dt
 
-    q, qdot = rec_x[:, :, 0], rec_x[:, :, 1]
-    theta = rec_x[:, :, 2] if law.virtual else np.full_like(q, np.nan)
-    kinetic = 0.5 * np.einsum("sbki,sbkij,sbkj->sbk", qdot, rec_m, qdot)
-    energy = law_potential(law, q, theta) + kinetic[..., LOCAL] + kinetic[..., REMOTE]
-    if law.virtual_mask is not None:
-        theta = np.where(law.virtual_mask, theta, np.nan)
-    err_norm = np.linalg.norm(q[:, :, LOCAL] - q[:, :, REMOTE], axis=-1)
-    return [
-        SimTrace(t=rec_t[:c, b].copy(), q_l=q[:c, b, LOCAL], q_r=q[:c, b, REMOTE],
-                 qd_l=qdot[:c, b, LOCAL], qd_r=qdot[:c, b, REMOTE],
-                 th_l=theta[:c, b, LOCAL], th_r=theta[:c, b, REMOTE],
-                 tau_l=rec_tau[:c, b, LOCAL], tau_r=rec_tau[:c, b, REMOTE],
-                 f_l=rec_f[:c, b, LOCAL], f_r=rec_f[:c, b, REMOTE],
-                 err_norm=err_norm[:c, b], energy=energy[:c, b], dt=dt)
-        for b, c in enumerate(samples.tolist())
-    ]
+    traces: list = [None] * len(scenarios)
+    for cohort in cohorts:
+        for b, trace in zip(cohort.members.tolist(), cohort.traces(law, dt)):
+            traces[b] = trace
+    return traces
 
 
 def run_batch(scenarios) -> list[SimTrace]:

@@ -218,13 +218,12 @@ class StackedLaw(NamedTuple):
     levels are infinite for the unbounded variants.
     ``damping`` is d_s for the members that damp through the measured
     velocity (C1/C3) and k_c for those that damp through theta (C2/C4).
-    ``p_damp`` is the exponent of the damping channel: p_vel on qdot, or
-    p_pos on the mismatch theta - q. ``d_c`` and ``speed`` =
+    ``virtual_mask`` is the (B, 1, 1) mask of the C2/C4 members, and
+    ``p_damp`` the exponent of each member's damping channel: p_vel on qdot,
+    or p_pos on the mismatch theta - q. ``d_c`` and ``speed`` =
     (k_c / d_c)^(1 / p_vel), the virtual-state rate gain, are None when no
-    member holds theta. A stack that mixes both damping sources carries
-    ``virtual_mask``, the (B, 1, 1) mask of its C2/C4 members; its C1/C3
-    members get d_c = speed = 0, so their theta stays where it starts. The
-    mask is None for a stack of one source.
+    member holds theta; otherwise the C1/C3 members get d_c = speed = 0, so
+    their theta stays where it starts.
     """
 
     k_s: np.ndarray
@@ -237,7 +236,7 @@ class StackedLaw(NamedTuple):
     p_damp: np.ndarray
     delta_p: np.ndarray
     delta_d: np.ndarray
-    virtual_mask: np.ndarray | None
+    virtual_mask: np.ndarray
 
     @property
     def virtual(self) -> bool:
@@ -250,8 +249,7 @@ def stack_laws(configs) -> StackedLaw:
     first = configs[0]
     if any(c.n != first.n for c in configs):
         raise ValueError("stacked configs must share the joint count")
-    virtual = [c.has_virtual_state for c in configs]
-    mask = np.array(virtual)[:, None, None] if any(virtual) and not all(virtual) else None
+    mask = np.array([c.has_virtual_state for c in configs])[:, None, None]
     zeros = np.zeros((2, first.n))
 
     def per_member(get):
@@ -261,15 +259,11 @@ def stack_laws(configs) -> StackedLaw:
             .reshape(len(configs), 2, first.n)
 
     def theta_gain(get):
-        if not any(virtual):
+        if not mask.any():
             return None
         return np.array([get(c) if c.has_virtual_state else zeros for c in configs])
 
     p_pos, p_vel = per_member(lambda c: c.p_pos), per_member(lambda c: c.p_vel)
-    if mask is not None:
-        p_damp = np.where(mask, p_pos, p_vel)
-    else:
-        p_damp = p_pos if virtual[0] else p_vel
     return StackedLaw(
         k_s=np.array([c.k_s for c in configs])[:, None, :],
         damping=np.array([c.k_c if c.has_virtual_state else c.d_s for c in configs]),
@@ -278,7 +272,7 @@ def stack_laws(configs) -> StackedLaw:
         p_pos=p_pos,
         p_vel=p_vel,
         p_theta=per_member(lambda c: c.weights.theta_exponent),
-        p_damp=p_damp,
+        p_damp=np.where(mask, p_pos, p_vel),
         delta_p=per_member(lambda c: c.delta_p if c.is_bounded else np.inf),
         delta_d=per_member(lambda c: c.delta_d if c.is_bounded else np.inf),
         virtual_mask=mask,
@@ -295,8 +289,8 @@ def control_law(law: StackedLaw, q, qdot, theta, q_seen, gravity):
     ``q_seen`` holds, per side, the other robot's position as this side
     receives it (q with its rows swapped when nothing delays the exchange);
     ``gravity`` is each robot's own gravity torque, cancelled exactly.
-    In a mixed stack the C1/C3 members damp through qdot and get a zero
-    theta rate; since the channel is odd, their damping term is that of
+    When the stack holds theta, its C1/C3 members damp through qdot and get
+    a zero theta rate; since the channel is odd, their damping term is that of
     -qdot with the sign flipped, which gives each member the torque its
     variant gives alone, to the bit.
     """
@@ -304,7 +298,7 @@ def control_law(law: StackedLaw, q, qdot, theta, q_seen, gravity):
     if not law.virtual:
         return -prop - law.damping * channel(qdot, law.p_damp, law.delta_d) + gravity, None
     theta_err = theta - q
-    damped = theta_err if law.virtual_mask is None else np.where(law.virtual_mask, theta_err, -qdot)
+    damped = np.where(law.virtual_mask, theta_err, -qdot)
     tau = -prop + law.damping * channel(damped, law.p_damp, law.delta_d) + gravity
     return tau, _theta_rate(law, theta_err)
 
@@ -320,9 +314,7 @@ def law_potential(law: StackedLaw, q, theta=None) -> np.ndarray:
                    axis=(-2, -1))
     if law.virtual:
         virtual = law.damping * channel_integral(theta - q, law.p_pos, law.delta_d)
-        if law.virtual_mask is not None:
-            virtual = np.where(law.virtual_mask, virtual, 0.0)
-        value = value + np.sum(virtual, axis=(-2, -1))
+        value = value + np.sum(np.where(law.virtual_mask, virtual, 0.0), axis=(-2, -1))
     return value
 
 
@@ -334,12 +326,10 @@ def law_dissipation(law: StackedLaw, q, qdot, theta=None) -> np.ndarray:
     virtual-state velocities; saturation only slows the decay, it never
     changes its sign.
     """
-    velocity = lambda: law.damping * qdot * channel(qdot, law.p_vel, law.delta_d)
-    if not law.virtual:
-        return -np.sum(velocity(), axis=(-2, -1))
-    power = law.d_c * np.abs(_theta_rate(law, theta - q)) ** (law.p_vel + 1.0)
-    if law.virtual_mask is not None:
-        power = np.where(law.virtual_mask, power, velocity())
+    power = law.damping * qdot * channel(qdot, law.p_vel, law.delta_d)
+    if law.virtual:
+        rate = law.d_c * np.abs(_theta_rate(law, theta - q)) ** (law.p_vel + 1.0)
+        power = np.where(law.virtual_mask, rate, power)
     return -np.sum(power, axis=(-2, -1))
 
 

@@ -1,5 +1,6 @@
 """Integration-loop tests: stepping, traces, monitors and ledgers."""
 
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -308,6 +309,21 @@ class TestRunBatch:
             assert np.array_equal(traces[0].matrix(), ft.run(wild).matrix(), equal_nan=True)
             with pytest.raises(ft.SimulationUnstableError, match="wild"):
                 ft.run(replace(wild, horizon=1.0))
+
+    def test_records_grow_with_the_members_own_samples(self):
+        # 200 members of 3 samples and one of 1001, 224 bytes a sample: about
+        # 0.4 MB of records, against 45 MB for 201 members of 1001 samples
+        short = [_scenario("C4", horizon=2e-3, decimation=1e-3, label=f"s{i}")
+                 for i in range(200)]
+        long = _scenario("C2", horizon=1.0, decimation=1e-3, label="long")
+        tracemalloc.start()
+        try:
+            traces = ft.run_batch(short + [long])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [trace.samples for trace in traces] == [3] * 200 + [1001]
+        assert peak < 10e6
 
     def test_members_match_their_run_alone_in_input_order(self):
         scenarios = [

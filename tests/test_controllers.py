@@ -341,10 +341,11 @@ class TestMixedStack:
                 np.testing.assert_array_equal(theta_dot[one], np.zeros((1, 2, 2)))
 
     @pytest.mark.parametrize("variants", [("C1", "C3"), ("C2", "C4")])
-    def test_one_damping_source_needs_no_mask(self, variants):
+    def test_one_damping_source_keeps_one_mask_value(self, variants):
         law = controllers.stack_laws([_config(v) for v in variants])
-        assert law.virtual_mask is None
-        assert law.virtual == (variants[0] == "C2")
+        virtual = variants[0] == "C2"
+        np.testing.assert_array_equal(law.virtual_mask.ravel(), [virtual, virtual])
+        assert law.virtual == virtual
 
     def test_joint_counts_must_match(self):
         with pytest.raises(ValueError, match="joint count"):
