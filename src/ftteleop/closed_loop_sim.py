@@ -32,6 +32,7 @@ from .controllers import (
     law_dissipation,
     law_potential,
     stack_laws,
+    validate_saturation,
 )
 from .robot_dynamics import (
     RobotParams,
@@ -107,7 +108,10 @@ class ForceProfile:
         for name in ("amplitude", "stiffness", "damping", "anchor"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, np.atleast_1d(np.asarray(value, float)))
+                value = np.atleast_1d(np.asarray(value, float))
+                if not np.isfinite(value).all():
+                    raise ValueError(f"{name} must be finite")
+                object.__setattr__(self, name, value)
         if self.kind == "pulse":
             if self.amplitude is None:
                 raise ValueError("pulse profile requires an amplitude vector")
@@ -149,48 +153,76 @@ class TeleopState:
             raise ValueError("controller state dimension mismatch")
 
 
-def _simulation_problems(horizon, dt, decimation, integrator, delay) -> list[str]:
-    """The [simulation] rules; None stands for a value that failed to parse."""
-    problems = []
-    if horizon is None or horizon <= 0:
-        problems.append("[simulation] horizon must be positive")
-    if dt is None or dt <= 0:
-        problems.append("[simulation] dt must be positive")
-    elif decimation is not None:
-        if dt > decimation:
-            problems.append("[simulation] dt must not exceed the decimation interval")
-        elif abs(decimation / dt - round(decimation / dt)) > 1e-9:
-            problems.append("[simulation] decimation must be an integer multiple of dt")
-    if integrator not in ("euler", "rk4"):
-        problems.append("[simulation] integrator must be 'euler' or 'rk4'")
-    if delay is None or delay < 0:
-        problems.append("[simulation] delay must be nonnegative")
-    elif delay > 0 and integrator != "euler":
-        problems.append("[simulation] delay > 0 requires integrator = euler")
-    return problems
-
-
 # scenario-file key of each initial vector, with its Scenario field
 _INITIAL_FIELDS = (("q_local", "q0_l"), ("q_remote", "q0_r"), ("qdot_local", "qd0_l"),
                    ("qdot_remote", "qd0_r"), ("theta_local", "theta0_l"),
                    ("theta_remote", "theta0_r"))
 
 
-def _initial_problems(n_local, n_remote, initial) -> list[str]:
-    """The joint-count and [initial] rules: both robots have the same joint
-    count, and each initial vector (file key -> values, None when not given)
-    has that many entries, all finite."""
+def _scenario_problems(params_l, params_r, config, initial, profiles, horizon, dt,
+                       decimation, integrator, delay) -> list[str]:
+    """Every rule that ties a scenario's parts together, named as in the
+    scenario file.
+
+    A robot, the config or a profile passed as None failed to parse and is
+    skipped. ``initial`` maps each [initial] key to its vector (None when not
+    given); a [simulation] value of None failed to parse and is reported.
+    """
     problems = []
-    if n_local != n_remote:
+    counts = [p.n for p in (params_l, params_r) if p is not None]
+    if len(set(counts)) > 1:
         problems.append("local and remote robots must have the same joint count")
-    for name, vec in initial.items():
+    n = counts[0] if counts else None
+    if config is not None and n is not None and config.n != n:
+        problems.append(f"[controller] gains are set for {config.n} joints, "
+                        f"the robots have {n}")
+    for key, vec in initial.items():
         if vec is None:
             continue
         vec = np.asarray(vec, dtype=float)
-        if n_local and vec.size != n_local:
-            problems.append(f"[initial] {name} must have {n_local} entries")
+        if n is not None and vec.size != n:
+            problems.append(f"[initial] {key} must have {n} entries")
         if not np.isfinite(vec).all():
-            problems.append(f"[initial] {name} must be finite")
+            problems.append(f"[initial] {key} must be finite")
+    for side, profile in zip(("local", "remote"), profiles):
+        for name in ("amplitude", "stiffness", "damping", "anchor"):
+            vec = None if profile is None else getattr(profile, name)
+            if vec is not None and n is not None and vec.shape not in ((1,), (n,)):
+                problems.append(f"[forces.{side}] {name} must have 1 or {n} entries")
+
+    # NaN fails every comparison, so "not x > 0" also rejects it
+    if horizon is None or not horizon > 0:
+        problems.append("[simulation] horizon must be positive")
+    elif math.isinf(horizon):
+        problems.append("[simulation] horizon must be finite")
+    if dt is None or not dt > 0:
+        problems.append("[simulation] dt must be positive")
+    elif math.isinf(dt):
+        problems.append("[simulation] dt must be finite")
+    elif decimation is not None:
+        if not dt <= decimation:
+            problems.append("[simulation] dt must not exceed the decimation interval")
+        elif math.isinf(decimation):
+            problems.append("[simulation] decimation must be finite")
+        elif abs(decimation / dt - round(decimation / dt)) > 1e-9:
+            problems.append("[simulation] decimation must be an integer multiple of dt")
+    if integrator not in ("euler", "rk4"):
+        problems.append("[simulation] integrator must be 'euler' or 'rk4'")
+    if delay is None or not delay >= 0:
+        problems.append("[simulation] delay must be nonnegative")
+    elif math.isinf(delay):
+        problems.append("[simulation] delay must be finite")
+    elif delay > 0 and integrator != "euler":
+        problems.append("[simulation] delay > 0 requires integrator = euler")
+
+    # a bounded variant may claim its torque limits only if the gate passes
+    if (config is not None and config.is_bounded and len(counts) == 2
+            and counts[0] == counts[1] == config.n):
+        report = validate_saturation(config, params_l, params_r)
+        if not report.ok:
+            problems.append(
+                "saturation condition violated (per-joint torque budget must stay "
+                "below torque_limit - gravity_cap):\n" + report.describe())
     return problems
 
 
@@ -198,9 +230,11 @@ def _initial_problems(n_local, n_remote, initial) -> list[str]:
 class Scenario:
     """Everything one closed-loop run needs.
 
-    The joint counts, the initial vectors and the [simulation] values are
-    checked when a scenario is built, also by dataclasses.replace; a
-    violation raises ScenarioError listing them all.
+    Every rule that ties the parts together (the joint counts of both robots
+    and the controller, the initial vectors, force-vector lengths, the
+    [simulation] values and, for C3/C4, the saturation gate) is checked when
+    a scenario is built, also by dataclasses.replace; a violation raises
+    ScenarioError listing them all.
     """
 
     params_l: RobotParams
@@ -222,10 +256,11 @@ class Scenario:
     label: str = "scenario"
 
     def __post_init__(self):
-        initial = {key: getattr(self, name) for key, name in _INITIAL_FIELDS}
-        problems = _initial_problems(self.params_l.n, self.params_r.n, initial)
-        problems += _simulation_problems(self.horizon, self.dt, self.decimation,
-                                         self.integrator, self.delay)
+        problems = _scenario_problems(
+            self.params_l, self.params_r, self.config,
+            {key: getattr(self, name) for key, name in _INITIAL_FIELDS},
+            (self.profile_l, self.profile_r), self.horizon, self.dt, self.decimation,
+            self.integrator, self.delay)
         if problems:
             raise ScenarioError(problems)
 
@@ -267,9 +302,11 @@ def _stack_forces(rows, n: int) -> _Forces:
     kinds = {p.kind for row in rows for p in row}
 
     def grid(kind, get, default):
+        # a 1-entry vector applies to every joint
         if kind not in kinds:
             return None
-        return np.array([[get(p) if p.kind == kind and get(p) is not None else default
+        return np.array([[np.broadcast_to(get(p), np.shape(default))
+                          if p.kind == kind and get(p) is not None else default
                           for p in row] for row in rows], dtype=float)
 
     zeros = np.zeros(n)

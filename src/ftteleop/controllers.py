@@ -109,7 +109,10 @@ class ControllerConfig:
     k_s is the shared inter-robot stiffness (per joint). d_s (C1/C3), k_c and
     d_c (C2/C4) are per-robot per-joint arrays with rows (local, remote).
     delta_p / delta_d are the saturation levels of the proportional and
-    damping channels (C3/C4 only).
+    damping channels (C3/C4 only). Gains may be given as scalars, per-joint
+    vectors or (2, n) pairs; they are normalized and checked on
+    construction, also by dataclasses.replace, and a bad value raises
+    ValueError.
     """
 
     variant: str
@@ -125,6 +128,16 @@ class ControllerConfig:
     p_vel: float = field(init=False)
 
     def __post_init__(self):
+        n = int(self.n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k_s", _per_joint_gain(self.k_s, n, "k_s"))
+        for name in ("d_s", "k_c", "d_c"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _per_robot_gain(
+                    getattr(self, name), n, name, allow_zero=name == "d_s"))
+        for name in ("delta_p", "delta_d"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         object.__setattr__(self, "p_pos", self.weights.pos_exponent)
@@ -144,26 +157,10 @@ class ControllerConfig:
     @classmethod
     def build(cls, variant, n, weights, k_s, d_s=None, k_c=None, d_c=None,
               delta_p=None, delta_d=None) -> "ControllerConfig":
-        """Construct from flexible gain specs (scalars, vectors, pairs)."""
+        """Construct with the weight pair given as Weights or an (r1, r2) tuple."""
         if not isinstance(weights, Weights):
             weights = Weights(*weights)
-        kwargs = dict(
-            variant=variant,
-            weights=weights,
-            n=int(n),
-            k_s=_per_joint_gain(k_s, n, "k_s"),
-        )
-        if d_s is not None:
-            kwargs["d_s"] = _per_robot_gain(d_s, n, "d_s", allow_zero=True)
-        if k_c is not None:
-            kwargs["k_c"] = _per_robot_gain(k_c, n, "k_c")
-        if d_c is not None:
-            kwargs["d_c"] = _per_robot_gain(d_c, n, "d_c")
-        if delta_p is not None:
-            kwargs["delta_p"] = float(delta_p)
-        if delta_d is not None:
-            kwargs["delta_d"] = float(delta_d)
-        return cls(**kwargs)
+        return cls(variant, weights, n, k_s, d_s, k_c, d_c, delta_p, delta_d)
 
     @property
     def uses_velocity(self) -> bool:

@@ -32,8 +32,12 @@ A scenario file is INI-style text with '#' comments. Sections:
     [output]  (optional)
         trace, report, audit        output file paths
 
-Loading validates everything at once and reports every violation, naming the
-broken condition. Binary content is rejected.
+The parser only parses: it reports syntax errors, values that are not
+numbers, and missing or unknown keys and sections, and converts the rest into
+the library types, which validate themselves (ControllerConfig its gains,
+ForceProfile its vectors, Scenario every rule across its parts). Loading
+reports every problem at once, naming the broken condition. Binary content is
+rejected.
 """
 
 from __future__ import annotations
@@ -50,10 +54,9 @@ from .closed_loop_sim import (
     ForceProfile,
     Scenario,
     ScenarioError,
-    _initial_problems,
-    _simulation_problems,
+    _scenario_problems,
 )
-from .controllers import ControllerConfig, validate_saturation
+from .controllers import ControllerConfig
 from .robot_dynamics import RobotParams
 from .scalar_ops import Weights
 
@@ -67,9 +70,6 @@ __all__ = [
     "bundled_scenario_names",
     "read_bundled_scenario",
 ]
-
-_FORCE_KINDS = ("zero", "pulse", "spring_damper")
-
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig(Scenario):
@@ -163,7 +163,7 @@ def _read_robot(reader: _SectionReader, problems: list) -> RobotParams | None:
         return None
 
 
-def _read_per_robot(reader: _SectionReader, key: str, n: int):
+def _read_per_robot(reader: _SectionReader, key: str):
     """A gain given as 'key' (both robots) or key_local/key_remote pair."""
     base = reader.floats(key)
     local = reader.floats(f"{key}_local")
@@ -178,8 +178,12 @@ def _read_per_robot(reader: _SectionReader, key: str, n: int):
         reader.problems.append(
             f"[{reader.section}] {key}_local and {key}_remote must be given together")
         return None
-    expand = lambda v: np.full(n, v[0]) if v.size == 1 else v
-    return np.vstack([expand(local), expand(remote)])
+    try:
+        return np.vstack(np.broadcast_arrays(local, remote))
+    except ValueError:
+        reader.problems.append(
+            f"[{reader.section}] {key}_local and {key}_remote have different lengths")
+        return None
 
 
 def _read_controller(reader: _SectionReader, n: int, problems: list) -> ControllerConfig | None:
@@ -190,65 +194,36 @@ def _read_controller(reader: _SectionReader, n: int, problems: list) -> Controll
     r1 = reader.scalar("r1", required=True)
     r2 = reader.scalar("r2", required=True)
     k_s = reader.floats("k_s", required=True)
-    d_s = _read_per_robot(reader, "d_s", n)
-    k_c = _read_per_robot(reader, "k_c", n)
-    d_c = _read_per_robot(reader, "d_c", n)
+    d_s = _read_per_robot(reader, "d_s")
+    k_c = _read_per_robot(reader, "k_c")
+    d_c = _read_per_robot(reader, "d_c")
     delta_p = reader.scalar("delta_p")
     delta_d = reader.scalar("delta_d")
     reader.leftovers()
-    if variant not in ("C1", "C2", "C3", "C4") or None in (r1, r2) or k_s is None:
-        if variant not in ("C1", "C2", "C3", "C4"):
-            problems.append(f"[controller] variant must be C1..C4, got '{variant}'")
+    if None in (r1, r2) or k_s is None:
         return None
     try:
-        weights = Weights(r1=r1, r2=r2)
-    except ValueError as exc:
-        problems.append(f"[controller] {exc}")
-        return None
-    try:
-        return ControllerConfig.build(
-            variant=variant, n=n, weights=weights, k_s=k_s if k_s.size > 1 else float(k_s[0]),
-            d_s=d_s, k_c=k_c, d_c=d_c, delta_p=delta_p, delta_d=delta_d)
+        # a per-joint k_s sets the controller's joint count, a scalar takes n
+        return ControllerConfig(variant, Weights(r1=r1, r2=r2), k_s.size if k_s.size > 1 else n,
+                                k_s, d_s, k_c, d_c, delta_p, delta_d)
     except ValueError as exc:
         problems.append(f"[controller] {exc}")
         return None
 
 
-def _read_profile(reader: _SectionReader, n: int, problems: list) -> ForceProfile:
+def _read_profile(reader: _SectionReader, problems: list) -> ForceProfile:
     if reader.missing():
         return ForceProfile()
     kind = (reader.get("kind", default="zero") or "zero").strip().lower()
-    if kind not in _FORCE_KINDS:
-        problems.append(f"[{reader.section}] kind must be one of {_FORCE_KINDS}")
-        reader.leftovers()
-        return ForceProfile()
-    def per_joint(key: str, vec):
-        if vec is None:
-            return None
-        if vec.size == 1:
-            return np.full(n, vec[0])
-        if vec.size != n:
-            problems.append(f"[{reader.section}] {key} must have 1 or {n} entries")
-            return None
-        return vec
-
     kwargs = {}
     if kind == "pulse":
-        kwargs["start"] = reader.scalar("start", default=0.0)
-        kwargs["stop"] = reader.scalar("stop", default=0.0)
-        amp = per_joint("amplitude", reader.floats("amplitude", required=True))
-        if amp is not None:
-            kwargs["amplitude"] = amp
+        kwargs = dict(start=reader.scalar("start", default=0.0),
+                      stop=reader.scalar("stop", default=0.0),
+                      amplitude=reader.floats("amplitude", required=True))
     elif kind == "spring_damper":
-        stiff = per_joint("stiffness", reader.floats("stiffness", required=True))
-        if stiff is not None:
-            kwargs["stiffness"] = stiff
-        damp = per_joint("damping", reader.floats("damping"))
-        if damp is not None:
-            kwargs["damping"] = damp
-        anchor = per_joint("anchor", reader.floats("anchor", required=True))
-        if anchor is not None:
-            kwargs["anchor"] = anchor
+        kwargs = dict(stiffness=reader.floats("stiffness", required=True),
+                      damping=reader.floats("damping"),
+                      anchor=reader.floats("anchor", required=True))
     reader.leftovers()
     try:
         return ForceProfile(kind=kind, **kwargs)
@@ -258,8 +233,8 @@ def _read_profile(reader: _SectionReader, n: int, problems: list) -> ForceProfil
 
 
 def parse_scenario(text: str, label: str = "scenario") -> ScenarioConfig:
-    """Parse and fully validate scenario text; raises ScenarioError with the
-    complete list of problems on failure."""
+    """Parse scenario text into a validated ScenarioConfig; raises
+    ScenarioError with the complete list of problems on failure."""
     if "\x00" in text:
         raise ScenarioError(["binary content rejected: scenario files are plain text"])
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
@@ -272,16 +247,13 @@ def parse_scenario(text: str, label: str = "scenario") -> ScenarioConfig:
     robot_l = _read_robot(_SectionReader(parser, "robot.local", problems), problems)
     robot_r = _read_robot(_SectionReader(parser, "robot.remote", problems), problems)
 
-    # validate the controller block even when a robot block failed: infer the
+    # read the controller block even when a robot block failed: infer the
     # joint count from whatever source is available so all errors surface
-    if robot_l is not None:
-        n = robot_l.n
-    elif robot_r is not None:
-        n = robot_r.n
-    else:
+    n = next((robot.n for robot in (robot_l, robot_r) if robot is not None), None)
+    if n is None:
         try:
             n = _floats(parser.get("initial", "q_local")).size
-        except Exception:
+        except (configparser.Error, ValueError):
             n = 1
 
     config = _read_controller(_SectionReader(parser, "controller", problems), n, problems)
@@ -294,11 +266,9 @@ def parse_scenario(text: str, label: str = "scenario") -> ScenarioConfig:
         for key, _ in _INITIAL_FIELDS:
             initial[key] = init.floats(key, required=key in ("q_local", "q_remote"))
         init.leftovers()
-    counts = [n if robot is None else robot.n for robot in (robot_l, robot_r)]
-    problems += _initial_problems(*counts, initial)
 
-    profile_l = _read_profile(_SectionReader(parser, "forces.local", problems), n or 1, problems)
-    profile_r = _read_profile(_SectionReader(parser, "forces.remote", problems), n or 1, problems)
+    profile_l = _read_profile(_SectionReader(parser, "forces.local", problems), problems)
+    profile_r = _read_profile(_SectionReader(parser, "forces.remote", problems), problems)
 
     sim = _SectionReader(parser, "simulation", problems)
     horizon = sim.scalar("horizon", default=8.0)
@@ -308,7 +278,6 @@ def parse_scenario(text: str, label: str = "scenario") -> ScenarioConfig:
     delay = sim.scalar("delay", default=0.0)
     if not sim.missing():
         sim.leftovers()
-    problems += _simulation_problems(horizon, dt, decimation, integrator, delay)
 
     out = _SectionReader(parser, "output", problems)
     trace_path = out.get("trace")
@@ -323,17 +292,12 @@ def parse_scenario(text: str, label: str = "scenario") -> ScenarioConfig:
         if section not in known:
             problems.append(f"unknown section [{section}]")
 
-    # bounded variants with finite limits must pass the saturation condition
-    if (config is not None and config.is_bounded and robot_l is not None and robot_r is not None
-            and robot_l.n == robot_r.n):
-        report = validate_saturation(config, robot_l, robot_r)
-        if not report.ok:
-            problems.append(
-                "saturation condition violated (per-joint torque budget must stay "
-                "below torque_limit - gravity_cap):\n" + report.describe())
-
+    # with every part parsed, the ScenarioConfig constructor runs the rules
+    # across the parts; otherwise run them here so every problem is listed
     if problems:
-        raise ScenarioError(problems)
+        raise ScenarioError(problems + _scenario_problems(
+            robot_l, robot_r, config, initial, (profile_l, profile_r),
+            horizon, dt, decimation, integrator, delay))
 
     return ScenarioConfig(
         params_l=robot_l, params_r=robot_r, config=config,

@@ -1,7 +1,7 @@
 """Integration-loop tests: stepping, traces, monitors and ledgers."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -100,8 +100,17 @@ class TestScenarioValidation:
         (dict(integrator="rk45"), "integrator must be 'euler' or 'rk4'"),
         (dict(delay=-0.5), "delay must be nonnegative"),
         (dict(integrator="rk4", delay=2e-3), "delay > 0 requires integrator = euler"),
+        (dict(horizon=np.nan), "horizon must be positive"),
+        (dict(horizon=np.inf), "horizon must be finite"),
+        (dict(dt=np.nan), "dt must be positive"),
+        (dict(dt=np.inf), "dt must be finite"),
+        (dict(decimation=np.nan), "dt must not exceed the decimation interval"),
+        (dict(decimation=np.inf), "decimation must be finite"),
+        (dict(delay=np.nan), "delay must be nonnegative"),
+        (dict(delay=np.inf), "delay must be finite"),
     ], ids=["horizon", "dt", "dt-above-decimation", "decimation-multiple", "integrator",
-            "delay", "delay-integrator"])
+            "delay", "delay-integrator", "nan-horizon", "inf-horizon", "nan-dt", "inf-dt",
+            "nan-decimation", "inf-decimation", "nan-delay", "inf-delay"])
     def test_replace_checks_each_rule(self, changes, problem):
         base = ft.read_bundled_scenario("c1_sim")   # dt 1e-4, decimation 1e-3
         with pytest.raises(ft.ScenarioError) as info:
@@ -154,6 +163,59 @@ class TestScenarioValidation:
         with pytest.raises(ft.ScenarioError) as from_replace:
             replace(base, q0_l=np.array([1.0, -0.4, 0.2]))
         assert from_file.value.problems == from_replace.value.problems
+
+    # a bundled scenario, edits to its dumped text, the same change as
+    # Scenario fields, and the one problem expected
+    _THREE_WAYS = {
+        "controller-joint-count": (
+            "c1_sim", {"k_s = 6.0, 6.0": "k_s = 6.0, 6.0, 6.0", "d_s = 8.0, 8.0": "d_s = 8.0"},
+            lambda s: dict(config=ft.ControllerConfig.build(
+                variant="C1", n=3, weights=(1.5, 1.0), k_s=6.0, d_s=8.0)),
+            "[controller] gains are set for 3 joints, the robots have 2"),
+        "saturation-gate": (
+            "c3_sim", {"delta_p = 0.2": "delta_p = 5.0", "delta_d = 0.3": "delta_d = 5.0"},
+            lambda s: dict(config=replace(s.config, delta_p=5.0, delta_d=5.0)),
+            "saturation condition violated"),
+        "profile-length": (
+            "c3_sim", {"amplitude = 9.0, -6.0": "amplitude = 9.0, -6.0, 1.0"},
+            lambda s: dict(profile_r=replace(s.profile_r, amplitude=[9.0, -6.0, 1.0])),
+            "[forces.remote] amplitude must have 1 or 2 entries"),
+        "inf-horizon": ("c1_sim", {"horizon = 8.0": "horizon = inf"},
+                        lambda s: dict(horizon=np.inf), "[simulation] horizon must be finite"),
+        "nan-dt": ("c1_sim", {"dt = 0.0001": "dt = nan"},
+                   lambda s: dict(dt=np.nan), "[simulation] dt must be positive"),
+        "inf-decimation": ("c1_sim", {"decimation = 0.001": "decimation = inf"},
+                           lambda s: dict(decimation=np.inf),
+                           "[simulation] decimation must be finite"),
+        "inf-delay": ("c1_sim", {"delay = 0.0": "delay = inf"},
+                      lambda s: dict(delay=np.inf), "[simulation] delay must be finite"),
+    }
+
+    @pytest.mark.parametrize("case", list(_THREE_WAYS))
+    def test_file_replace_and_constructor_agree(self, case):
+        name, edits, changes, problem = self._THREE_WAYS[case]
+        base = ft.read_bundled_scenario(name)
+        text = ft.dump_scenario(base)
+        for old, new in edits.items():
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        plain = {f.name: getattr(base, f.name) for f in fields(ft.Scenario)}
+        problems = []
+        for build in (lambda: ft.parse_scenario(text, label=base.label),
+                      lambda: replace(base, **changes(base)),
+                      lambda: ft.Scenario(**{**plain, **changes(base)})):
+            with pytest.raises(ft.ScenarioError) as info:
+                build()
+            problems.append(info.value.problems)
+        assert problems[0] == problems[1] == problems[2]
+        assert len(problems[0]) == 1 and problems[0][0].startswith(problem)
+
+    def test_one_entry_force_vector_applies_to_every_joint(self):
+        base = ft.read_bundled_scenario("c3_sim")
+        pulse = replace(base.profile_r, start=0.0, stop=0.01)
+        short = replace(base, horizon=0.02, profile_r=replace(pulse, amplitude=[9.0]))
+        full = replace(short, profile_r=replace(pulse, amplitude=[9.0, 9.0]))
+        np.testing.assert_array_equal(ft.run(short).matrix(), ft.run(full).matrix())
 
 
 class TestRun:
@@ -503,6 +565,21 @@ class TestForceProfiles:
     def test_rejects_bad_pulse_window(self):
         with pytest.raises(ValueError):
             ft.ForceProfile(kind="pulse", start=2.0, stop=1.0, amplitude=np.ones(2))
+
+    @pytest.mark.parametrize("name", ["amplitude", "stiffness", "damping", "anchor"])
+    def test_rejects_non_finite_vectors(self, name):
+        vectors = dict(amplitude=np.ones(2), stiffness=np.ones(2), damping=np.ones(2),
+                       anchor=np.zeros(2))
+        vectors[name] = np.array([np.nan, 1.0])
+        kind = "pulse" if name == "amplitude" else "spring_damper"
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            ft.ForceProfile(kind=kind, start=0.0, stop=1.0, **vectors)
+
+    def test_file_rejects_non_finite_vectors(self):
+        text = ft.dump_scenario(ft.read_bundled_scenario("c3_sim"))
+        with pytest.raises(ft.ScenarioError) as info:
+            ft.parse_scenario(text.replace("amplitude = 9.0, -6.0", "amplitude = nan, -6.0"))
+        assert info.value.problems == ["[forces.remote] amplitude must be finite"]
 
 
 class TestEnergyBounds:

@@ -1,5 +1,7 @@
 """Tests for the four control laws, their exponents and the saturation gate."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -437,3 +439,16 @@ class TestConfigValidation:
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
             ft.ControllerConfig.build(variant="C9", n=2, weights=(1.5, 1.0), k_s=1.0)
+
+    @pytest.mark.parametrize("gains", [
+        dict(k_s=np.array([-6.0, 6.0])),
+        dict(k_s=np.array([6.0, 6.0, 6.0])),
+        dict(d_s=np.array([[8.0, np.nan], [8.0, 8.0]])),
+    ], ids=["negative-k_s", "three-entry-k_s", "nan-d_s"])
+    def test_replace_checks_gains_like_build(self, gains):
+        with pytest.raises(ValueError) as from_build:
+            ft.ControllerConfig.build(**{**dict(variant="C1", n=2, weights=(1.5, 1.0),
+                                                k_s=6.0, d_s=8.0), **gains})
+        with pytest.raises(ValueError) as from_replace:
+            replace(_config("C1"), **gains)
+        assert str(from_replace.value) == str(from_build.value)

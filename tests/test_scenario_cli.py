@@ -143,6 +143,14 @@ class TestLoadScenario:
         np.testing.assert_array_equal(cfg.config.d_s[0], [8.0, 8.0])
         np.testing.assert_array_equal(cfg.config.d_s[1], [2.0, 3.0])
 
+    def test_per_robot_pair_of_different_lengths(self, tmp_path):
+        text = FAST_SCENARIO.replace(
+            "d_s = 8.0", "d_s_local = 8.0, 7.0\nd_s_remote = 2.0, 3.0, 4.0")
+        with pytest.raises(ft.ScenarioError) as info:
+            ft.load_scenario(_write(tmp_path, text))
+        assert "[controller] d_s_local and d_s_remote have different lengths" in \
+            info.value.problems
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["c1_sim", "c2_sim", "c3_sim", "c4_sim", "c1_spring"])
@@ -214,7 +222,12 @@ class TestCli:
         (["--dt", "3e-4"], "decimation must be an integer multiple of dt"),
         (["--delay", "-0.5"], "delay must be nonnegative"),
         (["--delay", "0.002"], "delay > 0 requires integrator = euler"),
-    ], ids=["negative-dt", "dt-not-dividing-decimation", "negative-delay", "delay-with-rk4"])
+        (["--dt", "nan"], "dt must be positive"),
+        (["--dt", "inf"], "dt must be finite"),
+        (["--delay", "nan"], "delay must be nonnegative"),
+        (["--delay", "inf"], "delay must be finite"),
+    ], ids=["negative-dt", "dt-not-dividing-decimation", "negative-delay", "delay-with-rk4",
+            "nan-dt", "inf-dt", "nan-delay", "inf-delay"])
     def test_override_validated_like_the_file(self, tmp_path, capsys, flags, problem):
         text = FAST_SCENARIO.replace("horizon = 0.5", "horizon = 0.01")
         text = text.replace("decimation = 1e-2", "decimation = 1e-3")
