@@ -33,7 +33,6 @@ from .controllers import (
     control_action,
     dissipation_rate,
     shaped_potential,
-    theta_rate,
     validate_saturation,
 )
 from .homogeneity_audit import (

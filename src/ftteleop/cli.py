@@ -7,12 +7,13 @@ Subcommands:
     validate   configuration checks only (incl. saturation margins)
 
 Exit codes: 0 success, 1 failed check (audit), 2 missing file, 3 invalid
-scenario, 4 simulation instability.
+scenario or flag, 4 simulation instability.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -78,6 +79,8 @@ def _load(args):
         raise FileNotFoundError(
             f"scenario '{name}' not found on disk and not bundled "
             f"(bundled: {', '.join(bundled_scenario_names())})")
+    if not (args.tol > 0 and math.isfinite(args.tol)):   # NaN fails every comparison
+        raise ScenarioError([f"--tol must be positive and finite, got {args.tol:g}"])
     overrides = {}
     if args.dt is not None:
         overrides["dt"] = args.dt

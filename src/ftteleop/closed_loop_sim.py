@@ -125,11 +125,6 @@ class ForceProfile:
             if self.damping is not None and np.any(self.damping < 0):
                 raise ValueError("spring damping must be nonnegative (passive map)")
 
-    def __call__(self, t: float, q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, float)
-        forces = _stack_forces([[self]], q.size)
-        return _force(forces, t, q[None, None], np.asarray(qdot, float)[None, None])[0, 0]
-
     def spring_energy(self, q: np.ndarray) -> float:
         """Energy stored in the spring at position q (0 for other kinds)."""
         if self.kind != "spring_damper":
@@ -265,22 +260,7 @@ class Scenario:
             raise ScenarioError(problems)
 
     def initial_state(self) -> TeleopState:
-        n = self.params_l.n
-        zeros = np.zeros(n)
-        q0_l = np.asarray(self.q0_l, float)
-        q0_r = np.asarray(self.q0_r, float)
-        ctrl = None
-        if self.config.has_virtual_state:
-            ctrl = ControllerState(
-                theta_l=self.theta0_l if self.theta0_l is not None else q0_l,
-                theta_r=self.theta0_r if self.theta0_r is not None else q0_r,
-            )
-        return TeleopState(
-            local=RobotState(q=q0_l, qdot=self.qd0_l if self.qd0_l is not None else zeros),
-            remote=RobotState(q=q0_r, qdot=self.qd0_r if self.qd0_r is not None else zeros),
-            ctrl=ctrl,
-            time=0.0,
-        )
+        return _teleop_state(_initial_array(self, self.config.has_virtual_state), 0.0)
 
 
 class _Forces(NamedTuple):
@@ -346,15 +326,23 @@ def _teleop_state(x: np.ndarray, t: float) -> TeleopState:
 
 
 def _initial_array(scenario: Scenario, virtual: bool) -> np.ndarray:
-    """The (k, 2, n) engine layout of a scenario's start; with ``virtual``, a
-    C1/C3 scenario gets theta = q0, where its law holds theta still."""
-    x = _state_array(scenario.initial_state(), scenario.config.has_virtual_state)
-    return np.concatenate([x, x[:1]]) if virtual and len(x) == 2 else x
+    """The (k, 2, n) engine layout of a scenario's start: q0, qd0 (zero when
+    not given) and, with ``virtual``, theta0 (q0 when not given, and always
+    for a C1/C3 scenario, whose law holds theta still)."""
+    s, n = scenario, scenario.params_l.n
+    q0 = (s.q0_l, s.q0_r)
+    rows = [q0, [np.zeros(n) if v is None else v for v in (s.qd0_l, s.qd0_r)]]
+    if virtual:
+        theta0 = (s.theta0_l, s.theta0_r) if s.config.has_virtual_state else (None, None)
+        rows.append([q if v is None else v for q, v in zip(q0, theta0)])
+    # reshape: at n = 1 a scalar passes the validator's size check
+    return np.array([[np.reshape(v, n) for v in row] for row in rows], dtype=float)
 
 
-def _take(fields, keep):
-    """The members selected by ``keep`` of a tuple of stacked arrays (None stays None)."""
-    return type(fields)(*(None if v is None else v[keep] for v in fields))
+def _take(fields, members: slice):
+    """The members in the slice ``members`` of a tuple of stacked arrays
+    (None stays None)."""
+    return type(fields)(*(None if v is None else v[members] for v in fields))
 
 
 class _Batch:
@@ -364,33 +352,37 @@ class _Batch:
     member is C2/C4, theta (k = 3), each with rows (local, remote).
     """
 
-    def __init__(self, arms, law, forces, labels):
+    def __init__(self, arms, law, forces, labels, order):
         self.arms, self.law, self.forces, self.labels = arms, law, forces, list(labels)
+        self.order = np.asarray(order)   # each member's input position
 
     @classmethod
-    def stack(cls, arm_rows, configs, profile_rows, labels) -> "_Batch":
+    def stack(cls, arm_rows, configs, profile_rows, labels, order) -> "_Batch":
         return cls(stack_arm_arrays(arm_rows), stack_laws(configs),
-                   _stack_forces(profile_rows, configs[0].n), labels)
+                   _stack_forces(profile_rows, configs[0].n), labels, order)
 
     @classmethod
-    def of(cls, scenarios) -> "_Batch":
-        return cls.stack([(s.params_l, s.params_r) for s in scenarios],
-                         [s.config for s in scenarios],
-                         [(s.profile_l, s.profile_r) for s in scenarios],
-                         [s.label for s in scenarios])
+    def of(cls, scenarios, order) -> "_Batch":
+        """The scenarios stacked in ``order``, a list of their input positions."""
+        stacked = [scenarios[i] for i in order]
+        return cls.stack([(s.params_l, s.params_r) for s in stacked],
+                         [s.config for s in stacked],
+                         [(s.profile_l, s.profile_r) for s in stacked],
+                         [s.label for s in stacked], order)
 
-    def take(self, keep: np.ndarray) -> "_Batch":
-        """The members where the boolean mask ``keep`` is set."""
-        return _Batch(_take(self.arms, keep), _take(self.law, keep), _take(self.forces, keep),
-                      [label for label, kept in zip(self.labels, keep) if kept])
+    def take(self, members: slice) -> "_Batch":
+        """The members in the slice ``members``."""
+        return _Batch(_take(self.arms, members), _take(self.law, members),
+                      _take(self.forces, members), self.labels[members], self.order[members])
 
     def check_finite(self, x: np.ndarray, t: float) -> None:
-        """Raise SimulationUnstableError naming the first member whose slice
-        of x (leading axis B) is not finite."""
-        finite = np.isfinite(x).reshape(len(x), -1).all(axis=1)
-        if not finite.all():
+        """Raise SimulationUnstableError naming the member, first in input
+        order, whose slice of x (leading axis B) is not finite."""
+        bad = ~np.isfinite(x).reshape(len(x), -1).all(axis=1)
+        if bad.any():
+            first = np.flatnonzero(bad)[np.argmin(self.order[bad])]
             raise SimulationUnstableError(
-                f"{self.labels[int(np.argmin(finite))]}: non-finite state at t = {t:.6f} s; "
+                f"{self.labels[first]}: non-finite state at t = {t:.6f} s; "
                 "reduce dt or soften the gains")
 
     def rhs(self, t: float, x: np.ndarray, q_seen: np.ndarray | None = None):
@@ -445,7 +437,7 @@ def step(state: TeleopState, config: ControllerConfig, params_l: RobotParams,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    batch = _Batch.stack([(params_l, params_r)], [config], [profiles], ["step"])
+    batch = _Batch.stack([(params_l, params_r)], [config], [profiles], ["step"], [0])
     x = _state_array(state, config.has_virtual_state)[None]
     dx = batch.rhs(state.time, x)[0]
     return _teleop_state(batch.euler(state.time, x, dx, dt)[0], state.time + dt)
@@ -455,7 +447,7 @@ def rk4_step(state: TeleopState, config, params_l, params_r, profiles, dt: float
     """Classic fourth-order Runge-Kutta step (for step-size studies)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    batch = _Batch.stack([(params_l, params_r)], [config], [profiles], ["step"])
+    batch = _Batch.stack([(params_l, params_r)], [config], [profiles], ["step"], [0])
     x = _state_array(state, config.has_virtual_state)[None]
     k1 = batch.rhs(state.time, x)[0]
     return _teleop_state(batch.rk4(state.time, x, k1, dt)[0], state.time + dt)
@@ -540,12 +532,12 @@ def _schedule(scenario) -> tuple:
 class _Cohort:
     """The members of a group that share a step count, with their records:
     one row per recorded step, so a group's records hold its members' own
-    samples, not B times the longest horizon."""
+    samples, not B times the longest horizon. The members are the fixed
+    slice ``cols`` of the stacked state."""
 
-    def __init__(self, members: np.ndarray, last: int, every: int, x_shape: tuple):
-        self.members, self.last = members, last
-        self.cols = members   # their positions among the running members
-        rows = (-(-last // every) + 1, len(members))
+    def __init__(self, cols: slice, last: int, every: int, x_shape: tuple):
+        self.cols, self.last = cols, last
+        rows = (-(-last // every) + 1, cols.stop - cols.start)
         n = x_shape[-1]
         self.t = np.zeros(rows[0])
         self.x = np.zeros(rows + x_shape)
@@ -558,7 +550,7 @@ class _Cohort:
             out[row] = value[self.cols]
 
     def traces(self, law: StackedLaw, dt: float) -> list[SimTrace]:
-        law = _take(law, self.members)
+        law = _take(law, self.cols)
         q, qdot = self.x[:, :, 0], self.x[:, :, 1]
         theta = self.x[:, :, 2] if law.virtual else np.full_like(q, np.nan)
         kinetic = 0.5 * np.einsum("sbki,sbkij,sbkj->sbk", qdot, self.m, qdot)
@@ -573,7 +565,7 @@ class _Cohort:
                      tau_l=self.tau[:, b, LOCAL], tau_r=self.tau[:, b, REMOTE],
                      f_l=self.f[:, b, LOCAL], f_r=self.f[:, b, REMOTE],
                      err_norm=err_norm[:, b], energy=energy[:, b], dt=dt)
-            for b in range(len(self.members))
+            for b in range(q.shape[1])
         ]
 
 
@@ -582,24 +574,25 @@ def _integrate(scenarios, integrator: str, dt: float, every: int,
     """Integrate one group of scenarios together and record their traces.
 
     Each member runs its own step count and is recorded every ``every``
-    steps and at its last step. Past its last step a member is frozen: it
-    leaves the stacked state, so it is no longer updated, finite-checked or
-    recorded.
+    steps and at its last step. The members are stacked longest first, so
+    the running ones are always a prefix: past its last step a member is
+    cut off the end of the stacked state, and is no longer updated,
+    finite-checked or recorded.
     """
-    batch = _Batch.of(scenarios)
+    steps = [int(round(s.horizon / dt)) for s in scenarios]
+    order = sorted(range(len(scenarios)), key=lambda i: -steps[i])   # stable
+    batch = _Batch.of(scenarios, order)
     law = batch.law
-    x = np.array([_initial_array(s, law.virtual) for s in scenarios])
-    steps = np.array([int(round(s.horizon / dt)) for s in scenarios])
-    cohorts = [_Cohort(np.flatnonzero(steps == last), last, every, x.shape[1:])
-               for last in np.unique(steps).tolist()]
-    live = list(cohorts)   # in stop order
-    if len(live) == 1:
-        live[0].cols = slice(None)   # a basic slice, for speed
-    alive = np.arange(len(scenarios))   # input index of each running member
+    x = np.array([_initial_array(scenarios[i], law.virtual) for i in order])
+    lasts = [steps[i] for i in order]
+    cuts = [b for b in range(len(lasts)) if b == 0 or lasts[b] < lasts[b - 1]] + [len(lasts)]
+    cohorts = [_Cohort(slice(a, b), lasts[a], every, x.shape[1:])   # longest first
+               for a, b in zip(cuts, cuts[1:])]
+    live = list(cohorts)
     # transport delay: ring buffer of the last delay_steps + 1 exchanged positions
     ring = np.empty((delay_steps + 1,) + x[:, 0].shape) if delay_steps else None
     t = 0.0
-    for k in range(live[-1].last + 1):
+    for k in range(cohorts[0].last + 1):
         q_seen = None
         if ring is not None:
             ring[k % len(ring)] = x[:, 0]
@@ -608,25 +601,21 @@ def _integrate(scenarios, integrator: str, dt: float, every: int,
         for cohort in live:
             if k % every == 0 or k == cohort.last:
                 cohort.record(-(-k // every), t, x, tau, f, m)
-        if k == live[0].last:
-            live.pop(0)
+        if k == live[-1].last:
+            live.pop()
             if not live:
                 break
-            keep = steps[alive] > k
-            alive = alive[keep]
-            for cohort in live:
-                cohort.cols = slice(None) if len(live) == 1 else \
-                    np.searchsorted(alive, cohort.members)
-            x, dx, batch = x[keep], dx[keep], batch.take(keep)
+            running = slice(live[-1].cols.stop)
+            x, dx, batch = x[running], dx[running], batch.take(running)
             if ring is not None:
-                ring = ring[:, keep]
+                ring = ring[:, running]
         x = batch.rk4(t, x, dx, dt) if integrator == "rk4" else batch.euler(t, x, dx, dt)
         t = t + dt
 
     traces: list = [None] * len(scenarios)
     for cohort in cohorts:
-        for b, trace in zip(cohort.members.tolist(), cohort.traces(law, dt)):
-            traces[b] = trace
+        for i, trace in zip(order[cohort.cols], cohort.traces(law, dt)):
+            traces[i] = trace
     return traces
 
 
@@ -669,8 +658,8 @@ def convergence_time(trace: SimTrace, tol: float):
     Returns None when the error is not sustained below tol through the end
     of the trace (a transient dip does not count).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
     if trace.samples == 0:
         raise ValueError("empty trace")
     above = trace.err_norm >= tol
@@ -694,10 +683,6 @@ class EnergyAudit:
     flagged: np.ndarray             # sample indices violating either check
 
     @property
-    def max_step_increase(self) -> float:
-        return float(np.max(np.maximum(np.diff(self.energy), 0.0), initial=0.0))
-
-    @property
     def positive_variation(self) -> float:
         return float(np.sum(np.maximum(np.diff(self.energy), 0.0)))
 
@@ -707,18 +692,17 @@ class EnergyAudit:
 
 
 def energy_audit(trace: SimTrace, config: ControllerConfig,
-                 params_l: RobotParams, params_r: RobotParams,
-                 step_increase_tol: float | None = None) -> EnergyAudit:
+                 params_l: RobotParams, params_r: RobotParams) -> EnergyAudit:
     """Check the free-motion energy decrease on a recorded trace.
 
     Refuses traces with nonzero external forces (the monotone decrease is
     only claimed in free motion). The analytic rate is rebuilt per sample
     from the recorded state; the numeric rate differences the sampled
     energy. Samples are flagged when the analytic rate turns positive or
-    the sampled energy rises by more than the discretization tolerance,
-    which defaults to 0.5 dt max(1, H(0)) per recorded interval: linear in
-    dt (so it halves with the step) yet far below the rise a sign error in
-    the dissipation would cause.
+    the sampled energy rises by more than the discretization tolerance
+    0.5 dt max(1, H(0)) per recorded interval: linear in dt (so it halves
+    with the step) yet far below the rise a sign error in the dissipation
+    would cause.
     """
     if trace.has_forces():
         raise ValueError("energy audit requires a free-motion trace (all forces zero)")
@@ -728,8 +712,7 @@ def energy_audit(trace: SimTrace, config: ControllerConfig,
                            pair(trace.qd_l, trace.qd_r), theta)[:, 0]
     hdot_numeric = np.diff(trace.energy) / np.diff(trace.t)
     dt = trace.dt if math.isfinite(trace.dt) else float(np.min(np.diff(trace.t)))
-    if step_increase_tol is None:
-        step_increase_tol = 0.5 * dt * max(1.0, abs(float(trace.energy[0])))
+    step_increase_tol = 0.5 * dt * max(1.0, abs(float(trace.energy[0])))
     rising = np.flatnonzero(np.diff(trace.energy) > step_increase_tol)
     positive = np.flatnonzero(hdot > 0.0)
     return EnergyAudit(

@@ -50,7 +50,6 @@ __all__ = [
     "control_law",
     "law_potential",
     "law_dissipation",
-    "theta_rate",
     "shaped_potential",
     "dissipation_rate",
     "validate_saturation",
@@ -350,14 +349,6 @@ def control_action(config, params_l, params_r, state_l, state_r,
     if theta_dot is None:
         return ControlAction(tau[0, LOCAL], tau[0, REMOTE])
     return ControlAction(tau[0, LOCAL], tau[0, REMOTE], theta_dot[0, LOCAL], theta_dot[0, REMOTE])
-
-
-def theta_rate(config: ControllerConfig, theta_err: np.ndarray, side: int) -> np.ndarray:
-    """Virtual-state velocity from the accumulated mismatch theta - q."""
-    law = stack_laws([config])
-    err = np.zeros((1, 2, config.n))
-    err[0, side] = theta_err
-    return _theta_rate(law, err)[0, side]
 
 
 def shaped_potential(config, state_l: RobotState, state_r: RobotState,

@@ -85,16 +85,12 @@ class HomogeneitySpec:
 
     @classmethod
     def for_config(cls, config: ControllerConfig, n: int, samples: int = 256,
-                   eps_grid=None, seed: int = 0) -> "HomogeneitySpec":
-        kwargs = {}
-        if eps_grid is not None:
-            kwargs["eps_grid"] = eps_grid
+                   seed: int = 0) -> "HomogeneitySpec":
         return cls(
             weights=stacked_weights(config, n),
             degree=config.weights.degree,
             samples=samples,
             seed=seed,
-            **kwargs,
         )
 
 
@@ -189,7 +185,7 @@ def full_field(config: ControllerConfig, params_l: RobotParams,
     return _error_field(config, np.asarray(q_c, float), dynamics)
 
 
-def check_degree(field_fn, spec: HomogeneitySpec, points: np.ndarray | None = None,
+def check_degree(field_fn, spec: HomogeneitySpec,
                  out_weights: np.ndarray | None = None) -> float:
     """Worst relative defect of the claimed dilation scaling.
 
@@ -200,8 +196,7 @@ def check_degree(field_fn, spec: HomogeneitySpec, points: np.ndarray | None = No
     stacks (..., dim) to (..., dim).
     """
     w_out = spec.weights if out_weights is None else np.asarray(out_weights, float)
-    if points is None:
-        points = sphere_points(spec.weights.size, spec.samples, spec.seed)
+    points = sphere_points(spec.weights.size, spec.samples, spec.seed)
     fx = np.asarray(field_fn(points), float)
     fd = np.asarray(field_fn(_dilations(spec, points)), float)
     scale = spec.eps_grid[:, None, None] ** (spec.degree + w_out)
@@ -230,11 +225,11 @@ def vanishing_sweep(config: ControllerConfig, params_l: RobotParams,
     return spec.eps_grid.copy(), devs
 
 
-def fitted_decay_slope(eps: np.ndarray, devs: np.ndarray, decade: float = 10.0) -> float:
+def fitted_decay_slope(eps: np.ndarray, devs: np.ndarray) -> float:
     """Log-log slope of the sweep over its final decade of epsilon."""
     eps = np.asarray(eps, float)
     devs = np.asarray(devs, float)
-    mask = eps <= eps.min() * decade * (1 + 1e-9)
+    mask = eps <= eps.min() * 10.0 * (1 + 1e-9)
     if mask.sum() < 2:
         raise ValueError("need at least two grid points in the final decade")
     return float(np.polyfit(np.log(eps[mask]), np.log(devs[mask]), 1)[0])

@@ -352,7 +352,7 @@ def _configuration_grid(n: int, target: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grid], axis=-1)
 
 
-def derive_bounds(params: RobotParams, grid_target: int = _BOUND_GRID_TARGET) -> DerivedBounds:
+def derive_bounds(params: RobotParams) -> DerivedBounds:
     """Model bounds of one arm.
 
     The gravity caps are exact: every joint's gravity torque is largest in
@@ -363,7 +363,7 @@ def derive_bounds(params: RobotParams, grid_target: int = _BOUND_GRID_TARGET) ->
     margin (skipped when the inertia is configuration-independent, e.g. a
     single pendulum's).
     """
-    grid = _configuration_grid(params.n, grid_target)
+    grid = _configuration_grid(params.n, _BOUND_GRID_TARGET)
     chunk = 2048
     lam_min, lam_max, growth_max = np.inf, -np.inf, 0.0
     arm = arm_arrays(params)

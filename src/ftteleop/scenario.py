@@ -194,13 +194,16 @@ def _read_controller(reader: _SectionReader, n: int, problems: list) -> Controll
     r1 = reader.scalar("r1", required=True)
     r2 = reader.scalar("r2", required=True)
     k_s = reader.floats("k_s", required=True)
+    problems_before = len(problems)
     d_s = _read_per_robot(reader, "d_s")
     k_c = _read_per_robot(reader, "k_c")
     d_c = _read_per_robot(reader, "d_c")
+    # a gain that failed to read is not missing: building would say it is
+    gains_failed = len(problems) > problems_before
     delta_p = reader.scalar("delta_p")
     delta_d = reader.scalar("delta_d")
     reader.leftovers()
-    if None in (r1, r2) or k_s is None:
+    if None in (r1, r2) or k_s is None or gains_failed:
         return None
     try:
         # a per-joint k_s sets the controller's joint count, a scalar takes n

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ftteleop as ft
+from ftteleop.controllers import control_law, stack_laws
 from ftteleop.homogeneity_audit import HomogeneitySpec
 
 from conftest import BENCHMARK
@@ -248,11 +249,12 @@ def test_criterion_09_boundedness_under_passive_forces(spring_run, c2_spring_run
 
 
 def _theta_rate_norms(trace, config):
-    rates = np.empty((trace.samples, 2))
-    for i in range(trace.samples):
-        rates[i, 0] = np.linalg.norm(ft.theta_rate(config, trace.th_l[i] - trace.q_l[i], 0))
-        rates[i, 1] = np.linalg.norm(ft.theta_rate(config, trace.th_r[i] - trace.q_r[i], 1))
-    return rates.max(axis=1)
+    """Per sample, the larger of the two sides' virtual-state rate norms."""
+    q = np.stack([trace.q_l, trace.q_r], axis=1)
+    theta = np.stack([trace.th_l, trace.th_r], axis=1)
+    zeros = np.zeros_like(q)
+    _, rates = control_law(stack_laws([config]), q, zeros, theta, q[:, ::-1], zeros)
+    return np.linalg.norm(rates, axis=-1).max(axis=1)
 
 
 def test_criterion_10_output_feedback(c2_run, c4_run, c2_rk4_run, c4_rk4_run):

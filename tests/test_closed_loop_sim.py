@@ -361,6 +361,36 @@ class TestRunBatch:
             with pytest.raises(ft.SimulationUnstableError, match=r"^wild1: .* t = 0.4"):
                 ft.run_batch(scenarios[::-1])
 
+    def test_instability_is_named_in_input_order_not_stack_order(self):
+        # stacked longest first, wild3 sits after wild1; both blow up at t = 0.4 s
+        wild3 = ft.ControllerConfig.build(variant="C3", n=2, weights=(1.5, 1.0), k_s=1e6,
+                                          d_s=1e6, delta_p=1e300, delta_d=1e300)
+        scenarios = [_scenario("C2", horizon=1.0, dt=5e-2, label="calm"),
+                     _scenario(horizon=0.6, dt=5e-2, label="wild3", config=wild3),
+                     _scenario(horizon=1.0, dt=5e-2, label="wild1", config=_STIFF)]
+        with np.errstate(all="ignore"):
+            with pytest.raises(ft.SimulationUnstableError, match=r"^wild3: .* t = 0.4"):
+                ft.run_batch(scenarios)
+            with pytest.raises(ft.SimulationUnstableError, match=r"^wild1: .* t = 0.4"):
+                ft.run_batch(scenarios[::-1])
+
+    def test_starts_from_the_scenario_arrays(self):
+        # the engine builds no single-state object for any variant
+        built = []
+
+        def counted(cls):
+            original = cls.__post_init__
+
+            def post_init(self):
+                built.append(cls.__name__)
+                original(self)
+            return mock.patch.object(cls, "__post_init__", post_init)
+
+        scenarios = [_scenario(variant, horizon=0.02) for variant in ("C1", "C2", "C3", "C4")]
+        with counted(ft.RobotState), counted(ft.ControllerState), counted(ft.TeleopState):
+            ft.run_batch(scenarios)
+        assert built == []
+
     def test_frozen_member_is_not_stepped_past_its_horizon(self):
         # alone, the stiff member turns non-finite at t = 0.4 s
         wild = _scenario(horizon=0.35, dt=5e-2, label="wild", config=_STIFF)
@@ -468,6 +498,11 @@ class TestConvergenceTime:
         with pytest.raises(ValueError):
             ft.convergence_time(empty, 1e-3)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            ft.convergence_time(self._trace([0.0], [0.0]), tol)
+
 
 class TestTraceCsv:
     def test_header_layout(self):
@@ -546,16 +581,19 @@ class TestForceProfiles:
     def test_pulse_window(self):
         profile = ft.ForceProfile(kind="pulse", start=1.0, stop=2.0,
                                   amplitude=np.array([5.0, 0.0]))
-        q = np.zeros(2)
-        np.testing.assert_array_equal(profile(0.5, q, q), np.zeros(2))
-        np.testing.assert_array_equal(profile(1.5, q, q), [5.0, 0.0])
-        np.testing.assert_array_equal(profile(2.0, q, q), np.zeros(2))
+        # dt = 1/64 s keeps the recorded times 0.5, 1.5 and 2.0 exact
+        trace = ft.run(_scenario(horizon=2.0, dt=1 / 64, decimation=0.5, profile_r=profile))
+        f_r = dict(zip(trace.t.tolist(), trace.f_r))
+        np.testing.assert_array_equal(f_r[0.5], np.zeros(2))
+        np.testing.assert_array_equal(f_r[1.5], [5.0, 0.0])
+        np.testing.assert_array_equal(f_r[2.0], np.zeros(2))
 
     def test_spring_damper_force(self):
         profile = ft.ForceProfile(kind="spring_damper", stiffness=np.array([10.0, 10.0]),
                                   damping=np.array([1.0, 1.0]), anchor=np.zeros(2))
-        f = profile(0.0, np.array([0.5, 0.0]), np.array([0.0, 2.0]))
-        np.testing.assert_allclose(f, [-5.0, -2.0])
+        trace = ft.run(_scenario(horizon=1e-3, decimation=1e-3, q0_r=np.array([0.5, 0.0]),
+                                 qd0_r=np.array([0.0, 2.0]), profile_r=profile))
+        np.testing.assert_allclose(trace.f_r[0], [-5.0, -2.0])
 
     def test_rejects_negative_spring(self):
         with pytest.raises(ValueError, match="passive"):

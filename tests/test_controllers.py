@@ -26,6 +26,15 @@ def _torques(*args):
     return action.tau_l, action.tau_r
 
 
+def _theta_rate(config, theta_err, side):
+    """One side's virtual-state rate from the stacked law, at q = 0."""
+    q = np.zeros((1, 2, config.n))
+    theta = q.copy()
+    theta[0, side] = theta_err
+    _, theta_dot = controllers.control_law(controllers.stack_laws([config]), q, q, theta, q, q)
+    return theta_dot[0, side]
+
+
 def _torques_and_theta_dot(*args):
     action = ft.control_action(*args)
     return action.tau_l, action.tau_r, action.theta_dot_l, action.theta_dot_r
@@ -127,14 +136,14 @@ class TestC2:
     def test_theta_rate_exponent(self):
         # mismatch enters the rate law through the power r2/r1 = 2/3
         config = _config("C2", k_c=1.0, d_c=1.0)
-        rate = ft.theta_rate(config, np.array([0.125, 0.0]), LOCAL)
+        rate = _theta_rate(config, np.array([0.125, 0.0]), LOCAL)
         assert rate[0] == pytest.approx(-(0.125 ** (2.0 / 3.0)), rel=1e-12)
 
     def test_scalar_chain_unit_rate(self):
         # k_c = d_c = 1, p_vel = 0.5: speed factor 1, unit mismatch -> rate -1
         config = ft.ControllerConfig.build(variant="C2", n=2, weights=(1.5, 1.0),
                                            k_s=1.0, k_c=1.0, d_c=1.0)
-        rate = ft.theta_rate(config, np.array([1.0, 0.0]), LOCAL)
+        rate = _theta_rate(config, np.array([1.0, 0.0]), LOCAL)
         np.testing.assert_allclose(rate, [-1.0, 0.0], rtol=1e-15)
 
     def test_velocity_free(self):

@@ -151,6 +151,17 @@ class TestLoadScenario:
         assert "[controller] d_s_local and d_s_remote have different lengths" in \
             info.value.problems
 
+    @pytest.mark.parametrize("gains, problem", [
+        ("d_s_local = 8.0, 7.0\nd_s_remote = 2.0, 3.0, 4.0",
+         "[controller] d_s_local and d_s_remote have different lengths"),
+        ("d_s_local = 8.0", "[controller] d_s_local and d_s_remote must be given together"),
+    ], ids=["different-lengths", "local-only"])
+    def test_failed_gain_pair_is_the_only_problem(self, tmp_path, gains, problem):
+        text = FAST_SCENARIO.replace("d_s = 8.0", gains)
+        with pytest.raises(ft.ScenarioError) as info:
+            ft.load_scenario(_write(tmp_path, text))
+        assert info.value.problems == [problem]
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["c1_sim", "c2_sim", "c3_sim", "c4_sim", "c1_spring"])
@@ -217,23 +228,27 @@ class TestCli:
         assert code == 4
         assert "c1_rk4: non-finite state at t =" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags, problem", [
-        (["--dt", "-1"], "dt must be positive"),
-        (["--dt", "3e-4"], "decimation must be an integer multiple of dt"),
-        (["--delay", "-0.5"], "delay must be nonnegative"),
-        (["--delay", "0.002"], "delay > 0 requires integrator = euler"),
-        (["--dt", "nan"], "dt must be positive"),
-        (["--dt", "inf"], "dt must be finite"),
-        (["--delay", "nan"], "delay must be nonnegative"),
-        (["--delay", "inf"], "delay must be finite"),
-    ], ids=["negative-dt", "dt-not-dividing-decimation", "negative-delay", "delay-with-rk4",
-            "nan-dt", "inf-dt", "nan-delay", "inf-delay"])
-    def test_override_validated_like_the_file(self, tmp_path, capsys, flags, problem):
+    @pytest.mark.parametrize("command, flags, problem", [
+        ("simulate", ["--dt", "-1"], "dt must be positive"),
+        ("simulate", ["--dt", "3e-4"], "decimation must be an integer multiple of dt"),
+        ("simulate", ["--delay", "-0.5"], "delay must be nonnegative"),
+        ("simulate", ["--delay", "0.002"], "delay > 0 requires integrator = euler"),
+        ("simulate", ["--dt", "nan"], "dt must be positive"),
+        ("simulate", ["--dt", "inf"], "dt must be finite"),
+        ("simulate", ["--delay", "nan"], "delay must be nonnegative"),
+        ("simulate", ["--delay", "inf"], "delay must be finite"),
+    ] + [(command, ["--tol", tol], f"--tol must be positive and finite, got {tol}")
+         for command in ("simulate", "compare") for tol in ("-1", "0", "nan", "inf")],
+        ids=["negative-dt", "dt-not-dividing-decimation", "negative-delay", "delay-with-rk4",
+             "nan-dt", "inf-dt", "nan-delay", "inf-delay"]
+        + [f"{command}-{tol}-tol" for command in ("simulate", "compare")
+           for tol in ("negative", "zero", "nan", "inf")])
+    def test_override_validated_like_the_file(self, tmp_path, capsys, command, flags, problem):
         text = FAST_SCENARIO.replace("horizon = 0.5", "horizon = 0.01")
         text = text.replace("decimation = 1e-2", "decimation = 1e-3")
         if "--delay" in flags and flags[1] == "0.002":
             text = text.replace("decimation = 1e-3", "decimation = 1e-3\nintegrator = rk4")
-        code = run_command(["simulate", _write(tmp_path, text), "--out", str(tmp_path)] + flags)
+        code = run_command([command, _write(tmp_path, text), "--out", str(tmp_path)] + flags)
         assert code == 3
         assert problem in capsys.readouterr().err
 
