@@ -60,7 +60,6 @@ from .robot_dynamics import (
 )
 from .scalar_ops import Weights, dilate, s_integral, sat_clip, sat_pow, signed_pow
 from .scenario import (
-    ScenarioConfig,
     ScenarioError,
     bundled_scenario_names,
     dump_scenario,

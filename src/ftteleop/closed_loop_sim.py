@@ -249,6 +249,10 @@ class Scenario:
     integrator: str = "euler"
     delay: float = 0.0
     label: str = "scenario"
+    # output file paths, the scenario file's optional [output] section
+    trace_path: str | None = None
+    report_path: str | None = None
+    audit_path: str | None = None
 
     def __post_init__(self):
         problems = _scenario_problems(
@@ -453,6 +457,14 @@ def rk4_step(state: TeleopState, config, params_l, params_r, profiles, dt: float
     return _teleop_state(batch.rk4(state.time, x, k1, dt)[0], state.time + dt)
 
 
+# (CSV column stem, SimTrace field) in file order; a per-joint field has one
+# column per joint, numbered from 1, a per-sample field one column
+_TRACE_COLUMNS = (("t", "t"), ("ql", "q_l"), ("qr", "q_r"), ("dql", "qd_l"), ("dqr", "qd_r"),
+                  ("thl", "th_l"), ("thr", "th_r"), ("taul", "tau_l"), ("taur", "tau_r"),
+                  ("fl", "f_l"), ("fr", "f_r"), ("err_norm", "err_norm"), ("H", "energy"))
+_SAMPLE_FIELDS = ("t", "err_norm", "energy")
+
+
 @dataclass(eq=False)
 class SimTrace:
     """Time-indexed record of one closed-loop run (decimated samples)."""
@@ -481,18 +493,13 @@ class SimTrace:
         return self.t.size
 
     def header(self) -> str:
-        n = self.n
-        cols = ["t"]
-        for stem in ("ql", "qr", "dql", "dqr", "thl", "thr", "taul", "taur", "fl", "fr"):
-            cols += [f"{stem}{k + 1}" for k in range(n)]
-        cols += ["err_norm", "H"]
+        cols = []
+        for stem, name in _TRACE_COLUMNS:
+            cols += [stem] if name in _SAMPLE_FIELDS else [f"{stem}{k + 1}" for k in range(self.n)]
         return ",".join(cols)
 
     def matrix(self) -> np.ndarray:
-        return np.column_stack([
-            self.t, self.q_l, self.q_r, self.qd_l, self.qd_r, self.th_l, self.th_r,
-            self.tau_l, self.tau_r, self.f_l, self.f_r, self.err_norm, self.energy,
-        ])
+        return np.column_stack([getattr(self, name) for _, name in _TRACE_COLUMNS])
 
     def to_csv(self, path) -> None:
         """Write the trace with 17 significant digits for bit-faithful reload."""
@@ -501,19 +508,19 @@ class SimTrace:
 
     @classmethod
     def from_csv(cls, path, dt: float = float("nan")) -> "SimTrace":
+        """Read a trace written by to_csv; a file whose header or data does
+        not have 3 + 10 n columns raises ValueError."""
         with open(path) as fh:
-            header = fh.readline().strip().split(",")
+            width = len(fh.readline().split(","))
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        n = (len(header) - 3) // 10
-        cuts = np.cumsum([1] + [n] * 10 + [1])
-        fields = np.split(data, cuts, axis=1)
-        return cls(
-            t=fields[0].ravel(),
-            q_l=fields[1], q_r=fields[2], qd_l=fields[3], qd_r=fields[4],
-            th_l=fields[5], th_r=fields[6], tau_l=fields[7], tau_r=fields[8],
-            f_l=fields[9], f_r=fields[10],
-            err_norm=fields[11].ravel(), energy=fields[12].ravel(), dt=dt,
-        )
+        n = (width - len(_SAMPLE_FIELDS)) // (len(_TRACE_COLUMNS) - len(_SAMPLE_FIELDS))
+        widths = [1 if name in _SAMPLE_FIELDS else n for _, name in _TRACE_COLUMNS]
+        for count in (width, data.shape[1] if data.size else width):   # header, then data
+            if n < 1 or count != sum(widths):
+                raise ValueError(f"{path}: {count} columns, a trace has 3 + 10 n")
+        blocks = np.split(data, np.cumsum(widths)[:-1], axis=1)
+        return cls(**{name: block.ravel() if name in _SAMPLE_FIELDS else block
+                      for (_, name), block in zip(_TRACE_COLUMNS, blocks)}, dt=dt)
 
     def has_forces(self) -> bool:
         return bool(np.any(self.f_l != 0.0) or np.any(self.f_r != 0.0))

@@ -59,25 +59,19 @@ VARIANTS = ("C1", "C2", "C3", "C4")
 LOCAL, REMOTE = 0, 1
 
 
-def _per_robot_gain(value, n: int, name: str, allow_zero: bool = False) -> np.ndarray:
-    """Normalize a gain spec to a (2, n) array of per-robot per-joint values.
+def _gain(value, shape: tuple, name: str, allow_zero: bool = False) -> np.ndarray:
+    """Broadcast a gain spec to ``shape`` and check it.
 
-    Accepts a scalar or a length-n vector (applied to both robots), or an
-    explicit (2, n) array with rows (local, remote).
+    The shape is (n,) for the shared k_s and (2, n), rows (local, remote),
+    for the per-robot gains; a scalar or a length-n vector applies to every
+    joint (and to both robots), a (2, 1) pair to every joint of each robot.
     """
     arr = np.asarray(value, dtype=float)
-    if arr.ndim == 1 and arr.size == 1:
-        arr = arr[0]
-    if arr.ndim == 0:
-        out = np.full((2, n), float(arr))
-    elif arr.ndim == 1 and arr.size == n:
-        out = np.tile(arr, (2, 1))
-    elif arr.ndim == 2 and arr.shape == (2, n):
-        out = arr.copy()
-    elif arr.ndim == 2 and arr.shape == (2, 1):
-        out = np.repeat(arr, n, axis=1)
-    else:
-        raise ValueError(f"{name}: cannot interpret shape {arr.shape} for {n} joints")
+    try:
+        out = np.array(np.broadcast_to(arr, shape))
+    except ValueError:
+        raise ValueError(
+            f"{name}: cannot interpret shape {arr.shape} for {shape[-1]} joints") from None
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{name} must be finite")
     if allow_zero:
@@ -86,19 +80,6 @@ def _per_robot_gain(value, n: int, name: str, allow_zero: bool = False) -> np.nd
     elif np.any(out <= 0):
         raise ValueError(f"{name} must be positive")
     return out
-
-
-def _per_joint_gain(value, n: int, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 1 and arr.size == 1:
-        arr = arr[0]
-    if arr.ndim == 0:
-        arr = np.full(n, float(arr))
-    if arr.shape != (n,):
-        raise ValueError(f"{name}: expected a scalar or {n} per-joint values")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise ValueError(f"{name} must be positive and finite")
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,11 +110,11 @@ class ControllerConfig:
     def __post_init__(self):
         n = int(self.n)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k_s", _per_joint_gain(self.k_s, n, "k_s"))
+        object.__setattr__(self, "k_s", _gain(self.k_s, (n,), "k_s"))
         for name in ("d_s", "k_c", "d_c"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, _per_robot_gain(
-                    getattr(self, name), n, name, allow_zero=name == "d_s"))
+                object.__setattr__(self, name, _gain(
+                    getattr(self, name), (2, n), name, allow_zero=name == "d_s"))
         for name in ("delta_p", "delta_d"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, float(getattr(self, name)))
@@ -141,12 +122,11 @@ class ControllerConfig:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         object.__setattr__(self, "p_pos", self.weights.pos_exponent)
         object.__setattr__(self, "p_vel", self.weights.vel_exponent)
-        if self.uses_velocity:
-            if self.d_s is None:
-                raise ValueError(f"{self.variant} requires the velocity damping gain d_s")
-        else:
+        if self.has_virtual_state:
             if self.k_c is None or self.d_c is None:
                 raise ValueError(f"{self.variant} requires the virtual-state gains k_c and d_c")
+        elif self.d_s is None:
+            raise ValueError(f"{self.variant} requires the velocity damping gain d_s")
         if self.is_bounded:
             if self.delta_p is None or self.delta_d is None:
                 raise ValueError(f"{self.variant} requires saturation levels delta_p and delta_d")
@@ -160,10 +140,6 @@ class ControllerConfig:
         if not isinstance(weights, Weights):
             weights = Weights(*weights)
         return cls(variant, weights, n, k_s, d_s, k_c, d_c, delta_p, delta_d)
-
-    @property
-    def uses_velocity(self) -> bool:
-        return self.variant in ("C1", "C3")
 
     @property
     def is_bounded(self) -> bool:
@@ -412,9 +388,9 @@ def validate_saturation(config, params_l: RobotParams, params_r: RobotParams) ->
     if not config.is_bounded:
         raise ValueError("saturation validation applies to the bounded variants C3/C4")
     n = config.n
-    gain = config.d_s if config.variant == "C3" else config.k_c
-    # exponent acting inside the damping-channel saturation
-    p_d = config.p_vel if config.variant == "C3" else config.p_pos
+    # damping gain, and the exponent acting inside its channel's saturation
+    gain, p_d = ((config.k_c, config.p_pos) if config.has_virtual_state
+                 else (config.d_s, config.p_vel))
     lit = config.k_s * config.delta_p + gain * config.delta_d
     imp = config.k_s * config.delta_p**config.p_pos + gain * config.delta_d**p_d
     conservative = np.maximum(lit, imp)

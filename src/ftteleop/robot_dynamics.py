@@ -41,7 +41,6 @@ __all__ = [
     "energies",
     "derive_bounds",
     "ArmArrays",
-    "arm_arrays",
     "stack_arm_arrays",
     "link_angles",
     "inertia_kernel",
@@ -82,6 +81,14 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+class ArmArrays(NamedTuple):
+    """Model constants of one arm, or of several stacked on leading axes."""
+
+    weights: np.ndarray   # (..., n, n) geometry matrix W
+    inertia: np.ndarray   # (..., n, n) diagonal of rotor inertias
+    gravity: np.ndarray   # (..., n) gravity * (masses @ lever)
+
+
 @dataclass(frozen=True, eq=False)
 class RobotParams:
     """Physical description of one planar serial manipulator.
@@ -94,6 +101,7 @@ class RobotParams:
         gravity: in-plane gravitational acceleration [m/s^2]; 0 means the
             chain moves in a horizontal plane.
         torque_limits: per-joint actuator bounds [N m], or None if unlimited.
+        arm: the model constants the kernels read, built once from the above.
     """
 
     masses: np.ndarray
@@ -102,17 +110,19 @@ class RobotParams:
     inertias: np.ndarray
     gravity: float = 9.81
     torque_limits: np.ndarray | None = None
+    arm: ArmArrays = field(init=False, repr=False)
     bounds: DerivedBounds = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("masses", "lengths", "com_offsets", "inertias"):
-            object.__setattr__(self, name, _readonly(np.atleast_1d(getattr(self, name))))
+        problems = []
+        for name in ("masses", "lengths", "com_offsets", "inertias", "torque_limits"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _readonly(np.atleast_1d(getattr(self, name))))
+                if not np.isfinite(getattr(self, name)).all():
+                    problems.append(f"{name} must be finite")
         object.__setattr__(self, "gravity", float(self.gravity))
-        if self.torque_limits is not None:
-            object.__setattr__(self, "torque_limits", _readonly(np.atleast_1d(self.torque_limits)))
 
         n = self.masses.size
-        problems = []
         for name in ("lengths", "com_offsets", "inertias"):
             if getattr(self, name).size != n:
                 problems.append(f"{name} must have length {n}")
@@ -143,9 +153,9 @@ class RobotParams:
         for k in range(n):
             lever[k, :k] = self.lengths[:k]
             lever[k, k] = self.com_offsets[k]
-        weight_matrix = np.einsum("k,ka,kb->ab", self.masses, lever, lever)
-        object.__setattr__(self, "_weight_matrix", _readonly(weight_matrix))
-        object.__setattr__(self, "_gravity_weights", _readonly(self.masses @ lever))
+        object.__setattr__(self, "arm", ArmArrays(
+            _readonly(np.einsum("k,ka,kb->ab", self.masses, lever, lever)),
+            _readonly(np.diag(self.inertias)), _readonly(self.gravity * (self.masses @ lever))))
 
         object.__setattr__(self, "bounds", derive_bounds(self))
         if self.bounds.inertia_max / self.bounds.inertia_min > _MAX_CONDITION:
@@ -197,23 +207,9 @@ def _check_q(params: RobotParams, q) -> np.ndarray:
 # axes. The single-state functions below are their unbatched case.
 
 
-class ArmArrays(NamedTuple):
-    """Model constants of one arm, or of several stacked on leading axes."""
-
-    weights: np.ndarray   # (..., n, n) geometry matrix W
-    inertia: np.ndarray   # (..., n, n) diagonal of rotor inertias
-    gravity: np.ndarray   # (..., n) gravity * (masses @ lever)
-
-
-def arm_arrays(params: RobotParams) -> ArmArrays:
-    return ArmArrays(params._weight_matrix, np.diag(params.inertias),
-                     params.gravity * params._gravity_weights)
-
-
 def stack_arm_arrays(rows) -> ArmArrays:
     """Constants of a (B, k) grid of arms, stacked on two leading axes."""
-    cells = [[arm_arrays(p) for p in row] for row in rows]
-    return ArmArrays(*(np.array([[c[i] for c in row] for row in cells]) for i in range(3)))
+    return ArmArrays(*(np.array([[p.arm[i] for p in row] for row in rows]) for i in range(3)))
 
 
 def link_angles(q: np.ndarray) -> np.ndarray:
@@ -278,7 +274,7 @@ def solve_spd(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def mass_matrix(params: RobotParams, q) -> np.ndarray:
     """Symmetric positive-definite joint-space inertia matrix M(q)."""
-    return inertia_kernel(arm_arrays(params), link_angles(_check_q(params, q)))
+    return inertia_kernel(params.arm, link_angles(_check_q(params, q)))
 
 
 def coriolis_matrix(params: RobotParams, q, qdot) -> np.ndarray:
@@ -290,18 +286,18 @@ def coriolis_matrix(params: RobotParams, q, qdot) -> np.ndarray:
     """
     phi = link_angles(_check_q(params, q))
     omega = link_angles(_check_q(params, qdot))
-    return _congruence(_coriolis_factor(arm_arrays(params), phi) * omega)
+    return _congruence(_coriolis_factor(params.arm, phi) * omega)
 
 
 def potential_energy(params: RobotParams, q) -> float:
     """Gravitational potential energy [J], zero with all links horizontal."""
     phi = link_angles(_check_q(params, q))
-    return float(params.gravity * params._gravity_weights @ np.sin(phi))
+    return float(params.arm.gravity @ np.sin(phi))
 
 
 def gravity_vector(params: RobotParams, q) -> np.ndarray:
     """Configuration gradient of the potential energy (gravity torque)."""
-    return gravity_kernel(arm_arrays(params), link_angles(_check_q(params, q)))
+    return gravity_kernel(params.arm, link_angles(_check_q(params, q)))
 
 
 def forward_dynamics(params: RobotParams, state: RobotState, tau, f_ext=None) -> np.ndarray:
@@ -311,7 +307,7 @@ def forward_dynamics(params: RobotParams, state: RobotState, tau, f_ext=None) ->
     that M(q) is positive definite.
     """
     tau = _check_q(params, tau)
-    arm, phi = arm_arrays(params), link_angles(_check_q(params, state.q))
+    arm, phi = params.arm, link_angles(_check_q(params, state.q))
     rhs = tau - coriolis_kernel(arm, phi, state.qdot)
     rhs -= gravity_kernel(arm, phi)
     if f_ext is not None:
@@ -366,7 +362,7 @@ def derive_bounds(params: RobotParams) -> DerivedBounds:
     grid = _configuration_grid(params.n, _BOUND_GRID_TARGET)
     chunk = 2048
     lam_min, lam_max, growth_max = np.inf, -np.inf, 0.0
-    arm = arm_arrays(params)
+    arm = params.arm
     for start in range(0, grid.shape[0], chunk):
         phi = link_angles(grid[start : start + chunk])
         eigs = np.linalg.eigvalsh(inertia_kernel(arm, phi))

@@ -30,7 +30,7 @@ A scenario file is INI-style text with '#' comments. Sections:
         (a nonzero delay requires the euler integrator)
 
     [output]  (optional)
-        trace, report, audit        output file paths
+        trace, report, audit        output file paths (Scenario.<key>_path)
 
 The parser only parses: it reports syntax errors, values that are not
 numbers, and missing or unknown keys and sections, and converts the rest into
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -61,7 +61,6 @@ from .robot_dynamics import RobotParams
 from .scalar_ops import Weights
 
 __all__ = [
-    "ScenarioConfig",
     "ScenarioError",
     "load_scenario",
     "parse_scenario",
@@ -71,13 +70,10 @@ __all__ = [
     "read_bundled_scenario",
 ]
 
-@dataclass(frozen=True, eq=False)
-class ScenarioConfig(Scenario):
-    """A Scenario plus the optional output paths from the file."""
-
-    trace_path: str | None = None
-    report_path: str | None = None
-    audit_path: str | None = None
+# per-link vectors of a [robot.*] section, named as the RobotParams fields
+_LINK_KEYS = ("masses", "lengths", "com_offsets", "inertias")
+# [output] keys; each path is the Scenario field <key>_path
+_OUTPUT_KEYS = ("trace", "report", "audit")
 
 
 def _floats(text: str) -> np.ndarray:
@@ -139,14 +135,11 @@ def _read_robot(reader: _SectionReader, problems: list) -> RobotParams | None:
     if reader.missing():
         problems.append(f"missing section [{reader.section}]")
         return None
-    masses = reader.floats("masses", required=True)
-    lengths = reader.floats("lengths", required=True)
-    com_offsets = reader.floats("com_offsets", required=True)
-    inertias = reader.floats("inertias", required=True)
-    gravity = reader.scalar("gravity", default=9.81)
+    links = {key: reader.floats(key, required=True) for key in _LINK_KEYS}
+    gravity = reader.scalar("gravity", default=RobotParams.gravity)
     limits_raw = reader.get("torque_limits", default="unlimited")
     reader.leftovers()
-    if any(v is None for v in (masses, lengths, com_offsets, inertias)):
+    if any(v is None for v in links.values()):
         return None
     limits = None
     if str(limits_raw).strip().lower() != "unlimited":
@@ -156,8 +149,7 @@ def _read_robot(reader: _SectionReader, problems: list) -> RobotParams | None:
             problems.append(f"[{reader.section}] torque_limits: need numbers or 'unlimited'")
             return None
     try:
-        return RobotParams(masses=masses, lengths=lengths, com_offsets=com_offsets,
-                           inertias=inertias, gravity=gravity, torque_limits=limits)
+        return RobotParams(**links, gravity=gravity, torque_limits=limits)
     except ValueError as exc:
         problems.append(f"[{reader.section}] {exc}")
         return None
@@ -235,8 +227,8 @@ def _read_profile(reader: _SectionReader, problems: list) -> ForceProfile:
         return ForceProfile()
 
 
-def parse_scenario(text: str, label: str = "scenario") -> ScenarioConfig:
-    """Parse scenario text into a validated ScenarioConfig; raises
+def parse_scenario(text: str, label: str = "scenario") -> Scenario:
+    """Parse scenario text into a validated Scenario; raises
     ScenarioError with the complete list of problems on failure."""
     if "\x00" in text:
         raise ScenarioError(["binary content rejected: scenario files are plain text"])
@@ -274,20 +266,16 @@ def parse_scenario(text: str, label: str = "scenario") -> ScenarioConfig:
     profile_r = _read_profile(_SectionReader(parser, "forces.remote", problems), problems)
 
     sim = _SectionReader(parser, "simulation", problems)
-    horizon = sim.scalar("horizon", default=8.0)
-    dt = sim.scalar("dt", default=1e-4)
-    decimation = sim.scalar("decimation", default=1e-3)
-    integrator = (sim.get("integrator", default="euler") or "euler").strip().lower()
-    delay = sim.scalar("delay", default=0.0)
-    if not sim.missing():
-        sim.leftovers()
+    horizon = sim.scalar("horizon", default=Scenario.horizon)
+    dt = sim.scalar("dt", default=Scenario.dt)
+    decimation = sim.scalar("decimation", default=Scenario.decimation)
+    integrator = (sim.get("integrator") or Scenario.integrator).strip().lower()
+    delay = sim.scalar("delay", default=Scenario.delay)
+    sim.leftovers()
 
     out = _SectionReader(parser, "output", problems)
-    trace_path = out.get("trace")
-    report_path = out.get("report")
-    audit_path = out.get("audit")
-    if not out.missing():
-        out.leftovers()
+    paths = {f"{key}_path": out.get(key) for key in _OUTPUT_KEYS}
+    out.leftovers()
 
     known = {"robot.local", "robot.remote", "controller", "initial",
              "forces.local", "forces.remote", "simulation", "output"}
@@ -295,26 +283,25 @@ def parse_scenario(text: str, label: str = "scenario") -> ScenarioConfig:
         if section not in known:
             problems.append(f"unknown section [{section}]")
 
-    # with every part parsed, the ScenarioConfig constructor runs the rules
+    # with every part parsed, the Scenario constructor runs the rules
     # across the parts; otherwise run them here so every problem is listed
     if problems:
         raise ScenarioError(problems + _scenario_problems(
             robot_l, robot_r, config, initial, (profile_l, profile_r),
             horizon, dt, decimation, integrator, delay))
 
-    return ScenarioConfig(
+    return Scenario(
         params_l=robot_l, params_r=robot_r, config=config,
         q0_l=initial["q_local"], q0_r=initial["q_remote"],
         qd0_l=initial["qdot_local"], qd0_r=initial["qdot_remote"],
         theta0_l=initial["theta_local"], theta0_r=initial["theta_remote"],
         profile_l=profile_l, profile_r=profile_r,
         horizon=horizon, dt=dt, decimation=decimation,
-        integrator=integrator, delay=delay, label=label,
-        trace_path=trace_path, report_path=report_path, audit_path=audit_path,
+        integrator=integrator, delay=delay, label=label, **paths,
     )
 
 
-def load_scenario(path) -> ScenarioConfig:
+def load_scenario(path) -> Scenario:
     """Read and validate a scenario file from disk."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -340,7 +327,7 @@ def _profile_lines(profile: ForceProfile) -> list[str]:
     return lines
 
 
-def dump_scenario(cfg: ScenarioConfig) -> str:
+def dump_scenario(cfg: Scenario) -> str:
     """Serialize a scenario to canonical file text (floats via repr, so a
     reload is semantically identical)."""
     buf = io.StringIO()
@@ -352,16 +339,9 @@ def dump_scenario(cfg: ScenarioConfig) -> str:
         buf.write("\n")
 
     for name, params in (("robot.local", cfg.params_l), ("robot.remote", cfg.params_r)):
-        lines = [
-            f"masses = {_fmt(params.masses)}",
-            f"lengths = {_fmt(params.lengths)}",
-            f"com_offsets = {_fmt(params.com_offsets)}",
-            f"inertias = {_fmt(params.inertias)}",
-            f"gravity = {params.gravity!r}",
-            "torque_limits = " + ("unlimited" if params.torque_limits is None
-                                  else _fmt(params.torque_limits)),
-        ]
-        section(name, lines)
+        limits = "unlimited" if params.torque_limits is None else _fmt(params.torque_limits)
+        section(name, [f"{key} = {_fmt(getattr(params, key))}" for key in _LINK_KEYS]
+                + [f"gravity = {params.gravity!r}", f"torque_limits = {limits}"])
 
     ctl = cfg.config
     lines = [f"variant = {ctl.variant}", f"r1 = {ctl.weights.r1!r}", f"r2 = {ctl.weights.r2!r}",
@@ -380,12 +360,8 @@ def dump_scenario(cfg: ScenarioConfig) -> str:
         lines.append(f"delta_d = {ctl.delta_d!r}")
     section("controller", lines)
 
-    lines = [f"q_local = {_fmt(cfg.q0_l)}", f"q_remote = {_fmt(cfg.q0_r)}"]
-    for key, vec in (("qdot_local", cfg.qd0_l), ("qdot_remote", cfg.qd0_r),
-                     ("theta_local", cfg.theta0_l), ("theta_remote", cfg.theta0_r)):
-        if vec is not None:
-            lines.append(f"{key} = {_fmt(vec)}")
-    section("initial", lines)
+    initial = {key: getattr(cfg, name) for key, name in _INITIAL_FIELDS}
+    section("initial", [f"{key} = {_fmt(vec)}" for key, vec in initial.items() if vec is not None])
 
     section("forces.local", _profile_lines(cfg.profile_l))
     section("forces.remote", _profile_lines(cfg.profile_r))
@@ -395,15 +371,14 @@ def dump_scenario(cfg: ScenarioConfig) -> str:
              f"delay = {cfg.delay!r}"]
     section("simulation", lines)
 
-    out_lines = [f"{key} = {value}" for key, value in
-                 (("trace", cfg.trace_path), ("report", cfg.report_path),
-                  ("audit", cfg.audit_path)) if value]
+    paths = {key: getattr(cfg, f"{key}_path") for key in _OUTPUT_KEYS}
+    out_lines = [f"{key} = {path}" for key, path in paths.items() if path]
     if out_lines:
         section("output", out_lines)
     return buf.getvalue()
 
 
-def with_weights(cfg: ScenarioConfig, r1: float, r2: float) -> ScenarioConfig:
+def with_weights(cfg: Scenario, r1: float, r2: float) -> Scenario:
     """Same scenario with a different weight pair (gains untouched)."""
     return replace(cfg, config=replace(cfg.config, weights=Weights(r1=r1, r2=r2)))
 
@@ -413,7 +388,7 @@ def bundled_scenario_names() -> list[str]:
     return sorted(p.name for p in files.iterdir() if p.name.endswith(".cfg"))
 
 
-def read_bundled_scenario(name: str) -> ScenarioConfig:
+def read_bundled_scenario(name: str) -> Scenario:
     """Load one of the scenarios shipped with the package."""
     if not name.endswith(".cfg"):
         name = name + ".cfg"

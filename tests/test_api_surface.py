@@ -43,8 +43,9 @@ def test_package_names_come_from_module_exports():
 
 
 def _bench_reads():
-    """(file, module, name) for each ``alias.name`` read in bench/*.py, where
-    an import binds ``alias`` to ftteleop or one of its modules."""
+    """(file, module, path) for each ``alias.name`` or ``alias.name.attr`` read
+    in bench/*.py, where an import binds ``alias`` to ftteleop or one of its
+    modules; the path is the names after the alias, dot-joined."""
     reads = []
     for path in sorted((Path(__file__).parent.parent / "bench").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -59,15 +60,30 @@ def _bench_reads():
                     if isinstance(getattr(ft, a.name, None), types.ModuleType):
                         aliases[a.asname or a.name] = f"ftteleop.{a.name}"
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-                    and isinstance(node.value, ast.Name) and node.value.id in aliases):
-                reads.append((path.name, aliases[node.value.id], node.attr))
+            names, base = [], node
+            while isinstance(base, ast.Attribute) and isinstance(base.ctx, ast.Load):
+                names.insert(0, base.attr)
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in aliases and 1 <= len(names) <= 2:
+                reads.append((path.name, aliases[base.id], ".".join(names)))
     return reads
+
+
+def _resolves(module: str, path: str) -> bool:
+    """Whether the first name of the path exists in the module and, when it is
+    a class, the second name exists on that class."""
+    head, _, attr = path.partition(".")
+    module = importlib.import_module(module)
+    if not hasattr(module, head):
+        return False
+    value = getattr(module, head)
+    return not (attr and isinstance(value, type)) or hasattr(value, attr)
 
 
 def test_bench_reads_resolve():
     reads = _bench_reads()
     assert reads
-    missing = [(file, f"{module}.{name}") for file, module, name in reads
-               if not hasattr(importlib.import_module(module), name)]
+    assert any("." in path for _, _, path in reads)   # Class.attr reads are parsed too
+    missing = [(file, f"{module}.{path}") for file, module, path in reads
+               if not _resolves(module, path)]
     assert missing == []

@@ -521,6 +521,20 @@ class TestTraceCsv:
             np.testing.assert_array_equal(getattr(back, name), getattr(trace, name),
                                           err_msg=name)
 
+    @pytest.mark.parametrize("edit, columns", [
+        (lambda row, is_header: row[:-1], 22),                  # the H column dropped
+        (lambda row, is_header: row + ["0"], 24),               # one column too many
+        (lambda row, is_header: row if is_header else row[:-1], 22),   # data only
+    ], ids=["missing-column", "extra-column", "data-narrower-than-header"])
+    def test_rejects_column_count_off_the_layout(self, tmp_path, edit, columns):
+        path = tmp_path / "trace.csv"
+        ft.run(_scenario(horizon=0.05)).to_csv(path)
+        lines = path.read_text().splitlines()
+        path.write_text("".join(",".join(edit(line.split(","), i == 0)) + "\n"
+                                for i, line in enumerate(lines)))
+        with pytest.raises(ValueError, match=f"{columns} columns, a trace has 3 \\+ 10 n"):
+            ft.SimTrace.from_csv(path)
+
 
 class TestEnergyAudit:
     def test_refuses_forced_traces(self):

@@ -461,3 +461,26 @@ class TestConfigValidation:
         with pytest.raises(ValueError) as from_replace:
             replace(_config("C1"), **gains)
         assert str(from_replace.value) == str(from_build.value)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("k_s", -6.0, "k_s must be positive"),
+        ("k_s", np.nan, "k_s must be finite"),
+        ("k_s", [6.0, 6.0, 6.0], "k_s: cannot interpret shape (3,) for 2 joints"),
+        ("d_s", -1.0, "d_s must be nonnegative"),
+        ("d_s", [np.inf, 8.0], "d_s must be finite"),
+        ("d_s", np.ones((3, 2)), "d_s: cannot interpret shape (3, 2) for 2 joints"),
+    ])
+    def test_every_gain_is_checked_with_one_wording(self, name, value, message):
+        with pytest.raises(ValueError) as info:
+            replace(_config("C1"), **{name: value})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("name, value, expected", [
+        ("k_s", 6.0, [6.0, 6.0]),
+        ("k_s", [5.0], [5.0, 5.0]),
+        ("d_s", [8.0, 7.0], [[8.0, 7.0], [8.0, 7.0]]),
+        ("d_s", [[8.0], [2.0]], [[8.0, 8.0], [2.0, 2.0]]),
+    ])
+    def test_gain_specs_broadcast_to_the_joints(self, name, value, expected):
+        np.testing.assert_array_equal(getattr(replace(_config("C1"), **{name: value}), name),
+                                      expected)

@@ -5,6 +5,8 @@ center positions (forward kinematics with numeric differentiation) and never
 touch the implementation's precomputed geometry matrices.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -381,6 +383,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="torque limit"):
             ft.RobotParams(**BENCHMARK, torque_limits=[5.0, 5.0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["masses", "lengths", "com_offsets", "inertias",
+                                      "torque_limits"])
+    def test_rejects_non_finite_vectors(self, name, value):
+        vectors = dict(BENCHMARK, torque_limits=[40.0, 16.0])
+        vectors[name] = np.array([value, vectors[name][1]])
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ft.RobotParams(**vectors)
+
     def test_accepts_strong_actuators(self):
         params = ft.RobotParams(**BENCHMARK, torque_limits=[40.0, 16.0])
         assert np.all(params.torque_limits > params.bounds.gravity_caps)
@@ -392,3 +403,18 @@ class TestValidation:
     def test_state_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             ft.RobotState(q=[0.0, 0.0], qdot=[0.0])
+
+
+class TestArmArrays:
+    def test_built_once_from_the_parameters(self, benchmark_params):
+        arm = benchmark_params.arm
+        np.testing.assert_array_equal(arm.inertia, np.diag(BENCHMARK["inertias"]))
+        # its suffix sums are the exact gravity caps
+        np.testing.assert_allclose(np.cumsum(arm.gravity[::-1])[::-1],
+                                   gravity_closed_form(BENCHMARK), rtol=1e-14)
+        assert not any(a.flags.writeable for a in arm)
+
+    def test_replace_rebuilds_them(self, benchmark_params):
+        flat = replace(benchmark_params, gravity=0.0)
+        np.testing.assert_array_equal(flat.arm.gravity, 0.0)
+        np.testing.assert_array_equal(flat.arm.weights, benchmark_params.arm.weights)

@@ -177,6 +177,28 @@ class TestRoundTrip:
         assert back.horizon == cfg.horizon
         assert back.profile_r.kind == cfg.profile_r.kind
 
+    def test_library_scenario_round_trip(self):
+        # the README's library example, shortened
+        params = ft.RobotParams(masses=[1.8, 1.6], lengths=[0.8, 0.6],
+                                com_offsets=[0.4, 0.3], inertias=[0.096, 0.048])
+        config = ft.ControllerConfig.build(variant="C1", n=2, weights=(1.5, 1.0),
+                                           k_s=6.0, d_s=8.0)
+        scenario = ft.Scenario(params_l=params, params_r=params, config=config,
+                               q0_l=np.array([1.0, -0.4]), q0_r=np.array([1.3, 0.3]),
+                               horizon=0.05, dt=1e-4, decimation=1e-3)
+        text = ft.dump_scenario(scenario)
+        back = ft.parse_scenario(text)
+        assert type(back) is ft.Scenario
+        assert ft.dump_scenario(back) == text
+
+    def test_output_paths_are_scenario_fields(self, tmp_path):
+        text = FAST_SCENARIO + "\n[output]\ntrace = a.csv\naudit = b.csv\n"
+        cfg = ft.load_scenario(_write(tmp_path, text))
+        assert (cfg.trace_path, cfg.report_path, cfg.audit_path) == ("a.csv", None, "b.csv")
+        assert ft.dump_scenario(cfg).endswith("[output]\ntrace = a.csv\naudit = b.csv\n\n")
+        moved = replace(cfg, report_path="r.txt")
+        assert ft.parse_scenario(ft.dump_scenario(moved)).report_path == "r.txt"
+
     def test_weight_swap_helper(self):
         cfg = ft.read_bundled_scenario("c1_sim")
         twin = ft.with_weights(cfg, 1.0, 1.0)
@@ -210,6 +232,13 @@ class TestCli:
         bad = _write(tmp_path, FAST_SCENARIO.replace("r1 = 1.5", "r1 = 2.0"))
         assert run_command(["simulate", bad]) == 3
         assert "discontinuous" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_non_finite_robot_vector_exit_code(self, tmp_path, capsys, command):
+        bad = _write(tmp_path, FAST_SCENARIO.replace("masses = 1.8, 1.6", "masses = nan, 1.6", 1))
+        assert run_command([command, bad, "--out", str(tmp_path)]) == 3
+        assert "[robot.local] invalid robot parameters: masses must be finite" \
+            in capsys.readouterr().err
 
     def test_unstable_exit_code(self, tmp_path, capsys):
         text = FAST_SCENARIO.replace("k_s = 6.0", "k_s = 1e9")
