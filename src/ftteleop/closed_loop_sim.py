@@ -201,6 +201,9 @@ def _scenario_problems(params_l, params_r, config, initial, profiles, horizon, d
             problems.append("[simulation] decimation must be finite")
         elif abs(decimation / dt - round(decimation / dt)) > 1e-9:
             problems.append("[simulation] decimation must be an integer multiple of dt")
+    # a longer step rounds the horizon to zero steps (a non-finite dt is reported above)
+    if dt is not None and horizon is not None and 0 < horizon < dt < math.inf:
+        problems.append("[simulation] dt must not exceed the horizon")
     if integrator not in ("euler", "rk4"):
         problems.append("[simulation] integrator must be 'euler' or 'rk4'")
     if delay is None or not delay >= 0:
@@ -596,8 +599,10 @@ def _integrate(scenarios, integrator: str, dt: float, every: int,
     cohorts = [_Cohort(slice(a, b), lasts[a], every, x.shape[1:])   # longest first
                for a, b in zip(cuts, cuts[1:])]
     live = list(cohorts)
-    # transport delay: ring buffer of the last delay_steps + 1 exchanged positions
-    ring = np.empty((delay_steps + 1,) + x[:, 0].shape) if delay_steps else None
+    # transport delay: ring buffer of the last delay_steps + 1 exchanged
+    # positions; a delay past the horizon only ever reads the start positions
+    ring = (np.empty((min(delay_steps, cohorts[0].last) + 1,) + x[:, 0].shape)
+            if delay_steps else None)
     t = 0.0
     for k in range(cohorts[0].last + 1):
         q_seen = None

@@ -17,8 +17,9 @@ single-state functions are their unbatched case.
 
 The per-joint gravity caps are exact (all links horizontal). The inertia
 eigenvalue bounds and the Coriolis quadratic-growth constant are estimated
-once per parameter set by dense sampling of the configuration torus with a
-safety margin.
+once per parameter set by dense sampling with a safety margin. M and C read
+the angles only through phi_a - phi_b = q_{b+1} + ... + q_a, so they are
+invariant in q_1 and the samples cover the relative angles q_2..q_n alone.
 """
 
 from __future__ import annotations
@@ -344,7 +345,8 @@ def _configuration_grid(n: int, target: int) -> np.ndarray:
     axis = np.linspace(-np.pi, np.pi, per_joint, endpoint=False)
     if per_joint % 2:  # put q = 0 on the grid; even counts hold it to rounding
         axis -= axis[per_joint // 2]
-    grid = np.meshgrid(*([axis] * n), indexing="ij")
+    # q_1 = 0: M and C are invariant in it (module docstring)
+    grid = np.meshgrid(np.zeros(1), *([axis] * (n - 1)), indexing="ij")
     return np.stack([g.ravel() for g in grid], axis=-1)
 
 
@@ -353,11 +355,12 @@ def derive_bounds(params: RobotParams) -> DerivedBounds:
 
     The gravity caps are exact: every joint's gravity torque is largest in
     magnitude with all links horizontal. The inertia eigenvalues and the
-    Coriolis growth are sampled on a uniform grid over [-pi, pi)^n that
-    holds q = 0; all quantities are periodic in the absolute link angles, so
-    the grid covers the reachable set. Sampled extremes carry a x1.05
-    margin (skipped when the inertia is configuration-independent, e.g. a
-    single pendulum's).
+    Coriolis growth are sampled on a grid over the relative angles
+    q_2..q_n, uniform on [-pi, pi)^(n-1) and holding q = 0, with q_1 = 0;
+    every quantity is invariant in q_1 and periodic in the others, so the
+    grid covers the reachable set. Sampled extremes carry a x1.05 margin
+    (skipped when the inertia is configuration-independent, e.g. a single
+    pendulum's).
     """
     grid = _configuration_grid(params.n, _BOUND_GRID_TARGET)
     chunk = 2048

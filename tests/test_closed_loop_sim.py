@@ -189,6 +189,9 @@ class TestScenarioValidation:
                            "[simulation] decimation must be finite"),
         "inf-delay": ("c1_sim", {"delay = 0.0": "delay = inf"},
                       lambda s: dict(delay=np.inf), "[simulation] delay must be finite"),
+        "dt-above-horizon": ("c1_sim", {"horizon = 8.0": "horizon = 5e-05"},
+                             lambda s: dict(horizon=5e-5),
+                             "[simulation] dt must not exceed the horizon"),
     }
 
     @pytest.mark.parametrize("case", list(_THREE_WAYS))
@@ -262,6 +265,13 @@ class TestRun:
         assert not np.array_equal(delayed.q_l[-1], plain.q_l[-1])
         again = ft.run(replace(base, delay=5e-3))
         np.testing.assert_array_equal(delayed.matrix(), again.matrix())
+
+    @pytest.mark.parametrize("delay", [0.3, 0.5, 1e9])
+    def test_delay_past_the_horizon_sees_the_start(self, delay):
+        # the remote sees the start positions throughout, however long the delay
+        base = _scenario(horizon=0.3, dt=1e-3)
+        np.testing.assert_array_equal(ft.run(replace(base, delay=delay)).matrix(),
+                                      ft.run(replace(base, delay=0.3 + 1e-3)).matrix())
 
     def test_delay_requires_euler(self):
         with pytest.raises(ValueError, match="euler"):

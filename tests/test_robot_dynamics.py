@@ -341,6 +341,42 @@ class TestDeriveBounds:
     def test_grid_holds_the_origin(self, n):
         grid = robot_dynamics._configuration_grid(n, 10_000)
         assert np.min(np.max(np.abs(grid), axis=1)) <= 1e-15
+        per_joint = max(2, int(np.ceil(10_000 ** (1.0 / n))))
+        assert grid.shape == (per_joint ** (n - 1), n)
+        np.testing.assert_array_equal(grid[:, 0], 0.0)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_inertia_and_coriolis_ignore_the_first_joint(self, n):
+        # the property behind sampling the bounds with q_1 = 0
+        rng = np.random.default_rng([n, 1])
+        params = ft.RobotParams(**random_chain(rng, n))
+        for _ in range(20):
+            q, v = rng.uniform(-np.pi, np.pi, n), rng.normal(size=n)
+            shifted = q.copy()
+            shifted[0] += rng.uniform(-np.pi, np.pi)
+            np.testing.assert_allclose(ft.mass_matrix(params, shifted),
+                                       ft.mass_matrix(params, q), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ft.coriolis_matrix(params, shifted, v),
+                                       ft.coriolis_matrix(params, q, v), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bounds_equal_the_full_torus_grid(self, n):
+        params = ft.RobotParams(**random_chain(np.random.default_rng([n, 2]), n))
+        per_joint = max(2, int(np.ceil(robot_dynamics._BOUND_GRID_TARGET ** (1.0 / n))))
+        axis = np.linspace(-np.pi, np.pi, per_joint, endpoint=False)
+        if per_joint % 2:
+            axis -= axis[per_joint // 2]
+        torus = np.stack([g.ravel() for g in np.meshgrid(*[axis] * n, indexing="ij")], axis=-1)
+        phi = robot_dynamics.link_angles(torus)
+        eigs = np.linalg.eigvalsh(robot_dynamics.inertia_kernel(params.arm, phi))
+        growth = robot_dynamics._coriolis_growth(params.arm, phi).max()
+        margin = robot_dynamics._BOUND_MARGIN
+        inertia_margin = margin if n > 1 else 1.0   # a pendulum's inertia is exact
+        b = params.bounds
+        np.testing.assert_allclose(
+            [b.inertia_min, b.inertia_max, b.coriolis_gain],
+            [eigs[:, 0].min() / inertia_margin, eigs[:, -1].max() * inertia_margin,
+             growth * margin], rtol=1e-14)
 
     def test_six_link_bounds_hold_at_random_configurations(self):
         # the benchmark's fixed 6-link chain: 5 grid points per joint, an odd

@@ -266,10 +266,11 @@ class TestCli:
         ("simulate", ["--dt", "inf"], "dt must be finite"),
         ("simulate", ["--delay", "nan"], "delay must be nonnegative"),
         ("simulate", ["--delay", "inf"], "delay must be finite"),
+        ("simulate", ["--dt", "20"], "dt must not exceed the horizon"),
     ] + [(command, ["--tol", tol], f"--tol must be positive and finite, got {tol}")
          for command in ("simulate", "compare") for tol in ("-1", "0", "nan", "inf")],
         ids=["negative-dt", "dt-not-dividing-decimation", "negative-delay", "delay-with-rk4",
-             "nan-dt", "inf-dt", "nan-delay", "inf-delay"]
+             "nan-dt", "inf-dt", "nan-delay", "inf-delay", "dt-above-horizon"]
         + [f"{command}-{tol}-tol" for command in ("simulate", "compare")
            for tol in ("negative", "zero", "nan", "inf")])
     def test_override_validated_like_the_file(self, tmp_path, capsys, command, flags, problem):
@@ -280,6 +281,11 @@ class TestCli:
         code = run_command([command, _write(tmp_path, text), "--out", str(tmp_path)] + flags)
         assert code == 3
         assert problem in capsys.readouterr().err
+
+    def test_delay_past_the_horizon_runs(self, tmp_path):
+        text = FAST_SCENARIO.replace("horizon = 0.5", "horizon = 0.01")
+        assert run_command(["simulate", _write(tmp_path, text), "--out", str(tmp_path),
+                            "--delay", "1e9"]) == 0
 
     def test_validate_passes_on_bundled_bounded(self, tmp_path, capsys):
         code = run_command(["validate", "c3_sim", "--out", str(tmp_path)])
