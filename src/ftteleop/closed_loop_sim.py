@@ -27,7 +27,6 @@ from .controllers import (
     REMOTE,
     ControllerConfig,
     ControllerState,
-    StackedLaw,
     control_law,
     law_dissipation,
     law_potential,
@@ -37,12 +36,10 @@ from .controllers import (
 from .robot_dynamics import (
     RobotParams,
     RobotState,
-    SingularInertiaError,
-    coriolis_kernel,
+    acceleration_kernel,
     gravity_kernel,
-    inertia_kernel,
+    kinetic_kernel,
     link_angles,
-    solve_spd,
     stack_arm_arrays,
 )
 
@@ -148,6 +145,9 @@ class TeleopState:
             raise ValueError("controller state dimension mismatch")
 
 
+# the most samples a trace may hold; the engine allocates the record up front
+_MAX_SAMPLES = 10**7
+
 # scenario-file key of each initial vector, with its Scenario field
 _INITIAL_FIELDS = (("q_local", "q0_l"), ("q_remote", "q0_r"), ("qdot_local", "qd0_l"),
                    ("qdot_remote", "qd0_r"), ("theta_local", "theta0_l"),
@@ -201,6 +201,10 @@ def _scenario_problems(params_l, params_r, config, initial, profiles, horizon, d
             problems.append("[simulation] decimation must be finite")
         elif abs(decimation / dt - round(decimation / dt)) > 1e-9:
             problems.append("[simulation] decimation must be an integer multiple of dt")
+        elif (horizon is not None and 0 < horizon < math.inf
+              and round(horizon / decimation) + 1 > _MAX_SAMPLES):
+            problems.append(f"[simulation] the trace must hold at most {_MAX_SAMPLES} "
+                            "samples (horizon / decimation + 1)")
     # a longer step rounds the horizon to zero steps (a non-finite dt is reported above)
     if dt is not None and horizon is not None and 0 < horizon < dt < math.inf:
         problems.append("[simulation] dt must not exceed the horizon")
@@ -393,7 +397,7 @@ class _Batch:
                 "reduce dt or soften the gains")
 
     def rhs(self, t: float, x: np.ndarray, q_seen: np.ndarray | None = None):
-        """dx/dt at (t, x), plus the torques, forces and inertia matrices used.
+        """dx/dt at (t, x), plus the torques and forces used.
 
         ``q_seen`` is the exchanged position each side receives; by default
         the other side's current one.
@@ -404,20 +408,16 @@ class _Batch:
         tau, theta_dot = control_law(self.law, q, qdot, x[:, 2] if self.law.virtual else None,
                                      q[:, ::-1] if q_seen is None else q_seen, gravity)
         f = _force(self.forces, t, q, qdot)
-        m = inertia_kernel(self.arms, phi)
-        rhs = ((tau - coriolis_kernel(self.arms, phi, qdot)) - gravity) + f
-        try:
-            acc = solve_spd(m, rhs)
-        except SingularInertiaError:
-            self.check_finite(x, t)
-            self.check_finite(m, t)
-            raise
         dx = np.empty_like(x)
         dx[:, 0] = qdot
-        dx[:, 1] = acc
+        try:
+            dx[:, 1] = acceleration_kernel(self.arms, phi, qdot, (tau - gravity) + f)
+        except np.linalg.LinAlgError:
+            self.check_finite(x, t)
+            raise
         if self.law.virtual:
             dx[:, 2] = theta_dot
-        return dx, tau, f, m
+        return dx, tau, f
 
     def euler(self, t: float, x: np.ndarray, dx: np.ndarray, dt: float) -> np.ndarray:
         x1 = x + dt * dx
@@ -552,18 +552,17 @@ class _Cohort:
         self.t = np.zeros(rows[0])
         self.x = np.zeros(rows + x_shape)
         self.tau, self.f = np.zeros(rows + (2, n)), np.zeros(rows + (2, n))
-        self.m = np.zeros(rows + (2, n, n))
 
-    def record(self, row: int, t: float, x, tau, f, m) -> None:
+    def record(self, row: int, t: float, x, tau, f) -> None:
         self.t[row] = t
-        for out, value in ((self.x, x), (self.tau, tau), (self.f, f), (self.m, m)):
+        for out, value in ((self.x, x), (self.tau, tau), (self.f, f)):
             out[row] = value[self.cols]
 
-    def traces(self, law: StackedLaw, dt: float) -> list[SimTrace]:
-        law = _take(law, self.cols)
+    def traces(self, members: "_Batch", dt: float) -> list[SimTrace]:
+        law = members.law
         q, qdot = self.x[:, :, 0], self.x[:, :, 1]
         theta = self.x[:, :, 2] if law.virtual else np.full_like(q, np.nan)
-        kinetic = 0.5 * np.einsum("sbki,sbkij,sbkj->sbk", qdot, self.m, qdot)
+        kinetic = kinetic_kernel(members.arms, link_angles(q), qdot)
         energy = law_potential(law, q, theta) + kinetic[..., LOCAL] + kinetic[..., REMOTE]
         if law.virtual:
             theta = np.where(law.virtual_mask, theta, np.nan)
@@ -591,9 +590,8 @@ def _integrate(scenarios, integrator: str, dt: float, every: int,
     """
     steps = [int(round(s.horizon / dt)) for s in scenarios]
     order = sorted(range(len(scenarios)), key=lambda i: -steps[i])   # stable
-    batch = _Batch.of(scenarios, order)
-    law = batch.law
-    x = np.array([_initial_array(scenarios[i], law.virtual) for i in order])
+    batch = group = _Batch.of(scenarios, order)
+    x = np.array([_initial_array(scenarios[i], batch.law.virtual) for i in order])
     lasts = [steps[i] for i in order]
     cuts = [b for b in range(len(lasts)) if b == 0 or lasts[b] < lasts[b - 1]] + [len(lasts)]
     cohorts = [_Cohort(slice(a, b), lasts[a], every, x.shape[1:])   # longest first
@@ -609,10 +607,10 @@ def _integrate(scenarios, integrator: str, dt: float, every: int,
         if ring is not None:
             ring[k % len(ring)] = x[:, 0]
             q_seen = ring[max(0, k - delay_steps) % len(ring)][:, ::-1]
-        dx, tau, f, m = batch.rhs(t, x, q_seen)
+        dx, tau, f = batch.rhs(t, x, q_seen)
         for cohort in live:
             if k % every == 0 or k == cohort.last:
-                cohort.record(-(-k // every), t, x, tau, f, m)
+                cohort.record(-(-k // every), t, x, tau, f)
         if k == live[-1].last:
             live.pop()
             if not live:
@@ -626,7 +624,7 @@ def _integrate(scenarios, integrator: str, dt: float, every: int,
 
     traces: list = [None] * len(scenarios)
     for cohort in cohorts:
-        for i, trace in zip(order[cohort.cols], cohort.traces(law, dt)):
+        for i, trace in zip(order[cohort.cols], cohort.traces(group.take(cohort.cols), dt)):
             traces[i] = trace
     return traces
 

@@ -30,11 +30,10 @@ from .controllers import ControllerConfig, control_law, stack_laws
 from .robot_dynamics import (
     RobotParams,
     SingularInertiaError,
-    coriolis_kernel,
+    acceleration_kernel,
     gravity_kernel,
     inertia_kernel,
     link_angles,
-    solve_spd,
     stack_arm_arrays,
 )
 
@@ -169,7 +168,7 @@ def full_field(config: ControllerConfig, params_l: RobotParams,
 
     Gravity cancels exactly inside the torque laws, so the field depends on
     q_c only through the configuration-varying inertia and Coriolis terms.
-    Every inertia matrix of the stack is checked to be positive definite.
+    The accelerations come from the engine's link-coordinate solve.
     """
     law = stack_laws([config])
     arms = stack_arm_arrays([(params_l, params_r)])
@@ -178,9 +177,7 @@ def full_field(config: ControllerConfig, params_l: RobotParams,
         phi = link_angles(q)
         grav = gravity_kernel(arms, phi)
         tau, theta_dot = control_law(law, q, qdot, theta, q[:, ::-1], grav)
-        rhs = tau - coriolis_kernel(arms, phi, qdot)
-        rhs -= grav
-        return solve_spd(inertia_kernel(arms, phi), rhs), theta_dot
+        return acceleration_kernel(arms, phi, qdot, tau - grav), theta_dot
 
     return _error_field(config, np.asarray(q_c, float), dynamics)
 

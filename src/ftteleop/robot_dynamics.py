@@ -5,15 +5,18 @@ mass m_k at distance lc_k along the link, plus a rotor inertia I_k about the
 joint axis, with link length l_k connecting to the next joint. Gravity acts
 in-plane along -y (set the acceleration to 0 for a horizontal workspace).
 
-With absolute link angles phi = L q (L the lower-triangular matrix of ones),
-the inertia matrix factors as M(q) = L^T A(phi) L where
-A_ab = W_ab cos(phi_a - phi_b) + delta_ab I_a and W is a constant geometry
-matrix. Every Coriolis quantity comes from the one factor
-S = W o sin(phi_a - phi_b): the Christoffel matrix C = L^T S diag(L qd) L,
-the vector C(q, qd) qd = L^T [S (L qd)^2] without the matrix, and the
-quadratic forms [C(q, v) v]_k = v^T L^T diag(sum_{a>=k} S_a.) L v behind
-the growth bound. The kernels work on stacks of arms and states; the
-single-state functions are their unbatched case.
+With absolute link angles phi = L q and link rates omega = L qd (L the
+lower-triangular matrix of ones), M(q) = L^T A(phi) L with
+A_ab = W_ab cos(phi_a - phi_b) + delta_ab I_a, positive definite since the
+geometry matrix W is a Gram matrix (Schur product theorem). Every Coriolis
+quantity comes from the one factor S = W o sin(phi_a - phi_b): the
+Christoffel matrix C = L^T S diag(omega) L, the vector C qd = L^T [S omega^2]
+and the quadratic forms [C(q, v) v]_k = v^T L^T diag(sum_{a>=k} S_a.) L v
+behind the growth bound. The motion is solved in link coordinates
+(Featherstone, Rigid Body Dynamics Algorithms, 2008): A omega_dot =
+L^-T u - S omega^2 with L^-T u = u_k - u_{k+1}, and qdd = L^-1 omega_dot is
+a first difference. The kinetic energy is 1/2 omega^T A omega, so only
+mass_matrix, the sampled bounds and the audit's frozen core build M.
 
 The per-joint gravity caps are exact (all links horizontal). The inertia
 eigenvalue bounds and the Coriolis quadratic-growth constant are estimated
@@ -45,9 +48,9 @@ __all__ = [
     "stack_arm_arrays",
     "link_angles",
     "inertia_kernel",
-    "coriolis_kernel",
     "gravity_kernel",
-    "solve_spd",
+    "acceleration_kernel",
+    "kinetic_kernel",
 ]
 
 # configuration grid budget and safety margin for the sampled bounds
@@ -57,7 +60,7 @@ _MAX_CONDITION = 1e12
 
 
 class SingularInertiaError(RuntimeError):
-    """Raised when the inertia matrix cannot be factorized as SPD.
+    """Raised when an inertia matrix is singular.
 
     A valid parameter set keeps the inertia matrix uniformly positive
     definite, so this signals corrupted or inconsistent robot parameters.
@@ -233,9 +236,14 @@ def _congruence(x: np.ndarray) -> np.ndarray:
     return _suffix_sum(_suffix_sum(x, -1), -2)
 
 
+def _link_inertia(arm: ArmArrays, phi: np.ndarray) -> np.ndarray:
+    """A_ab = W_ab cos(phi_a - phi_b) + delta_ab I_a: M in link coordinates."""
+    return arm.weights * np.cos(phi[..., :, None] - phi[..., None, :]) + arm.inertia
+
+
 def inertia_kernel(arm: ArmArrays, phi: np.ndarray) -> np.ndarray:
-    """M = L^T A L with A_ab = W_ab cos(phi_a - phi_b) + delta_ab I_a."""
-    m = _congruence(arm.weights * np.cos(phi[..., :, None] - phi[..., None, :]) + arm.inertia)
+    """M = L^T A L."""
+    m = _congruence(_link_inertia(arm, phi))
     return 0.5 * (m + np.swapaxes(m, -1, -2))  # kill rounding asymmetry
 
 
@@ -244,30 +252,28 @@ def _coriolis_factor(arm: ArmArrays, phi: np.ndarray) -> np.ndarray:
     return arm.weights * np.sin(phi[..., :, None] - phi[..., None, :])
 
 
-def coriolis_kernel(arm: ArmArrays, phi: np.ndarray, qdot: np.ndarray) -> np.ndarray:
-    """The Coriolis vector C(q, qd) qd = L^T [S (L qd)^2].
-
-    Never builds the matrix C.
-    """
-    omega = link_angles(qdot)
-    return _suffix_sum(np.sum(_coriolis_factor(arm, phi) * (omega * omega)[..., None, :],
-                              axis=-1), -1)
-
-
 def gravity_kernel(arm: ArmArrays, phi: np.ndarray) -> np.ndarray:
     """Gravity torque L^T (g (masses @ lever) o cos(phi))."""
     return _suffix_sum(arm.gravity * np.cos(phi), -1)
 
 
-def solve_spd(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs for a stack of inertia matrices, checking they are SPD."""
-    try:
-        np.linalg.cholesky(m)
-        return np.linalg.solve(m, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularInertiaError(
-            "inertia matrix is not positive definite; robot parameters are corrupted"
-        ) from exc
+def acceleration_kernel(arm: ArmArrays, phi: np.ndarray, qdot: np.ndarray,
+                        u: np.ndarray) -> np.ndarray:
+    """qdd solving M qdd = u - C(q, qd) qd for u the torque net of gravity,
+    so u = 0 at rest gives qdd = 0 exactly. Builds neither M nor C; raises
+    np.linalg.LinAlgError if A is exactly singular."""
+    omega = link_angles(qdot)
+    rhs = u - np.sum(_coriolis_factor(arm, phi) * (omega * omega)[..., None, :], axis=-1)
+    rhs[..., :-1] -= u[..., 1:]   # L^-T u
+    acc = np.linalg.solve(_link_inertia(arm, phi), rhs[..., None])[..., 0]   # omega_dot
+    acc[..., 1:] -= acc[..., :-1]   # L^-1; ufuncs buffer the overlapping operands
+    return acc
+
+
+def kinetic_kernel(arm: ArmArrays, phi: np.ndarray, qdot: np.ndarray) -> np.ndarray:
+    """Kinetic energy 1/2 qd^T M qd = 1/2 omega^T A omega."""
+    omega = link_angles(qdot)
+    return 0.5 * np.einsum("...a,...ab,...b->...", omega, _link_inertia(arm, phi), omega)
 
 
 # --- single-state functions -----------------------------------------------
@@ -302,23 +308,20 @@ def gravity_vector(params: RobotParams, q) -> np.ndarray:
 
 
 def forward_dynamics(params: RobotParams, state: RobotState, tau, f_ext=None) -> np.ndarray:
-    """Joint accelerations from the equations of motion.
-
-    Solves M(q) qdd = tau + f_ext - C(q, qd) qd - gravity(q) after checking
-    that M(q) is positive definite.
-    """
-    tau = _check_q(params, tau)
-    arm, phi = params.arm, link_angles(_check_q(params, state.q))
-    rhs = tau - coriolis_kernel(arm, phi, state.qdot)
-    rhs -= gravity_kernel(arm, phi)
+    """Joint accelerations qdd solving M qdd = tau + f_ext - C qd - gravity."""
+    phi = link_angles(_check_q(params, state.q))
+    u = _check_q(params, tau) - gravity_kernel(params.arm, phi)
     if f_ext is not None:
-        rhs = rhs + _check_q(params, f_ext)
-    return solve_spd(mass_matrix(params, state.q), rhs)
+        u = u + _check_q(params, f_ext)
+    try:
+        return acceleration_kernel(params.arm, phi, state.qdot, u)
+    except np.linalg.LinAlgError as exc:
+        raise SingularInertiaError("inertia matrix is singular") from exc
 
 
 def energies(params: RobotParams, state: RobotState) -> tuple[float, float]:
     """(kinetic, potential) energy of the robot in its current state [J]."""
-    kinetic = 0.5 * state.qdot @ (mass_matrix(params, state.q) @ state.qdot)
+    kinetic = kinetic_kernel(params.arm, link_angles(_check_q(params, state.q)), state.qdot)
     return float(kinetic), potential_energy(params, state.q)
 
 

@@ -21,6 +21,14 @@ BENCHMARK = dict(
 )
 
 
+def random_chain(rng, n):
+    """A random planar n-link chain, drawn as the benchmark draws its chains."""
+    lengths = rng.uniform(0.3, 1.0, n)
+    return dict(masses=rng.uniform(0.5, 2.0, n), lengths=lengths,
+                com_offsets=lengths * rng.uniform(0.2, 0.9, n),
+                inertias=rng.uniform(0.005, 0.1, n))
+
+
 @dataclass(frozen=True)
 class TimedRun:
     """One member of a batched run; ``wall`` is the wall time of the whole

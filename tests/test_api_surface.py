@@ -1,11 +1,16 @@
 """Every exported name resolves, so no deleted function is still exported,
-and every library name the benchmark reads still exists."""
+every library name the benchmark reads still exists, and the engine builds
+no joint-space inertia matrix."""
 
 import ast
+import contextlib
 import importlib
 import types
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
 import ftteleop as ft
@@ -87,3 +92,23 @@ def test_bench_reads_resolve():
     missing = [(file, f"{module}.{path}") for file, module, path in reads
                if not _resolves(module, path)]
     assert missing == []
+
+
+def test_engine_and_full_field_build_no_joint_space_inertia():
+    # the engine and the audit's full field solve in link coordinates; only
+    # mass_matrix, the bounds and the frozen core build M
+    scenarios = [replace(ft.read_bundled_scenario(name), horizon=0.01)
+                 for name in ("c1_sim", "c2_sim", "c3_sim", "c4_sim")]
+    scenarios.append(replace(scenarios[3], integrator="rk4", label="c4_rk4"))
+    s = scenarios[1]
+    field = ft.full_field(s.config, s.params_l, s.params_r, s.q0_l)
+    points = ft.sphere_points(6 * s.params_l.n, 16)
+    with contextlib.ExitStack() as stack:
+        counted = [stack.enter_context(mock.patch.object(module, name,
+                                                         wraps=getattr(module, name)))
+                   for module in MODULES for name in ("inertia_kernel", "mass_matrix")
+                   if hasattr(module, name)]
+        traces = ft.run_batch(scenarios)
+        values = field(points)
+    assert counted and all(c.call_count == 0 for c in counted)
+    assert all(t.samples == 11 for t in traces) and np.isfinite(values).all()

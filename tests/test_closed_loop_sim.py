@@ -1,5 +1,6 @@
 """Integration-loop tests: stepping, traces, monitors and ledgers."""
 
+import itertools
 import tracemalloc
 from dataclasses import fields, replace
 from unittest import mock
@@ -10,19 +11,23 @@ import pytest
 import ftteleop as ft
 from ftteleop import closed_loop_sim
 
-from conftest import BENCHMARK
+from conftest import BENCHMARK, random_chain
 
 
-def _scenario(variant="C1", horizon=0.5, dt=1e-3, gravity=9.81, **kwargs):
-    params = ft.RobotParams(**BENCHMARK, gravity=gravity)
+def _config(variant, n=2):
     if variant in ("C1", "C3"):
         gains = dict(d_s=8.0)
     else:
         gains = dict(k_c=20.0, d_c=8.0)
     if variant in ("C3", "C4"):
         gains.update(delta_p=0.2, delta_d=0.5)
-    config = ft.ControllerConfig.build(variant=variant, n=2, weights=(1.5, 1.0),
-                                       k_s=6.0, **gains)
+    return ft.ControllerConfig.build(variant=variant, n=n, weights=(1.5, 1.0), k_s=6.0,
+                                     **gains)
+
+
+def _scenario(variant="C1", horizon=0.5, dt=1e-3, gravity=9.81, **kwargs):
+    params = ft.RobotParams(**BENCHMARK, gravity=gravity)
+    config = _config(variant)
     base = dict(
         params_l=params, params_r=params, config=config,
         q0_l=np.array([1.0, -0.4]), q0_r=np.array([1.3, 0.3]),
@@ -33,18 +38,28 @@ def _scenario(variant="C1", horizon=0.5, dt=1e-3, gravity=9.81, **kwargs):
 
 
 class TestStep:
-    def test_consensus_rest_is_fixed_point(self, benchmark_params, c1_config):
-        q = np.array([0.6, -0.2])
-        state = ft.TeleopState(
-            local=ft.RobotState(q=q, qdot=np.zeros(2)),
-            remote=ft.RobotState(q=q, qdot=np.zeros(2)))
+    def test_consensus_rest_is_fixed_point(self):
+        # exact: the law's gravity term and the gravity the dynamics subtract
+        # are one joint-space vector, so their difference is 0 to the bit
         profiles = (ft.ForceProfile(), ft.ForceProfile())
-        out = ft.step(state, c1_config, benchmark_params, benchmark_params, profiles, 1e-3)
-        np.testing.assert_array_equal(out.local.q, q)
-        np.testing.assert_array_equal(out.local.qdot, np.zeros(2))
-        np.testing.assert_array_equal(out.remote.q, q)
-        np.testing.assert_array_equal(out.remote.qdot, np.zeros(2))
-        assert out.time == pytest.approx(1e-3)
+        for variant, n in itertools.product(("C1", "C2", "C3", "C4"), (1, 2, 4)):
+            rng = np.random.default_rng([n, 11])
+            params = ft.RobotParams(**random_chain(rng, n))
+            config = _config(variant, n)
+            for q in rng.uniform(-np.pi, np.pi, (5, n)):
+                rest = ft.RobotState(q=q, qdot=np.zeros(n))
+                ctrl = (ft.ControllerState(theta_l=q, theta_r=q)
+                        if config.has_virtual_state else None)
+                out = ft.step(ft.TeleopState(local=rest, remote=rest, ctrl=ctrl), config,
+                              params, params, profiles, 1e-3)
+                case = f"{variant}, n={n}, q={q}"
+                for side in (out.local, out.remote):
+                    np.testing.assert_array_equal(side.q, q, err_msg=case)
+                    np.testing.assert_array_equal(side.qdot, np.zeros(n), err_msg=case)
+                if ctrl is not None:
+                    np.testing.assert_array_equal(out.ctrl.theta_l, q, err_msg=case)
+                    np.testing.assert_array_equal(out.ctrl.theta_r, q, err_msg=case)
+                assert out.time == pytest.approx(1e-3)
 
     def test_euler_velocity_update_exact(self, benchmark_params, c1_config):
         # from rest, one step changes velocity by acceleration * dt exactly
@@ -192,6 +207,10 @@ class TestScenarioValidation:
         "dt-above-horizon": ("c1_sim", {"horizon = 8.0": "horizon = 5e-05"},
                              lambda s: dict(horizon=5e-5),
                              "[simulation] dt must not exceed the horizon"),
+        # 1e9 + 1 samples at decimation 1e-3: rejected before any allocation
+        "trace-samples": ("c1_sim", {"horizon = 8.0": "horizon = 1e6"},
+                          lambda s: dict(horizon=1e6),
+                          "[simulation] the trace must hold at most 10000000 samples"),
     }
 
     @pytest.mark.parametrize("case", list(_THREE_WAYS))
@@ -212,6 +231,17 @@ class TestScenarioValidation:
             problems.append(info.value.problems)
         assert problems[0] == problems[1] == problems[2]
         assert len(problems[0]) == 1 and problems[0][0].startswith(problem)
+
+    def test_trace_sample_cap_counts_horizon_over_decimation(self):
+        # the rule reads the computed size only; neither scenario is run
+        base = ft.read_bundled_scenario("c1_sim")   # decimation 1e-3
+        cap = closed_loop_sim._MAX_SAMPLES
+        at_cap = replace(base, horizon=(cap - 1) * base.decimation)
+        assert round(at_cap.horizon / at_cap.decimation) + 1 == cap
+        with pytest.raises(ft.ScenarioError) as info:
+            replace(base, horizon=cap * base.decimation)
+        assert info.value.problems == [
+            f"[simulation] the trace must hold at most {cap} samples (horizon / decimation + 1)"]
 
     def test_one_entry_force_vector_applies_to_every_joint(self):
         base = ft.read_bundled_scenario("c3_sim")

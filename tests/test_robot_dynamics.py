@@ -5,18 +5,18 @@ center positions (forward kinematics with numeric differentiation) and never
 touch the implementation's precomputed geometry matrices.
 """
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from unittest import mock
 
 import ftteleop as ft
 from ftteleop import robot_dynamics
 
-from conftest import BENCHMARK
+from conftest import BENCHMARK, random_chain
 
 
 # --- oracles ---------------------------------------------------------------
@@ -64,14 +64,6 @@ def mass_oracle(q):
 def potential_oracle(q, gravity=9.81):
     masses = BENCHMARK["masses"]
     return gravity * float(np.dot(masses, com_positions(q)[:, 1]))
-
-
-def random_chain(rng, n):
-    """A random planar n-link chain, drawn as the benchmark draws its chains."""
-    lengths = rng.uniform(0.3, 1.0, n)
-    return dict(masses=rng.uniform(0.5, 2.0, n), lengths=lengths,
-                com_offsets=lengths * rng.uniform(0.2, 0.9, n),
-                inertias=rng.uniform(0.005, 0.1, n))
 
 
 def christoffel_oracle(params, q, qd, h=1e-5):
@@ -242,12 +234,16 @@ class TestGravity:
 
 
 class TestForwardDynamics:
-    def test_static_equilibrium(self, benchmark_params):
-        q = np.array([0.9, -0.3])
-        state = ft.RobotState(q=q, qdot=np.zeros(2))
-        tau = ft.gravity_vector(benchmark_params, q)
-        acc = ft.forward_dynamics(benchmark_params, state, tau)
-        np.testing.assert_array_equal(acc, np.zeros(2))
+    def test_static_equilibrium(self):
+        # exact: the gravity torque is subtracted in joint space before the
+        # link-coordinate solve, so a held arm sees a zero right-hand side
+        for n, seed in itertools.product((1, 2, 4, 6), range(3)):
+            rng = np.random.default_rng([n, seed, 12])
+            params = ft.RobotParams(**random_chain(rng, n))
+            for q in rng.uniform(-np.pi, np.pi, (10, n)):
+                state = ft.RobotState(q=q, qdot=np.zeros(n))
+                acc = ft.forward_dynamics(params, state, ft.gravity_vector(params, q))
+                np.testing.assert_array_equal(acc, np.zeros(n), err_msg=f"n={n}, q={q}")
 
     def test_rest_stays_at_rest_without_gravity(self, benchmark_params_flat):
         state = ft.RobotState(q=np.array([0.2, 0.4]), qdot=np.zeros(2))
@@ -274,12 +270,19 @@ class TestForwardDynamics:
                         + ft.gravity_vector(benchmark_params, q) - tau - f)
             assert np.max(np.abs(residual)) < 1e-10
 
-    def test_singular_inertia_reported(self, benchmark_params):
-        state = ft.RobotState(q=np.zeros(2), qdot=np.zeros(2))
-        broken = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
-        with mock.patch.object(robot_dynamics, "mass_matrix", return_value=broken):
-            with pytest.raises(ft.SingularInertiaError):
-                ft.forward_dynamics(benchmark_params, state, np.zeros(2))
+    def test_link_inertia_is_positive_definite(self):
+        # why the solve needs no definiteness check: W is a Gram matrix, so
+        # A = W o cos(phi_a - phi_b) + diag(I) is positive definite (Schur
+        # product theorem), and M = L^T A L is its congruence
+        for n in range(1, 7):
+            rng = np.random.default_rng([n, 13])
+            params = ft.RobotParams(**random_chain(rng, n))
+            q = rng.uniform(-np.pi, np.pi, (200, n))
+            a = robot_dynamics._link_inertia(params.arm, robot_dynamics.link_angles(q))
+            assert np.linalg.eigvalsh(a)[:, 0].min() > 0, f"n={n}"
+            for qk, ak in zip(q, a):
+                np.testing.assert_allclose(robot_dynamics._congruence(ak),
+                                           ft.mass_matrix(params, qk), rtol=1e-13, atol=1e-15)
 
 
 class TestEnergies:

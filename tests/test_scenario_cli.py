@@ -234,6 +234,12 @@ class TestCli:
         assert "discontinuous" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_oversized_trace_exit_code(self, tmp_path, capsys, command):
+        bad = _write(tmp_path, FAST_SCENARIO.replace("horizon = 0.5", "horizon = 1e6"))
+        assert run_command([command, bad, "--out", str(tmp_path)]) == 3
+        assert "the trace must hold at most 10000000 samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
     def test_non_finite_robot_vector_exit_code(self, tmp_path, capsys, command):
         bad = _write(tmp_path, FAST_SCENARIO.replace("masses = 1.8, 1.6", "masses = nan, 1.6", 1))
         assert run_command([command, bad, "--out", str(tmp_path)]) == 3
