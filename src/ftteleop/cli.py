@@ -53,13 +53,13 @@ EXIT_BAD_SCENARIO = 3
 EXIT_UNSTABLE = 4
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, content) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            content(fh) if callable(content) else fh.write(content)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -121,8 +121,7 @@ def _cmd_simulate(args) -> int:
     ]
     report = "\n".join(lines) + "\n"
     trace_path = _out_path(args, cfg, "trace.csv", cfg.trace_path)
-    os.makedirs(os.path.dirname(os.path.abspath(trace_path)), exist_ok=True)
-    trace.to_csv(trace_path)
+    _write_atomic(trace_path, trace.to_csv)
     report_path = _out_path(args, cfg, "report.txt", cfg.report_path)
     _write_atomic(report_path, report)
     print(report, end="")

@@ -389,29 +389,28 @@ class _Batch:
     def check_finite(self, x: np.ndarray, t: float) -> None:
         """Raise SimulationUnstableError naming the member, first in input
         order, whose slice of x (leading axis B) is not finite."""
-        bad = ~np.isfinite(x).reshape(len(x), -1).all(axis=1)
-        if bad.any():
-            first = np.flatnonzero(bad)[np.argmin(self.order[bad])]
-            raise SimulationUnstableError(
-                f"{self.labels[first]}: non-finite state at t = {t:.6f} s; "
-                "reduce dt or soften the gains")
+        if not math.isfinite(x.sum()):   # one reduction; scan only when it is not finite
+            bad = ~np.isfinite(x).reshape(len(x), -1).all(axis=1)
+            if bad.any():   # False when only the sum of a finite state overflowed
+                first = np.flatnonzero(bad)[np.argmin(self.order[bad])]
+                raise SimulationUnstableError(
+                    f"{self.labels[first]}: non-finite state at t = {t:.6f} s; "
+                    "reduce dt or soften the gains")
 
     def rhs(self, t: float, x: np.ndarray, q_seen: np.ndarray | None = None):
-        """dx/dt at (t, x), plus the torques and forces used.
+        """dx/dt at (t, x), plus the torques (net of gravity) and forces used.
 
         ``q_seen`` is the exchanged position each side receives; by default
         the other side's current one.
         """
         q, qdot = x[:, 0], x[:, 1]
-        phi = link_angles(q)
-        gravity = gravity_kernel(self.arms, phi)
         tau, theta_dot = control_law(self.law, q, qdot, x[:, 2] if self.law.virtual else None,
-                                     q[:, ::-1] if q_seen is None else q_seen, gravity)
+                                     q[:, ::-1] if q_seen is None else q_seen)
         f = _force(self.forces, t, q, qdot)
         dx = np.empty_like(x)
         dx[:, 0] = qdot
         try:
-            dx[:, 1] = acceleration_kernel(self.arms, phi, qdot, (tau - gravity) + f)
+            dx[:, 1] = acceleration_kernel(self.arms, link_angles(q), qdot, tau + f)
         except np.linalg.LinAlgError:
             self.check_finite(x, t)
             raise
@@ -505,7 +504,7 @@ class SimTrace:
         return np.column_stack([getattr(self, name) for _, name in _TRACE_COLUMNS])
 
     def to_csv(self, path) -> None:
-        """Write the trace with 17 significant digits for bit-faithful reload."""
+        """Write the trace to a path or open file at 17 digits, for bit-faithful reload."""
         np.savetxt(path, self.matrix(), fmt="%.17g", delimiter=",",
                    header=self.header(), comments="")
 
@@ -562,7 +561,9 @@ class _Cohort:
         law = members.law
         q, qdot = self.x[:, :, 0], self.x[:, :, 1]
         theta = self.x[:, :, 2] if law.virtual else np.full_like(q, np.nan)
-        kinetic = kinetic_kernel(members.arms, link_angles(q), qdot)
+        phi = link_angles(q)
+        kinetic = kinetic_kernel(members.arms, phi, qdot)
+        tau = self.tau + gravity_kernel(members.arms, phi)   # the applied torque
         energy = law_potential(law, q, theta) + kinetic[..., LOCAL] + kinetic[..., REMOTE]
         if law.virtual:
             theta = np.where(law.virtual_mask, theta, np.nan)
@@ -571,7 +572,7 @@ class _Cohort:
             SimTrace(t=self.t.copy(), q_l=q[:, b, LOCAL], q_r=q[:, b, REMOTE],
                      qd_l=qdot[:, b, LOCAL], qd_r=qdot[:, b, REMOTE],
                      th_l=theta[:, b, LOCAL], th_r=theta[:, b, REMOTE],
-                     tau_l=self.tau[:, b, LOCAL], tau_r=self.tau[:, b, REMOTE],
+                     tau_l=tau[:, b, LOCAL], tau_r=tau[:, b, REMOTE],
                      f_l=self.f[:, b, LOCAL], f_r=self.f[:, b, REMOTE],
                      err_norm=err_norm[:, b], energy=energy[:, b], dt=dt)
             for b in range(q.shape[1])

@@ -2,7 +2,7 @@
 
 All variants shape the coupled system's potential energy around the
 zero-position-error manifold and inject dissipation, cancelling each robot's
-own gravity torque exactly:
+own gravity torque exactly (the kernels return the torque net of it):
 
     C1  state feedback:     tau_i = -k_s o |e|^p_pos - d_s,i o |qd_i|^p_vel + grav_i
     C2  output feedback:    damping enters through a virtual state theta_i
@@ -255,12 +255,12 @@ def _theta_rate(law: StackedLaw, theta_err: np.ndarray) -> np.ndarray:
     return -law.speed * channel(theta_err, law.p_theta, law.delta_d)
 
 
-def control_law(law: StackedLaw, q, qdot, theta, q_seen, gravity):
-    """Torques (B, 2, n) and virtual-state rates (None if no member holds theta).
+def control_law(law: StackedLaw, q, qdot, theta, q_seen):
+    """Torques (B, 2, n) net of gravity, and theta rates (None if no member holds theta).
 
     ``q_seen`` holds, per side, the other robot's position as this side
-    receives it (q with its rows swapped when nothing delays the exchange);
-    ``gravity`` is each robot's own gravity torque, cancelled exactly.
+    receives it (q with its rows swapped when nothing delays the exchange).
+    The applied torque adds each robot's own gravity torque, cancelled exactly.
     When the stack holds theta, its C1/C3 members damp through qdot and get
     a zero theta rate; since the channel is odd, their damping term is that of
     -qdot with the sign flipped, which gives each member the torque its
@@ -268,10 +268,10 @@ def control_law(law: StackedLaw, q, qdot, theta, q_seen, gravity):
     """
     prop = law.k_s * channel(q - q_seen, law.p_pos, law.delta_p)
     if not law.virtual:
-        return -prop - law.damping * channel(qdot, law.p_damp, law.delta_d) + gravity, None
+        return -prop - law.damping * channel(qdot, law.p_damp, law.delta_d), None
     theta_err = theta - q
     damped = np.where(law.virtual_mask, theta_err, -qdot)
-    tau = -prop + law.damping * channel(damped, law.p_damp, law.delta_d) + gravity
+    tau = -prop + law.damping * channel(damped, law.p_damp, law.delta_d)
     return tau, _theta_rate(law, theta_err)
 
 
@@ -319,9 +319,8 @@ def control_action(config, params_l, params_r, state_l, state_r,
                    ctrl: ControllerState | None = None) -> ControlAction:
     """The configured variant's torques (and virtual-state rates)."""
     law, q, qdot, theta = _stacked(config, state_l, state_r, ctrl)
-    arms = stack_arm_arrays([(params_l, params_r)])
-    tau, theta_dot = control_law(law, q, qdot, theta, q[:, ::-1],
-                                 gravity_kernel(arms, link_angles(q)))
+    tau, theta_dot = control_law(law, q, qdot, theta, q[:, ::-1])
+    tau = tau + gravity_kernel(stack_arm_arrays([(params_l, params_r)]), link_angles(q))
     if theta_dot is None:
         return ControlAction(tau[0, LOCAL], tau[0, REMOTE])
     return ControlAction(tau[0, LOCAL], tau[0, REMOTE], theta_dot[0, LOCAL], theta_dot[0, REMOTE])

@@ -31,7 +31,6 @@ from .robot_dynamics import (
     RobotParams,
     SingularInertiaError,
     acceleration_kernel,
-    gravity_kernel,
     inertia_kernel,
     link_angles,
     stack_arm_arrays,
@@ -156,7 +155,7 @@ def homogeneous_field(config: ControllerConfig, params_l: RobotParams,
         raise SingularInertiaError("frozen inertia matrix is singular at the consensus position")
 
     def dynamics(q, qdot, theta):
-        tau, theta_dot = control_law(law, q, qdot, theta, q[:, ::-1], 0.0)
+        tau, theta_dot = control_law(law, q, qdot, theta, q[:, ::-1])
         return (inv @ tau[..., None])[..., 0], theta_dot
 
     return _error_field(config, 0.0, dynamics)
@@ -166,18 +165,16 @@ def full_field(config: ControllerConfig, params_l: RobotParams,
                params_r: RobotParams, q_c: np.ndarray):
     """The complete free-motion closed loop in error coordinates around q_c.
 
-    Gravity cancels exactly inside the torque laws, so the field depends on
-    q_c only through the configuration-varying inertia and Coriolis terms.
-    The accelerations come from the engine's link-coordinate solve.
+    The torque laws return the torque net of the gravity they cancel, and it
+    drives the engine's link-coordinate solve, so the field evaluates no gravity
+    and depends on q_c only through the configuration-varying inertia and Coriolis.
     """
     law = stack_laws([config])
     arms = stack_arm_arrays([(params_l, params_r)])
 
     def dynamics(q, qdot, theta):
-        phi = link_angles(q)
-        grav = gravity_kernel(arms, phi)
-        tau, theta_dot = control_law(law, q, qdot, theta, q[:, ::-1], grav)
-        return acceleration_kernel(arms, phi, qdot, tau - grav), theta_dot
+        tau, theta_dot = control_law(law, q, qdot, theta, q[:, ::-1])
+        return acceleration_kernel(arms, link_angles(q), qdot, tau), theta_dot
 
     return _error_field(config, np.asarray(q_c, float), dynamics)
 

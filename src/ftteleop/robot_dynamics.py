@@ -236,20 +236,24 @@ def _congruence(x: np.ndarray) -> np.ndarray:
     return _suffix_sum(_suffix_sum(x, -1), -2)
 
 
-def _link_inertia(arm: ArmArrays, phi: np.ndarray) -> np.ndarray:
+def _differences(phi: np.ndarray) -> np.ndarray:
+    return phi[..., :, None] - phi[..., None, :]
+
+
+def _link_inertia(arm: ArmArrays, diff: np.ndarray) -> np.ndarray:
     """A_ab = W_ab cos(phi_a - phi_b) + delta_ab I_a: M in link coordinates."""
-    return arm.weights * np.cos(phi[..., :, None] - phi[..., None, :]) + arm.inertia
+    return arm.weights * np.cos(diff) + arm.inertia
 
 
 def inertia_kernel(arm: ArmArrays, phi: np.ndarray) -> np.ndarray:
     """M = L^T A L."""
-    m = _congruence(_link_inertia(arm, phi))
+    m = _congruence(_link_inertia(arm, _differences(phi)))
     return 0.5 * (m + np.swapaxes(m, -1, -2))  # kill rounding asymmetry
 
 
-def _coriolis_factor(arm: ArmArrays, phi: np.ndarray) -> np.ndarray:
+def _coriolis_factor(arm: ArmArrays, diff: np.ndarray) -> np.ndarray:
     """S = W o sin(phi_a - phi_b), the factor of every Coriolis quantity."""
-    return arm.weights * np.sin(phi[..., :, None] - phi[..., None, :])
+    return arm.weights * np.sin(diff)
 
 
 def gravity_kernel(arm: ArmArrays, phi: np.ndarray) -> np.ndarray:
@@ -262,18 +266,18 @@ def acceleration_kernel(arm: ArmArrays, phi: np.ndarray, qdot: np.ndarray,
     """qdd solving M qdd = u - C(q, qd) qd for u the torque net of gravity,
     so u = 0 at rest gives qdd = 0 exactly. Builds neither M nor C; raises
     np.linalg.LinAlgError if A is exactly singular."""
-    omega = link_angles(qdot)
-    rhs = u - np.sum(_coriolis_factor(arm, phi) * (omega * omega)[..., None, :], axis=-1)
+    omega, diff = link_angles(qdot), _differences(phi)
+    rhs = u - np.add.reduce(_coriolis_factor(arm, diff) * (omega * omega)[..., None, :], -1)
     rhs[..., :-1] -= u[..., 1:]   # L^-T u
-    acc = np.linalg.solve(_link_inertia(arm, phi), rhs[..., None])[..., 0]   # omega_dot
+    acc = np.linalg.solve(_link_inertia(arm, diff), rhs[..., None])[..., 0]   # omega_dot
     acc[..., 1:] -= acc[..., :-1]   # L^-1; ufuncs buffer the overlapping operands
     return acc
 
 
 def kinetic_kernel(arm: ArmArrays, phi: np.ndarray, qdot: np.ndarray) -> np.ndarray:
     """Kinetic energy 1/2 qd^T M qd = 1/2 omega^T A omega."""
-    omega = link_angles(qdot)
-    return 0.5 * np.einsum("...a,...ab,...b->...", omega, _link_inertia(arm, phi), omega)
+    omega, a = link_angles(qdot), _link_inertia(arm, _differences(phi))
+    return 0.5 * np.einsum("...a,...ab,...b->...", omega, a, omega)
 
 
 # --- single-state functions -----------------------------------------------
@@ -293,7 +297,7 @@ def coriolis_matrix(params: RobotParams, q, qdot) -> np.ndarray:
     """
     phi = link_angles(_check_q(params, q))
     omega = link_angles(_check_q(params, qdot))
-    return _congruence(_coriolis_factor(params.arm, phi) * omega)
+    return _congruence(_coriolis_factor(params.arm, _differences(phi)) * omega)
 
 
 def potential_energy(params: RobotParams, q) -> float:
@@ -335,7 +339,7 @@ def _coriolis_growth(arm: ArmArrays, phi: np.ndarray) -> np.ndarray:
     G_k = L^T diag(sum_{a>=k} S_a.) L; the bound is the root sum of squares
     of their spectral radii.
     """
-    d = _suffix_sum(_coriolis_factor(arm, phi), -2)   # d[k] = sum_{a>=k} S_a.
+    d = _suffix_sum(_coriolis_factor(arm, _differences(phi)), -2)   # d[k] = sum_{a>=k} S_a.
     n = phi.shape[-1]
     # (L^T diag(d_k) L)_ij = sum over a >= max(i, j) of d_k[a]
     forms = _suffix_sum(d, -1)[..., np.maximum.outer(np.arange(n), np.arange(n))]

@@ -48,7 +48,7 @@ def channel(x: np.ndarray, p, delta) -> np.ndarray:
 
     Unchecked; p and delta broadcast against x.
     """
-    return np.sign(x) * np.minimum(np.abs(x), delta) ** p
+    return np.copysign(np.minimum(np.abs(x), delta) ** p, x)
 
 
 def channel_integral(x: np.ndarray, p, delta) -> np.ndarray:

@@ -253,7 +253,7 @@ def _theta_rate_norms(trace, config):
     q = np.stack([trace.q_l, trace.q_r], axis=1)
     theta = np.stack([trace.th_l, trace.th_r], axis=1)
     zeros = np.zeros_like(q)
-    _, rates = control_law(stack_laws([config]), q, zeros, theta, q[:, ::-1], zeros)
+    _, rates = control_law(stack_laws([config]), q, zeros, theta, q[:, ::-1])
     return np.linalg.norm(rates, axis=-1).max(axis=1)
 
 

@@ -10,6 +10,8 @@ import pytest
 
 import ftteleop as ft
 from ftteleop import closed_loop_sim
+from ftteleop.controllers import control_law, stack_laws
+from ftteleop.robot_dynamics import acceleration_kernel, link_angles, stack_arm_arrays
 
 from conftest import BENCHMARK, random_chain
 
@@ -38,9 +40,25 @@ def _scenario(variant="C1", horizon=0.5, dt=1e-3, gravity=9.81, **kwargs):
 
 
 class TestStep:
+    @staticmethod
+    def _engine_acceleration(params, config, state):
+        """Accelerations (2, n) in the engine's order: the net torque of the
+        stacked law on the (1, 2, n) state, then the link-coordinate solve.
+        Each side agrees with forward_dynamics on its applied torque."""
+        q = np.array([[state.local.q, state.remote.q]], dtype=float)
+        qdot = np.array([[state.local.qdot, state.remote.qdot]], dtype=float)
+        tau, _ = control_law(stack_laws([config]), q, qdot, None, q[:, ::-1])
+        acc = acceleration_kernel(stack_arm_arrays([(params, params)]), link_angles(q),
+                                  qdot, tau)[0]
+        action = ft.control_action(config, params, params, state.local, state.remote)
+        for side, robot, applied in ((0, state.local, action.tau_l),
+                                     (1, state.remote, action.tau_r)):
+            np.testing.assert_allclose(acc[side], ft.forward_dynamics(params, robot, applied),
+                                       rtol=1e-12)
+        return acc
+
     def test_consensus_rest_is_fixed_point(self):
-        # exact: the law's gravity term and the gravity the dynamics subtract
-        # are one joint-space vector, so their difference is 0 to the bit
+        # exact: at rest the net torque is 0, so the solve returns 0 to the bit
         profiles = (ft.ForceProfile(), ft.ForceProfile())
         for variant, n in itertools.product(("C1", "C2", "C3", "C4"), (1, 2, 4)):
             rng = np.random.default_rng([n, 11])
@@ -68,11 +86,7 @@ class TestStep:
             local=ft.RobotState(q=[1.0, -0.4], qdot=np.zeros(2)),
             remote=ft.RobotState(q=[1.3, 0.3], qdot=np.zeros(2)))
         profiles = (ft.ForceProfile(), ft.ForceProfile())
-        action = ft.control_action(c1_config, benchmark_params, benchmark_params,
-                                   state.local, state.remote)
-        tau_l, tau_r = action.tau_l, action.tau_r
-        acc_l = ft.forward_dynamics(benchmark_params, state.local, tau_l)
-        acc_r = ft.forward_dynamics(benchmark_params, state.remote, tau_r)
+        acc_l, acc_r = self._engine_acceleration(benchmark_params, c1_config, state)
         out = ft.step(state, c1_config, benchmark_params, benchmark_params, profiles, dt)
         np.testing.assert_array_equal(out.local.qdot, dt * acc_l)
         np.testing.assert_array_equal(out.remote.qdot, dt * acc_r)
@@ -84,11 +98,7 @@ class TestStep:
         state = ft.TeleopState(
             local=ft.RobotState(q=[1.0, -0.4], qdot=[0.1, -0.2]),
             remote=ft.RobotState(q=[1.3, 0.3], qdot=[0.0, 0.3]))
-        action = ft.control_action(c1_config, benchmark_params, benchmark_params,
-                                   state.local, state.remote)
-        tau_l, tau_r = action.tau_l, action.tau_r
-        acc_l = ft.forward_dynamics(benchmark_params, state.local, tau_l)
-        acc_r = ft.forward_dynamics(benchmark_params, state.remote, tau_r)
+        acc_l, acc_r = self._engine_acceleration(benchmark_params, c1_config, state)
         profiles = (ft.ForceProfile(), ft.ForceProfile())
         out = ft.step(state, c1_config, benchmark_params, benchmark_params, profiles, dt)
         np.testing.assert_array_equal(out.local.q, state.local.q + dt * np.array([0.1, -0.2]))
@@ -507,6 +517,73 @@ class TestRunBatch:
 
     def test_empty_batch(self):
         assert ft.run_batch([]) == []
+
+
+class TestNetTorque:
+    """The laws return the torque net of gravity: the steps evaluate no
+    gravity, and the record adds it back once."""
+
+    def test_recorded_torque_is_the_applied_torque(self):
+        euler = [replace(ft.read_bundled_scenario(name), horizon=0.05)
+                 for name in ("c1_sim", "c2_sim", "c3_sim", "c4_sim", "c1_spring")]
+        scenarios = euler + [replace(s, integrator="rk4", dt=5e-4) for s in euler]
+        for scenario, trace in zip(scenarios, ft.run_batch(scenarios)):
+            for i in range(trace.samples):
+                ctrl = (ft.ControllerState(theta_l=trace.th_l[i], theta_r=trace.th_r[i])
+                        if scenario.config.has_virtual_state else None)
+                action = ft.control_action(
+                    scenario.config, scenario.params_l, scenario.params_r,
+                    ft.RobotState(q=trace.q_l[i], qdot=trace.qd_l[i]),
+                    ft.RobotState(q=trace.q_r[i], qdot=trace.qd_r[i]), ctrl)
+                case = f"{scenario.label} {scenario.integrator}, t = {trace.t[i]}"
+                np.testing.assert_array_equal(trace.tau_l[i], action.tau_l, err_msg=case)
+                np.testing.assert_array_equal(trace.tau_r[i], action.tau_r, err_msg=case)
+
+    @pytest.mark.parametrize("integrator", ["euler", "rk4"])
+    @pytest.mark.parametrize("horizons, cohorts", [((0.04,), 1), ((0.08,), 1),
+                                                   ((0.04, 0.08), 2)])
+    def test_gravity_only_in_the_record(self, integrator, horizons, cohorts):
+        base = _scenario("C2", dt=1e-3, integrator=integrator)
+        gravity = closed_loop_sim.gravity_kernel
+        with mock.patch.object(closed_loop_sim, "gravity_kernel", wraps=gravity) as counted:
+            ft.run_batch([replace(base, horizon=h) for h in horizons])
+        assert counted.call_count == cohorts
+
+
+class TestCheckFinite:
+    """The one-reduction fast path skips the scan only for a finite state."""
+
+    MESSAGE = "{}: non-finite state at t = 0.250000 s; reduce dt or soften the gains"
+
+    def _batch(self, size, order):
+        scenarios = [_scenario(label=f"m{i}") for i in range(size)]
+        return closed_loop_sim._Batch.of(scenarios, order)
+
+    def test_finite_state_whose_sum_overflows_passes(self):
+        batch = self._batch(2, [0, 1])
+        x = np.full((2, 2, 2, 2), 1e308)
+        x[1, :, 1] = -1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(x.sum())
+            batch.check_finite(x, 0.25)
+            batch.check_finite(np.abs(x), 0.25)
+
+    @pytest.mark.parametrize("bad, first", [
+        ({0: np.nan, 2: np.inf}, "m1"),     # stacked members m2, m1
+        ({0: -np.inf, 1: np.nan}, "m0"),    # stacked members m2, m0
+        ({0: np.nan, 1: np.inf, 2: np.nan}, "m0"),
+        ({0: np.inf}, "m2"),
+    ])
+    def test_names_the_first_bad_member_in_input_order(self, bad, first):
+        batch = self._batch(3, [2, 0, 1])
+        x = np.zeros((3, 3, 2, 2))
+        x[:, 1, 0, 0] = 1e308   # the sum would overflow without the bad entries
+        for member, value in bad.items():
+            x[member, member % 3, member % 2, 1] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ft.SimulationUnstableError) as info:
+                batch.check_finite(x, 0.25)
+        assert str(info.value) == self.MESSAGE.format(first)
 
 
 class TestConvergenceTime:

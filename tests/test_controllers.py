@@ -31,7 +31,7 @@ def _theta_rate(config, theta_err, side):
     q = np.zeros((1, 2, config.n))
     theta = q.copy()
     theta[0, side] = theta_err
-    _, theta_dot = controllers.control_law(controllers.stack_laws([config]), q, q, theta, q, q)
+    _, theta_dot = controllers.control_law(controllers.stack_laws([config]), q, q, theta, q)
     return theta_dot[0, side]
 
 
@@ -332,8 +332,7 @@ class TestMixedStack:
         assert law.virtual
         np.testing.assert_array_equal(law.virtual_mask.ravel(), [False, True, False, True])
         q, qdot, theta = self._states(np.random.default_rng(5), len(configs))
-        gravity = np.random.default_rng(6).normal(size=q.shape)
-        tau, theta_dot = controllers.control_law(law, q, qdot, theta, q[:, ::-1], gravity)
+        tau, theta_dot = controllers.control_law(law, q, qdot, theta, q[:, ::-1])
         potential = controllers.law_potential(law, q, theta)
         dissipation = controllers.law_dissipation(law, q, qdot, theta)
         for b, config in enumerate(configs):
@@ -341,7 +340,7 @@ class TestMixedStack:
             one = slice(b, b + 1)
             th = theta[one] if config.has_virtual_state else None
             tau_b, theta_dot_b = controllers.control_law(alone, q[one], qdot[one], th,
-                                                q[one, ::-1], gravity[one])
+                                                q[one, ::-1])
             np.testing.assert_array_equal(tau[one], tau_b)
             assert controllers.law_potential(alone, q[one], th) == potential[b]
             assert controllers.law_dissipation(alone, q[one], qdot[one], th) == dissipation[b]

@@ -1,9 +1,12 @@
 """Tests for the dilation-degree check and the vanishing sweep."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import ftteleop as ft
+from ftteleop import closed_loop_sim, controllers, homogeneity_audit, robot_dynamics
 from ftteleop.homogeneity_audit import HomogeneitySpec, sphere_points
 
 from conftest import BENCHMARK
@@ -161,6 +164,21 @@ class TestFieldComposition:
         stepped = np.concatenate([out.local.q - Q_C, out.remote.q - Q_C,
                                   out.local.qdot, out.remote.qdot])
         np.testing.assert_allclose(stepped, x + dt * full(x), rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["C1", "C2", "C3", "C4"])
+    def test_full_field_evaluates_no_gravity(self, variant):
+        # the laws return the torque net of gravity, which drives the solve
+        assert not hasattr(homogeneity_audit, "gravity_kernel")
+        params = _params()
+        config = _config(variant)
+        points = sphere_points(ft.stacked_weights(config, 2).size, 16)
+        gravity = robot_dynamics.gravity_kernel
+        with mock.patch.object(robot_dynamics, "gravity_kernel", wraps=gravity) as in_model, \
+                mock.patch.object(controllers, "gravity_kernel", wraps=gravity) as in_laws, \
+                mock.patch.object(closed_loop_sim, "gravity_kernel", wraps=gravity) as in_engine:
+            values = ft.full_field(config, params, params, Q_C)(points)
+        assert np.all(np.isfinite(values))
+        assert in_model.call_count + in_laws.call_count + in_engine.call_count == 0
 
 
 class TestVanishingSweep:

@@ -1,6 +1,7 @@
 """Scenario-file grammar, validation reporting and the CLI front end."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -218,6 +219,20 @@ class TestCli:
         assert (tmp_path / "fast_report.txt").exists()
         trace = ft.SimTrace.from_csv(tmp_path / "fast_trace.csv")
         assert trace.samples == 51
+
+    def test_failed_trace_write_leaves_no_file(self, tmp_path, capsys):
+        # the trace goes through a temp file renamed into place, like the report
+        cfg_path = _write(tmp_path, FAST_SCENARIO)
+        out = tmp_path / "out"
+
+        def fail_partway(fh, *args, **kwargs):
+            fh.write("t,ql1,ql2\n0,1.0")
+            raise OSError("no space left on device")
+
+        with mock.patch("numpy.savetxt", side_effect=fail_partway), \
+                pytest.raises(OSError, match="no space left"):
+            run_command(["simulate", cfg_path, "--out", str(out)])
+        assert sorted(p.name for p in out.iterdir()) == []
 
     def test_simulate_accepts_bundled_name(self, tmp_path, capsys):
         code = run_command(["simulate", "c1_sim", "--out", str(tmp_path),
