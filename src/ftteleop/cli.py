@@ -16,7 +16,7 @@ import argparse
 import math
 import os
 import sys
-import tempfile
+import uuid
 from dataclasses import replace
 
 import numpy as np
@@ -56,7 +56,9 @@ EXIT_UNSTABLE = 4
 def _write_atomic(path: str, content) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
+    # 0o666 under the umask, like open(); mkstemp's 0o600 would survive the rename
+    tmp = os.path.join(directory, f".tmp_{uuid.uuid4().hex}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             content(fh) if callable(content) else fh.write(content)

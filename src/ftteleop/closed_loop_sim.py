@@ -27,6 +27,7 @@ from .controllers import (
     REMOTE,
     ControllerConfig,
     ControllerState,
+    _stacked,
     control_law,
     law_dissipation,
     law_potential,
@@ -320,16 +321,6 @@ def _force(forces: _Forces, t: float, q: np.ndarray, qdot: np.ndarray) -> np.nda
     return f
 
 
-def _state_array(state: TeleopState, virtual: bool) -> np.ndarray:
-    """The (k, 2, n) engine layout of a state: q, qdot and, if virtual, theta."""
-    rows = [(state.local.q, state.remote.q), (state.local.qdot, state.remote.qdot)]
-    if virtual:
-        if state.ctrl is None:
-            raise ValueError("the output-feedback variants require a ControllerState")
-        rows.append((state.ctrl.theta_l, state.ctrl.theta_r))
-    return np.array(rows, dtype=float)
-
-
 def _teleop_state(x: np.ndarray, t: float) -> TeleopState:
     ctrl = ControllerState(theta_l=x[2, 0], theta_r=x[2, 1]) if len(x) == 3 else None
     return TeleopState(local=RobotState(q=x[0, 0], qdot=x[1, 0]),
@@ -368,18 +359,14 @@ class _Batch:
         self.order = np.asarray(order)   # each member's input position
 
     @classmethod
-    def stack(cls, arm_rows, configs, profile_rows, labels, order) -> "_Batch":
-        return cls(stack_arm_arrays(arm_rows), stack_laws(configs),
-                   _stack_forces(profile_rows, configs[0].n), labels, order)
-
-    @classmethod
     def of(cls, scenarios, order) -> "_Batch":
         """The scenarios stacked in ``order``, a list of their input positions."""
         stacked = [scenarios[i] for i in order]
-        return cls.stack([(s.params_l, s.params_r) for s in stacked],
-                         [s.config for s in stacked],
-                         [(s.profile_l, s.profile_r) for s in stacked],
-                         [s.label for s in stacked], order)
+        return cls(stack_arm_arrays([(s.params_l, s.params_r) for s in stacked]),
+                   stack_laws([s.config for s in stacked]),
+                   _stack_forces([(s.profile_l, s.profile_r) for s in stacked],
+                                 stacked[0].config.n),
+                   [s.label for s in stacked], order)
 
     def take(self, members: slice) -> "_Batch":
         """The members in the slice ``members``."""
@@ -433,6 +420,17 @@ class _Batch:
         return x1
 
 
+def _advance(update, state, config, params_l, params_r, profiles, dt: float) -> TeleopState:
+    """One ``update`` (_Batch.euler or _Batch.rk4) of one state as a one-member batch."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    law, x = _stacked(config, state.local, state.remote, state.ctrl)
+    batch = _Batch(stack_arm_arrays([(params_l, params_r)]), law,
+                   _stack_forces([profiles], config.n), ["step"], [0])
+    dx = batch.rhs(state.time, x)[0]
+    return _teleop_state(update(batch, state.time, x, dx, dt)[0], state.time + dt)
+
+
 def step(state: TeleopState, config: ControllerConfig, params_l: RobotParams,
          params_r: RobotParams, profiles, dt: float) -> TeleopState:
     """One explicit-Euler step of the closed loop.
@@ -441,22 +439,12 @@ def step(state: TeleopState, config: ControllerConfig, params_l: RobotParams,
     torque-driven accelerations, and the virtual state with its rate law.
     A non-finite result raises SimulationUnstableError.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    batch = _Batch.stack([(params_l, params_r)], [config], [profiles], ["step"], [0])
-    x = _state_array(state, config.has_virtual_state)[None]
-    dx = batch.rhs(state.time, x)[0]
-    return _teleop_state(batch.euler(state.time, x, dx, dt)[0], state.time + dt)
+    return _advance(_Batch.euler, state, config, params_l, params_r, profiles, dt)
 
 
 def rk4_step(state: TeleopState, config, params_l, params_r, profiles, dt: float) -> TeleopState:
     """Classic fourth-order Runge-Kutta step (for step-size studies)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    batch = _Batch.stack([(params_l, params_r)], [config], [profiles], ["step"], [0])
-    x = _state_array(state, config.has_virtual_state)[None]
-    k1 = batch.rhs(state.time, x)[0]
-    return _teleop_state(batch.rk4(state.time, x, k1, dt)[0], state.time + dt)
+    return _advance(_Batch.rk4, state, config, params_l, params_r, profiles, dt)
 
 
 # (CSV column stem, SimTrace field) in file order; a per-joint field has one
@@ -779,34 +767,21 @@ def state_bounds_from_energy(config: ControllerConfig, params_l: RobotParams,
     if budget < 0:
         raise ValueError("energy budget must be nonnegative")
     p = config.p_pos
+    # an unbounded variant's law ignores any saturation levels its config holds
+    delta_p, delta_d = (config.delta_p, config.delta_d) if config.is_bounded else (None, None)
 
-    def invert_power(gains: np.ndarray) -> float:
+    def invert(gains: np.ndarray, delta: float | None) -> float:
+        # beyond a saturation level delta the kernel exceeds delta^p |x| / (p+1),
+        # so either the unsaturated inversion holds or the affine branch caps |x|
         per_joint = ((p + 1.0) * budget / gains) ** (1.0 / (p + 1.0))
+        if delta is not None:
+            per_joint = np.maximum(
+                per_joint, (budget / gains + p / (p + 1.0) * delta ** (p + 1.0)) / delta**p)
         return float(np.linalg.norm(per_joint))
 
-    def invert_s(gains: np.ndarray, delta: float) -> float:
-        # the kernel exceeds delta^p |x| / (p+1) beyond delta, so either the
-        # unsaturated inversion holds or the affine branch caps |x|
-        unsat = ((p + 1.0) * budget / gains) ** (1.0 / (p + 1.0))
-        sat = (budget / gains + p / (p + 1.0) * delta ** (p + 1.0)) / delta**p
-        return float(np.linalg.norm(np.maximum(unsat, sat)))
-
-    if config.is_bounded:
-        err_cap = invert_s(config.k_s, config.delta_p)
-    else:
-        err_cap = invert_power(config.k_s)
-
-    vel_caps = (
-        math.sqrt(2.0 * budget / params_l.bounds.inertia_min),
-        math.sqrt(2.0 * budget / params_r.bounds.inertia_min),
-    )
-    theta_caps = None
-    if config.has_virtual_state:
-        caps = []
-        for side in (LOCAL, REMOTE):
-            if config.is_bounded:
-                caps.append(invert_s(config.k_c[side], config.delta_d))
-            else:
-                caps.append(invert_power(config.k_c[side]))
-        theta_caps = tuple(caps)
-    return {"err_norm": err_cap, "vel_norm": vel_caps, "theta_err_norm": theta_caps}
+    vel_caps = tuple(math.sqrt(2.0 * budget / params.bounds.inertia_min)
+                     for params in (params_l, params_r))
+    theta_caps = (tuple(invert(config.k_c[side], delta_d) for side in (LOCAL, REMOTE))
+                  if config.has_virtual_state else None)
+    return {"err_norm": invert(config.k_s, delta_p), "vel_norm": vel_caps,
+            "theta_err_norm": theta_caps}

@@ -306,38 +306,39 @@ def law_dissipation(law: StackedLaw, q, qdot, theta=None) -> np.ndarray:
 
 
 def _stacked(config, state_l, state_r, ctrl):
-    """B = 1 inputs of the kernels: the law, and q, qdot, theta as (1, 2, n)."""
-    if config.has_virtual_state and ctrl is None:
-        raise ValueError(f"{config.variant} requires a ControllerState")
-    q = np.array([[state_l.q, state_r.q]])
-    qdot = np.array([[state_l.qdot, state_r.qdot]])
-    theta = np.array([[ctrl.theta_l, ctrl.theta_r]]) if config.has_virtual_state else None
-    return stack_laws([config]), q, qdot, theta
+    """The law and the (1, k, 2, n) engine state: q, qdot and, for C2/C4,
+    theta, which needs a ControllerState (ValueError without one)."""
+    rows = [(state_l.q, state_r.q), (state_l.qdot, state_r.qdot)]
+    if config.has_virtual_state:
+        if ctrl is None:
+            raise ValueError(f"{config.variant} requires a ControllerState")
+        rows.append((ctrl.theta_l, ctrl.theta_r))
+    return stack_laws([config]), np.array([rows], dtype=float)
 
 
 def control_action(config, params_l, params_r, state_l, state_r,
                    ctrl: ControllerState | None = None) -> ControlAction:
     """The configured variant's torques (and virtual-state rates)."""
-    law, q, qdot, theta = _stacked(config, state_l, state_r, ctrl)
-    tau, theta_dot = control_law(law, q, qdot, theta, q[:, ::-1])
+    law, x = _stacked(config, state_l, state_r, ctrl)
+    q = x[:, 0]
+    tau, theta_dot = control_law(law, q, x[:, 1], x[:, 2] if law.virtual else None, q[:, ::-1])
     tau = tau + gravity_kernel(stack_arm_arrays([(params_l, params_r)]), link_angles(q))
-    if theta_dot is None:
-        return ControlAction(tau[0, LOCAL], tau[0, REMOTE])
-    return ControlAction(tau[0, LOCAL], tau[0, REMOTE], theta_dot[0, LOCAL], theta_dot[0, REMOTE])
+    theta_dot = () if theta_dot is None else (theta_dot[0, LOCAL], theta_dot[0, REMOTE])
+    return ControlAction(tau[0, LOCAL], tau[0, REMOTE], *theta_dot)
 
 
 def shaped_potential(config, state_l: RobotState, state_r: RobotState,
                      ctrl: ControllerState | None = None) -> float:
     """Designed potential energy of the shaped closed loop (see law_potential)."""
-    law, q, _, theta = _stacked(config, state_l, state_r, ctrl)
-    return float(law_potential(law, q, theta)[0])
+    law, x = _stacked(config, state_l, state_r, ctrl)
+    return float(law_potential(law, x[:, 0], x[:, 2] if law.virtual else None)[0])
 
 
 def dissipation_rate(config, state_l: RobotState, state_r: RobotState,
                      ctrl: ControllerState | None = None) -> float:
     """Analytic decay rate of the total shaped energy (see law_dissipation)."""
-    law, q, qdot, theta = _stacked(config, state_l, state_r, ctrl)
-    return float(law_dissipation(law, q, qdot, theta)[0])
+    law, x = _stacked(config, state_l, state_r, ctrl)
+    return float(law_dissipation(law, x[:, 0], x[:, 1], x[:, 2] if law.virtual else None)[0])
 
 
 @dataclass(frozen=True)

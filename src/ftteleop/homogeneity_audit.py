@@ -114,6 +114,14 @@ def _dilations(spec: HomogeneitySpec, points: np.ndarray) -> np.ndarray:
     return spec.eps_grid[:, None, None] ** spec.weights * points
 
 
+def _field_inputs(config: ControllerConfig, params_l, params_r, q_c):
+    """q_c as n floats (ValueError unless it holds n finite entries), the law and the arms."""
+    q_c = np.asarray(q_c, float)
+    if q_c.size != config.n or not np.all(np.isfinite(q_c)):
+        raise ValueError("q_c must have n finite entries")
+    return q_c.reshape(config.n), stack_laws([config]), stack_arm_arrays([(params_l, params_r)])
+
+
 def _error_field(config: ControllerConfig, q_c, dynamics):
     """A field over stacks of error-coordinate states of shape (..., dim).
 
@@ -144,13 +152,13 @@ def homogeneous_field(config: ControllerConfig, params_l: RobotParams,
     The unbounded control law of the configured variant with gravity
     dropped, accelerating through the inverse inertia at the consensus
     position. Saturations never enter the core: near the origin the bounded
-    variants coincide with their unbounded counterparts.
+    variants coincide with their unbounded counterparts. ``q_c`` must hold
+    n finite entries, else ValueError.
     """
-    law = stack_laws([config])
+    q_c, law, arms = _field_inputs(config, params_l, params_r, q_c)
     law = law._replace(delta_p=np.full_like(law.delta_p, np.inf),
                        delta_d=np.full_like(law.delta_d, np.inf))
-    arms = stack_arm_arrays([(params_l, params_r)])
-    inv = np.linalg.inv(inertia_kernel(arms, link_angles(np.asarray(q_c, float))))
+    inv = np.linalg.inv(inertia_kernel(arms, link_angles(q_c)))
     if not np.all(np.isfinite(inv)):
         raise SingularInertiaError("frozen inertia matrix is singular at the consensus position")
 
@@ -168,32 +176,30 @@ def full_field(config: ControllerConfig, params_l: RobotParams,
     The torque laws return the torque net of the gravity they cancel, and it
     drives the engine's link-coordinate solve, so the field evaluates no gravity
     and depends on q_c only through the configuration-varying inertia and Coriolis.
+    ``q_c`` must hold n finite entries, else ValueError.
     """
-    law = stack_laws([config])
-    arms = stack_arm_arrays([(params_l, params_r)])
+    q_c, law, arms = _field_inputs(config, params_l, params_r, q_c)
 
     def dynamics(q, qdot, theta):
         tau, theta_dot = control_law(law, q, qdot, theta, q[:, ::-1])
         return acceleration_kernel(arms, link_angles(q), qdot, tau), theta_dot
 
-    return _error_field(config, np.asarray(q_c, float), dynamics)
+    return _error_field(config, q_c, dynamics)
 
 
-def check_degree(field_fn, spec: HomogeneitySpec,
-                 out_weights: np.ndarray | None = None) -> float:
+def check_degree(field_fn, spec: HomogeneitySpec) -> float:
     """Worst relative defect of the claimed dilation scaling.
 
     For each sampled direction x and each grid epsilon, compares
     field(dilate(x)) against eps^(degree + w_j) field_j(x) component-wise,
-    relative to |field_j(x)| with a 1e-12 absolute floor. An exactly
-    homogeneous field returns rounding-level defects. ``field_fn`` must map
-    stacks (..., dim) to (..., dim).
+    relative to |field_j(x)| with a 1e-12 absolute floor; output j carries
+    the weight w_j of input j. An exactly homogeneous field returns
+    rounding-level defects. ``field_fn`` must map stacks (..., dim) to (..., dim).
     """
-    w_out = spec.weights if out_weights is None else np.asarray(out_weights, float)
     points = sphere_points(spec.weights.size, spec.samples, spec.seed)
     fx = np.asarray(field_fn(points), float)
     fd = np.asarray(field_fn(_dilations(spec, points)), float)
-    scale = spec.eps_grid[:, None, None] ** (spec.degree + w_out)
+    scale = spec.eps_grid[:, None, None] ** (spec.degree + spec.weights)
     return float(np.max(np.abs(fd - scale * fx) / (np.abs(fx) + 1e-12)))
 
 

@@ -113,6 +113,46 @@ class TestStep:
             ft.step(state, c1_config, benchmark_params, benchmark_params,
                     (ft.ForceProfile(), ft.ForceProfile()), 0.0)
 
+    @pytest.mark.parametrize("integrator, dt", [("euler", None), ("rk4", 5e-4)])
+    @pytest.mark.parametrize("name", ["c1_sim", "c2_sim", "c3_sim", "c4_sim", "c1_spring",
+                                      "c4_pulse"])
+    def test_equals_the_first_step_of_run(self, name, integrator, dt):
+        # the single-state adapter is the engine's one-member case, to the bit
+        s = ft.read_bundled_scenario(name.replace("_pulse", "_sim"))
+        if name == "c4_pulse":   # the pulse acts from the first step on
+            s = replace(s, profile_r=replace(s.profile_r, start=0.0, stop=0.01))
+        dt = s.dt if dt is None else dt
+        trace = ft.run(replace(s, integrator=integrator, dt=dt, decimation=dt, horizon=dt))
+        advance = ft.rk4_step if integrator == "rk4" else ft.step
+        out = advance(s.initial_state(), s.config, s.params_l, s.params_r,
+                      (s.profile_l, s.profile_r), dt)
+        assert out.time == dt
+        for got, recorded in ((out.local.q, trace.q_l), (out.remote.q, trace.q_r),
+                              (out.local.qdot, trace.qd_l), (out.remote.qdot, trace.qd_r)):
+            np.testing.assert_array_equal(got, recorded[1])
+        if s.config.has_virtual_state:
+            np.testing.assert_array_equal(out.ctrl.theta_l, trace.th_l[1])
+            np.testing.assert_array_equal(out.ctrl.theta_r, trace.th_r[1])
+        else:
+            assert out.ctrl is None
+
+    @pytest.mark.parametrize("variant", ["C2", "C4"])
+    def test_output_feedback_requires_a_controller_state(self, variant):
+        s = _scenario(variant, horizon=0.1)
+        state = replace(s.initial_state(), ctrl=None)
+        profiles = (s.profile_l, s.profile_r)
+        calls = (
+            lambda: ft.step(state, s.config, s.params_l, s.params_r, profiles, 1e-3),
+            lambda: ft.rk4_step(state, s.config, s.params_l, s.params_r, profiles, 1e-3),
+            lambda: ft.control_action(s.config, s.params_l, s.params_r, state.local,
+                                      state.remote),
+            lambda: ft.shaped_potential(s.config, state.local, state.remote),
+            lambda: ft.dissipation_rate(s.config, state.local, state.remote),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="requires a ControllerState"):
+                call()
+
 
 class TestScenarioValidation:
     """The [simulation] rules hold for a Scenario however it is built."""

@@ -66,11 +66,10 @@ class TestSpec:
 
 class TestCheckDegree:
     def test_scalar_power_law(self):
-        # |x|^(1/3) with input weight 1.5 scales as eps^0.5, i.e. output
-        # weight 1 and degree -0.5
-        spec = HomogeneitySpec(weights=np.array([1.5]), degree=-0.5, samples=32)
-        defect = ft.check_degree(lambda x: ft.signed_pow(x, 1.0 / 3.0), spec,
-                                 out_weights=np.array([1.0]))
+        # |x|^(1/3) with weight 1.5 scales as eps^0.5 = eps^(degree + 1.5),
+        # so its degree is -1
+        spec = HomogeneitySpec(weights=np.array([1.5]), degree=-1.0, samples=32)
+        defect = ft.check_degree(lambda x: ft.signed_pow(x, 1.0 / 3.0), spec)
         assert defect < 1e-12
 
     @pytest.mark.parametrize("variant", ["C1", "C2", "C3", "C4"])
@@ -179,6 +178,19 @@ class TestFieldComposition:
             values = ft.full_field(config, params, params, Q_C)(points)
         assert np.all(np.isfinite(values))
         assert in_model.call_count + in_laws.call_count + in_engine.call_count == 0
+
+
+class TestConsensusPosition:
+    @pytest.mark.parametrize("q_c", [[np.nan, 0.0], [np.inf, 0.0], [1.15, -0.05, 0.0]],
+                             ids=["nan", "inf", "length"])
+    @pytest.mark.parametrize("audit", ["homogeneous_field", "full_field", "vanishing_sweep"])
+    def test_invalid_q_c_is_a_named_problem(self, audit, q_c):
+        params, config = _params(), _config("C2")
+        args = (config, params, params, np.array(q_c))
+        if audit == "vanishing_sweep":
+            args += (HomogeneitySpec.for_config(config, 2, samples=16),)
+        with pytest.raises(ValueError, match="^q_c must have n finite entries$"):
+            getattr(ft, audit)(*args)
 
 
 class TestVanishingSweep:

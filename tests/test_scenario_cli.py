@@ -1,5 +1,7 @@
 """Scenario-file grammar, validation reporting and the CLI front end."""
 
+import os
+import stat
 from dataclasses import replace
 from unittest import mock
 
@@ -233,6 +235,22 @@ class TestCli:
                 pytest.raises(OSError, match="no space left"):
             run_command(["simulate", cfg_path, "--out", str(out)])
         assert sorted(p.name for p in out.iterdir()) == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_outputs_follow_the_umask(self, tmp_path, capsys, umask, mode):
+        cfg_path = _write(tmp_path, FAST_SCENARIO)
+        out = tmp_path / "out"
+        previous = os.umask(umask)
+        try:
+            for command in ("simulate", "compare", "audit"):
+                run_command([command, cfg_path, "--out", str(out)])
+        finally:
+            os.umask(previous)
+        names = ["fast_audit.csv", "fast_compare.txt", "fast_report.txt", "fast_trace.csv"]
+        assert sorted(p.name for p in out.iterdir()) == names   # no temp file left
+        for name in names:
+            assert stat.S_IMODE((out / name).stat().st_mode) == mode, name
 
     def test_simulate_accepts_bundled_name(self, tmp_path, capsys):
         code = run_command(["simulate", "c1_sim", "--out", str(tmp_path),
