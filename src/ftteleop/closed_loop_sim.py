@@ -767,8 +767,6 @@ def state_bounds_from_energy(config: ControllerConfig, params_l: RobotParams,
     if budget < 0:
         raise ValueError("energy budget must be nonnegative")
     p = config.p_pos
-    # an unbounded variant's law ignores any saturation levels its config holds
-    delta_p, delta_d = (config.delta_p, config.delta_d) if config.is_bounded else (None, None)
 
     def invert(gains: np.ndarray, delta: float | None) -> float:
         # beyond a saturation level delta the kernel exceeds delta^p |x| / (p+1),
@@ -781,7 +779,7 @@ def state_bounds_from_energy(config: ControllerConfig, params_l: RobotParams,
 
     vel_caps = tuple(math.sqrt(2.0 * budget / params.bounds.inertia_min)
                      for params in (params_l, params_r))
-    theta_caps = (tuple(invert(config.k_c[side], delta_d) for side in (LOCAL, REMOTE))
+    theta_caps = (tuple(invert(config.k_c[side], config.delta_d) for side in (LOCAL, REMOTE))
                   if config.has_virtual_state else None)
-    return {"err_norm": invert(config.k_s, delta_p), "vel_norm": vel_caps,
+    return {"err_norm": invert(config.k_s, config.delta_p), "vel_norm": vel_caps,
             "theta_err_norm": theta_caps}

@@ -89,10 +89,10 @@ class ControllerConfig:
     k_s is the shared inter-robot stiffness (per joint). d_s (C1/C3), k_c and
     d_c (C2/C4) are per-robot per-joint arrays with rows (local, remote).
     delta_p / delta_d are the saturation levels of the proportional and
-    damping channels (C3/C4 only). Gains may be given as scalars, per-joint
-    vectors or (2, n) pairs; they are normalized and checked on
-    construction, also by dataclasses.replace, and a bad value raises
-    ValueError.
+    damping channels (C3/C4 only; C1/C2 reject them). Gains may be given as
+    scalars, per-joint vectors or (2, n) pairs; they are normalized and
+    checked on construction, also by dataclasses.replace, and a bad value
+    raises ValueError.
     """
 
     variant: str
@@ -132,6 +132,8 @@ class ControllerConfig:
                 raise ValueError(f"{self.variant} requires saturation levels delta_p and delta_d")
             if not (self.delta_p > 0 and self.delta_d > 0):
                 raise ValueError("saturation levels must be positive")
+        elif self.delta_p is not None or self.delta_d is not None:
+            raise ValueError("delta_p and delta_d apply to C3/C4 only")
 
     @classmethod
     def build(cls, variant, n, weights, k_s, d_s=None, k_c=None, d_c=None,

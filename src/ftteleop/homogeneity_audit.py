@@ -115,10 +115,16 @@ def _dilations(spec: HomogeneitySpec, points: np.ndarray) -> np.ndarray:
 
 
 def _field_inputs(config: ControllerConfig, params_l, params_r, q_c):
-    """q_c as n floats (ValueError unless it holds n finite entries), the law and the arms."""
+    """q_c as n floats, the law and the arms.
+
+    Raises ValueError unless q_c holds n finite entries whose link angles
+    and their differences stay finite too.
+    """
     q_c = np.asarray(q_c, float)
-    if q_c.size != config.n or not np.all(np.isfinite(q_c)):
-        raise ValueError("q_c must have n finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the widest angle difference is finite only if every entry and angle is
+        if q_c.size != config.n or not np.isfinite(np.ptp(link_angles(q_c.ravel()))):
+            raise ValueError("q_c must have n finite entries")
     return q_c.reshape(config.n), stack_laws([config]), stack_arm_arrays([(params_l, params_r)])
 
 

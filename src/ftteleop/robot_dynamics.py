@@ -23,6 +23,8 @@ eigenvalue bounds and the Coriolis quadratic-growth constant are estimated
 once per parameter set by dense sampling with a safety margin. M and C read
 the angles only through phi_a - phi_b = q_{b+1} + ... + q_a, so they are
 invariant in q_1 and the samples cover the relative angles q_2..q_n alone.
+The growth constant is the exact maximum over the samples, but the forms
+are decomposed only at samples whose Frobenius-norm ceiling reaches it.
 """
 
 from __future__ import annotations
@@ -332,19 +334,40 @@ def energies(params: RobotParams, state: RobotState) -> tuple[float, float]:
 # --- sampled bounds -------------------------------------------------------
 
 
-def _coriolis_growth(arm: ArmArrays, phi: np.ndarray) -> np.ndarray:
-    """Per-sample bound on ||C(q, v) v|| / ||v||^2.
+def _growth_sums(arm: ArmArrays, phi: np.ndarray) -> np.ndarray:
+    """t[k, m] = sum over a >= k and b >= m of S_ab.
 
     [C(q, v) v]_k is the quadratic form v^T G_k v with the symmetric
-    G_k = L^T diag(sum_{a>=k} S_a.) L; the bound is the root sum of squares
-    of their spectral radii.
+    G_k = L^T diag(sum_{a>=k} S_a.) L, whose entries are
+    (G_k)_ij = t[k, max(i, j)].
     """
     d = _suffix_sum(_coriolis_factor(arm, _differences(phi)), -2)   # d[k] = sum_{a>=k} S_a.
-    n = phi.shape[-1]
-    # (L^T diag(d_k) L)_ij = sum over a >= max(i, j) of d_k[a]
-    forms = _suffix_sum(d, -1)[..., np.maximum.outer(np.arange(n), np.arange(n))]
+    return _suffix_sum(d, -1)
+
+
+def _spectral_growth(t: np.ndarray) -> np.ndarray:
+    """Per-sample bound on ||C(q, v) v|| / ||v||^2 from the growth sums: the
+    root sum of squares of the spectral radii of the forms G_k."""
+    n = t.shape[-1]
+    forms = t[..., np.maximum.outer(np.arange(n), np.arange(n))]
     radii = np.max(np.abs(np.linalg.eigvalsh(forms)), axis=-1)
     return np.sqrt(np.sum(radii**2, axis=-1))
+
+
+def _coriolis_growth(arm: ArmArrays, phi: np.ndarray) -> np.ndarray:
+    """Per-sample bound on ||C(q, v) v|| / ||v||^2 at the link angles phi,
+    every form decomposed: the reference for the pruned maximum."""
+    return _spectral_growth(_growth_sums(arm, phi))
+
+
+def _growth_ceiling(t: np.ndarray) -> np.ndarray:
+    """Per-sample upper bound on _spectral_growth(t) without a decomposition.
+
+    A spectral radius is at most the Frobenius norm, and t[k, m] fills the
+    2m + 1 entries of G_k whose larger index is m, so
+    ||G_k||_F^2 = sum_m (2m + 1) t[k, m]^2.
+    """
+    return np.sqrt(np.einsum("...km,m->...", t * t, 2.0 * np.arange(t.shape[-1]) + 1.0))
 
 
 def _configuration_grid(n: int, target: int) -> np.ndarray:
@@ -368,6 +391,11 @@ def derive_bounds(params: RobotParams) -> DerivedBounds:
     grid covers the reachable set. Sampled extremes carry a x1.05 margin
     (skipped when the inertia is configuration-independent, e.g. a single
     pendulum's).
+
+    The growth is the exact maximum of _coriolis_growth over the grid. The
+    inertia matrices of all samples are decomposed, but the Coriolis forms
+    only of the samples whose _growth_ceiling reaches the running maximum:
+    no other sample can raise it.
     """
     grid = _configuration_grid(params.n, _BOUND_GRID_TARGET)
     chunk = 2048
@@ -378,7 +406,13 @@ def derive_bounds(params: RobotParams) -> DerivedBounds:
         eigs = np.linalg.eigvalsh(inertia_kernel(arm, phi))
         lam_min = min(lam_min, float(eigs[:, 0].min()))
         lam_max = max(lam_max, float(eigs[:, -1].max()))
-        growth_max = max(growth_max, float(_coriolis_growth(arm, phi).max()))
+        # only a sample whose ceiling reaches the running maximum can raise it;
+        # the slack covers rounding where the ceiling is exact (rank-1 forms)
+        t = _growth_sums(arm, phi)
+        ceiling = _growth_ceiling(t)
+        growth_max = float(_spectral_growth(t[[ceiling.argmax()]]).max(initial=growth_max))
+        reach = t[ceiling >= growth_max * (1.0 - 1e-9)]
+        growth_max = float(_spectral_growth(reach).max(initial=growth_max))
 
     if lam_max - lam_min < 1e-12 * lam_max:
         inertia_min = inertia_max = lam_max

@@ -436,6 +436,16 @@ class TestConfigValidation:
             ft.ControllerConfig.build(variant="C3", n=2, weights=(1.5, 1.0),
                                       k_s=6.0, d_s=8.0)
 
+    @pytest.mark.parametrize("variant", ["C1", "C2"])
+    @pytest.mark.parametrize("levels", [dict(delta_p=0.2, delta_d=0.5), dict(delta_p=0.2),
+                                        dict(delta_d=0.5)], ids=["both", "delta_p", "delta_d"])
+    def test_unbounded_rejects_levels(self, variant, levels):
+        # the unbounded laws would ignore them
+        with pytest.raises(ValueError, match=r"^delta_p and delta_d apply to C3/C4 only$"):
+            _config(variant, **levels)
+        with pytest.raises(ValueError, match=r"^delta_p and delta_d apply to C3/C4 only$"):
+            replace(_config(variant), **levels)
+
     def test_per_robot_gains(self):
         config = ft.ControllerConfig.build(
             variant="C1", n=2, weights=(1.5, 1.0), k_s=[6.0, 5.0],

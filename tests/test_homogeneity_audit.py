@@ -181,8 +181,12 @@ class TestFieldComposition:
 
 
 class TestConsensusPosition:
-    @pytest.mark.parametrize("q_c", [[np.nan, 0.0], [np.inf, 0.0], [1.15, -0.05, 0.0]],
-                             ids=["nan", "inf", "length"])
+    # finite entries whose link angle q_1 + q_2 overflows are rejected before
+    # any overflow warning
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("q_c", [[np.nan, 0.0], [np.inf, 0.0], [1.15, -0.05, 0.0],
+                                     [1e308, 1e308]],
+                             ids=["nan", "inf", "length", "angle-overflow"])
     @pytest.mark.parametrize("audit", ["homogeneous_field", "full_field", "vanishing_sweep"])
     def test_invalid_q_c_is_a_named_problem(self, audit, q_c):
         params, config = _params(), _config("C2")

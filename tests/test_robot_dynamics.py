@@ -382,6 +382,36 @@ class TestDeriveBounds:
             [eigs[:, 0].min() / inertia_margin, eigs[:, -1].max() * inertia_margin,
              growth * margin], rtol=1e-14)
 
+    @pytest.mark.parametrize("chain", [(n, [n, 3]) for n in range(1, 8)] + [(6, 6)],
+                             ids=[f"n{n}" for n in range(1, 8)] + ["bench-six-link"])
+    def test_pruned_growth_is_the_grid_maximum(self, chain):
+        # the bound decomposes only the forms whose ceiling reaches the
+        # running maximum; it must equal the maximum over every sample
+        n, seed = chain
+        params = ft.RobotParams(**random_chain(np.random.default_rng(seed), n))
+        phi = robot_dynamics.link_angles(
+            robot_dynamics._configuration_grid(n, robot_dynamics._BOUND_GRID_TARGET))
+        growth = robot_dynamics._coriolis_growth(params.arm, phi)
+        assert params.bounds.coriolis_gain == growth.max() * robot_dynamics._BOUND_MARGIN
+        sums = robot_dynamics._growth_sums(params.arm, phi)
+        assert np.all(robot_dynamics._growth_ceiling(sums) >= growth)
+        # a chunk may hold no sample that reaches the running maximum
+        assert robot_dynamics._spectral_growth(sums[:0]).shape == (0,)
+
+    def test_six_link_build_decomposes_few_coriolis_forms(self, monkeypatch):
+        eigvalsh, matrices = np.linalg.eigvalsh, []
+
+        def counting(a):
+            matrices.append(np.prod(np.shape(a)[:-2], dtype=int))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        ft.RobotParams(**random_chain(np.random.default_rng(6), 6))
+        samples = robot_dynamics._configuration_grid(6, robot_dynamics._BOUND_GRID_TARGET).shape[0]
+        # every sample's inertia matrix, then n Coriolis forms per decomposed sample
+        forms = sum(matrices) - samples
+        assert 0 < forms < 0.05 * 6 * samples
+
     def test_six_link_bounds_hold_at_random_configurations(self):
         # the benchmark's fixed 6-link chain: 5 grid points per joint, an odd
         # count, so the grid holds q = 0 only because it is shifted there

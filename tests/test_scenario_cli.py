@@ -279,6 +279,11 @@ class TestCli:
         assert "[robot.local] invalid robot parameters: masses must be finite" \
             in capsys.readouterr().err
 
+    def test_levels_on_unbounded_variant_exit_code(self, tmp_path, capsys):
+        bad = _write(tmp_path, FAST_SCENARIO.replace("d_s = 8.0", "d_s = 8.0\ndelta_p = 0.2"))
+        assert run_command(["validate", bad, "--out", str(tmp_path)]) == 3
+        assert "[controller] delta_p and delta_d apply to C3/C4 only" in capsys.readouterr().err
+
     def test_unstable_exit_code(self, tmp_path, capsys):
         text = FAST_SCENARIO.replace("k_s = 6.0", "k_s = 1e9")
         text = text.replace("dt = 1e-3", "dt = 1e-2")
