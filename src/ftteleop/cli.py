@@ -13,6 +13,7 @@ scenario or flag, 4 simulation instability.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -213,6 +214,7 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)   # parsing does not change the parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ftteleop",

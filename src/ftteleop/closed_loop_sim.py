@@ -142,7 +142,8 @@ class TeleopState:
     def __post_init__(self):
         if self.local.q.size != self.remote.q.size:
             raise ValueError("local and remote joint counts differ")
-        if self.ctrl is not None and self.ctrl.theta_l.size != self.local.q.size:
+        if self.ctrl is not None and not (
+                self.ctrl.theta_l.size == self.ctrl.theta_r.size == self.local.q.size):
             raise ValueError("controller state dimension mismatch")
 
 
@@ -357,6 +358,7 @@ class _Batch:
     def __init__(self, arms, law, forces, labels, order):
         self.arms, self.law, self.forces, self.labels = arms, law, forces, list(labels)
         self.order = np.asarray(order)   # each member's input position
+        self.free = all(v is None for v in forces)   # no member has a force profile
 
     @classmethod
     def of(cls, scenarios, order) -> "_Batch":
@@ -385,7 +387,8 @@ class _Batch:
                     "reduce dt or soften the gains")
 
     def rhs(self, t: float, x: np.ndarray, q_seen: np.ndarray | None = None):
-        """dx/dt at (t, x), plus the torques (net of gravity) and forces used.
+        """dx/dt at (t, x), plus the torques (net of gravity) and forces used
+        (None when no member has a force profile).
 
         ``q_seen`` is the exchanged position each side receives; by default
         the other side's current one.
@@ -393,11 +396,13 @@ class _Batch:
         q, qdot = x[:, 0], x[:, 1]
         tau, theta_dot = control_law(self.law, q, qdot, x[:, 2] if self.law.virtual else None,
                                      q[:, ::-1] if q_seen is None else q_seen)
-        f = _force(self.forces, t, q, qdot)
+        f = None if self.free else _force(self.forces, t, q, qdot)
+        link = link_angles(x[:, :2])   # phi and omega
         dx = np.empty_like(x)
         dx[:, 0] = qdot
         try:
-            dx[:, 1] = acceleration_kernel(self.arms, link_angles(q), qdot, tau + f)
+            dx[:, 1] = acceleration_kernel(self.arms, link[:, 0], link[:, 1],
+                                           tau if f is None else tau + f)
         except np.linalg.LinAlgError:
             self.check_finite(x, t)
             raise
@@ -541,9 +546,11 @@ class _Cohort:
         self.tau, self.f = np.zeros(rows + (2, n)), np.zeros(rows + (2, n))
 
     def record(self, row: int, t: float, x, tau, f) -> None:
+        """Record one step; f None (free motion) leaves the zero force rows."""
         self.t[row] = t
         for out, value in ((self.x, x), (self.tau, tau), (self.f, f)):
-            out[row] = value[self.cols]
+            if value is not None:
+                out[row] = value[self.cols]
 
     def traces(self, members: "_Batch", dt: float) -> list[SimTrace]:
         law = members.law
@@ -764,7 +771,7 @@ def state_bounds_from_energy(config: ControllerConfig, params_l: RobotParams,
     the corresponding coordinate. Returns the error-norm cap, per-robot
     velocity-norm caps, and virtual-mismatch-norm caps (C2/C4 only).
     """
-    if budget < 0:
+    if not budget >= 0:   # NaN fails every comparison
         raise ValueError("energy budget must be nonnegative")
     p = config.p_pos
 

@@ -187,35 +187,35 @@ class ControlAction:
 class StackedLaw(NamedTuple):
     """Gains of B controller configs of one joint count, stacked for the kernels.
 
-    Gains, exponents and saturation levels are (B, 2, n) with rows (local,
-    remote), except the shared k_s, which is (B, 1, n). The saturation
-    levels are infinite for the unbounded variants.
-    ``damping`` is d_s for the members that damp through the measured
-    velocity (C1/C3) and k_c for those that damp through theta (C2/C4).
-    ``virtual_mask`` is the (B, 1, 1) mask of the C2/C4 members, and
-    ``p_damp`` the exponent of each member's damping channel: p_vel on qdot,
-    or p_pos on the mismatch theta - q. ``d_c`` and ``speed`` =
-    (k_c / d_c)^(1 / p_vel), the virtual-state rate gain, are None when no
-    member holds theta; otherwise the C1/C3 members get d_c = speed = 0, so
-    their theta stays where it starts.
+    ``exponents``, ``levels`` and ``gains`` are (B, c, 2, n) with rows (local,
+    remote), one slot per channel: proportional on q - q_seen, damping on
+    qdot (C1/C3) or theta - q (C2/C4) and, if some member holds theta
+    (c = 3), the theta rate on theta - q. The gains are signed (-k_s; -d_s or
+    +k_c; -speed with speed = (k_c / d_c)^(1 / p_vel)). The saturation levels
+    are infinite for the unbounded members, and ``levels`` is None when no
+    member is bounded. ``k_s`` (B, 1, n) and ``damping`` (B, 2, n: d_s or k_c)
+    are the unsigned gains of the energy terms, ``virtual_mask`` the (B, 1, 1)
+    mask of the C2/C4 members. ``d_c`` is None when no member holds theta;
+    otherwise the C1/C3 members get d_c = speed = 0, so their theta stays.
     """
 
+    exponents: np.ndarray
+    levels: np.ndarray | None
+    gains: np.ndarray
     k_s: np.ndarray
     damping: np.ndarray
     d_c: np.ndarray | None
-    speed: np.ndarray | None
-    p_pos: np.ndarray
     p_vel: np.ndarray
-    p_theta: np.ndarray
-    p_damp: np.ndarray
-    delta_p: np.ndarray
-    delta_d: np.ndarray
     virtual_mask: np.ndarray
 
     @property
     def virtual(self) -> bool:
         """Whether the stack holds theta (some member is C2/C4)."""
         return self.d_c is not None
+
+    def level(self, slot: int) -> np.ndarray | None:
+        """Saturation levels of one channel slot (None: no member is bounded)."""
+        return None if self.levels is None else self.levels[:, slot]
 
 
 def stack_laws(configs) -> StackedLaw:
@@ -224,37 +224,36 @@ def stack_laws(configs) -> StackedLaw:
     if any(c.n != first.n for c in configs):
         raise ValueError("stacked configs must share the joint count")
     mask = np.array([c.has_virtual_state for c in configs])[:, None, None]
-    zeros = np.zeros((2, first.n))
+    slots, shape, zeros = (3 if mask.any() else 2), (2, first.n), np.zeros((2, first.n))
 
-    def per_member(get):
-        # full (B, 2, n) exponents: numpy's power takes another code path for
-        # a broadcast exponent, which would make results depend on B
-        return np.repeat(np.array([get(c) for c in configs], dtype=float), 2 * first.n) \
-            .reshape(len(configs), 2, first.n)
+    def stacked(channels, count=slots):
+        # full arrays: numpy's power takes another code path for a broadcast
+        # exponent, which would make results depend on B
+        out = np.empty((len(configs), count) + shape)
+        for member, c in zip(out, configs):
+            for row, value in zip(member, channels(c)):
+                row[...] = value
+        return out
 
-    def theta_gain(get):
-        if not mask.any():
-            return None
-        return np.array([get(c) if c.has_virtual_state else zeros for c in configs])
-
-    p_pos, p_vel = per_member(lambda c: c.p_pos), per_member(lambda c: c.p_vel)
+    bounded = any(c.is_bounded for c in configs)
     return StackedLaw(
+        exponents=stacked(lambda c: (c.p_pos, c.p_pos if c.has_virtual_state else c.p_vel,
+                                     c.weights.theta_exponent)),
+        levels=stacked(lambda c: (c.delta_p, c.delta_d, c.delta_d) if c.is_bounded
+                       else (np.inf,) * 3) if bounded else None,
+        gains=stacked(lambda c: (-c.k_s, c.k_c, -(c.k_c / c.d_c) ** (1.0 / c.p_vel))
+                      if c.has_virtual_state else (-c.k_s, -c.d_s, zeros)),
         k_s=np.array([c.k_s for c in configs])[:, None, :],
         damping=np.array([c.k_c if c.has_virtual_state else c.d_s for c in configs]),
-        d_c=theta_gain(lambda c: c.d_c),
-        speed=theta_gain(lambda c: (c.k_c / c.d_c) ** (1.0 / c.p_vel)),
-        p_pos=p_pos,
-        p_vel=p_vel,
-        p_theta=per_member(lambda c: c.weights.theta_exponent),
-        p_damp=np.where(mask, p_pos, p_vel),
-        delta_p=per_member(lambda c: c.delta_p if c.is_bounded else np.inf),
-        delta_d=per_member(lambda c: c.delta_d if c.is_bounded else np.inf),
+        d_c=(np.array([c.d_c if c.has_virtual_state else zeros for c in configs])
+             if slots == 3 else None),
+        p_vel=stacked(lambda c: (c.p_vel,), 1)[:, 0],
         virtual_mask=mask,
     )
 
 
 def _theta_rate(law: StackedLaw, theta_err: np.ndarray) -> np.ndarray:
-    return -law.speed * channel(theta_err, law.p_theta, law.delta_d)
+    return law.gains[:, 2] * channel(theta_err, law.exponents[:, 2], law.level(2))
 
 
 def control_law(law: StackedLaw, q, qdot, theta, q_seen):
@@ -263,18 +262,20 @@ def control_law(law: StackedLaw, q, qdot, theta, q_seen):
     ``q_seen`` holds, per side, the other robot's position as this side
     receives it (q with its rows swapped when nothing delays the exchange).
     The applied torque adds each robot's own gravity torque, cancelled exactly.
-    When the stack holds theta, its C1/C3 members damp through qdot and get
-    a zero theta rate; since the channel is odd, their damping term is that of
-    -qdot with the sign flipped, which gives each member the torque its
-    variant gives alone, to the bit.
+    Every channel is evaluated in one pass over a (B, c, 2, n) argument
+    array. When the stack holds theta, its C1/C3 members damp through qdot
+    and get a zero theta rate. Negating a gain negates its term exactly, so
+    each member gets the torque its variant gives alone, to the bit.
     """
-    prop = law.k_s * channel(q - q_seen, law.p_pos, law.delta_p)
-    if not law.virtual:
-        return -prop - law.damping * channel(qdot, law.p_damp, law.delta_d), None
-    theta_err = theta - q
-    damped = np.where(law.virtual_mask, theta_err, -qdot)
-    tau = -prop + law.damping * channel(damped, law.p_damp, law.delta_d)
-    return tau, _theta_rate(law, theta_err)
+    arg = np.empty((len(q),) + law.gains.shape[1:])
+    np.subtract(q, q_seen, out=arg[:, 0])
+    if law.virtual:
+        np.subtract(theta, q, out=arg[:, 2])
+        arg[:, 1] = np.where(law.virtual_mask, arg[:, 2], qdot)
+    else:
+        arg[:, 1] = qdot
+    term = law.gains * channel(arg, law.exponents, law.levels)
+    return term[:, 0] + term[:, 1], term[:, 2] if law.virtual else None
 
 
 def law_potential(law: StackedLaw, q, theta=None) -> np.ndarray:
@@ -284,10 +285,11 @@ def law_potential(law: StackedLaw, q, theta=None) -> np.ndarray:
     mismatch); its error gradient is minus the proportional torque term.
     """
     err = q[..., :1, :] - q[..., 1:, :]
-    value = np.sum(law.k_s * channel_integral(err, law.p_pos[:, :1], law.delta_p[:, :1]),
+    delta_p = None if law.levels is None else law.levels[:, 0, :1]
+    value = np.sum(law.k_s * channel_integral(err, law.exponents[:, 0, :1], delta_p),
                    axis=(-2, -1))
     if law.virtual:
-        virtual = law.damping * channel_integral(theta - q, law.p_pos, law.delta_d)
+        virtual = law.damping * channel_integral(theta - q, law.exponents[:, 0], law.level(1))
         value = value + np.sum(np.where(law.virtual_mask, virtual, 0.0), axis=(-2, -1))
     return value
 
@@ -300,7 +302,7 @@ def law_dissipation(law: StackedLaw, q, qdot, theta=None) -> np.ndarray:
     virtual-state velocities; saturation only slows the decay, it never
     changes its sign.
     """
-    power = law.damping * qdot * channel(qdot, law.p_vel, law.delta_d)
+    power = law.damping * qdot * channel(qdot, law.p_vel, law.level(1))
     if law.virtual:
         rate = law.d_c * np.abs(_theta_rate(law, theta - q)) ** (law.p_vel + 1.0)
         power = np.where(law.virtual_mask, rate, power)

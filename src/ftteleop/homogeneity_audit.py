@@ -20,6 +20,8 @@ evaluated in one call of the engine's kernels.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -76,9 +78,14 @@ class HomogeneitySpec:
     def __post_init__(self):
         object.__setattr__(self, "weights", np.asarray(self.weights, float))
         object.__setattr__(self, "eps_grid", np.asarray(self.eps_grid, float))
-        if np.any(self.weights <= 0):
+        if not np.all(self.weights > 0):   # NaN fails every comparison
             raise ValueError("weights must be positive")
-        if np.any(self.eps_grid <= 0) or np.any(np.diff(self.eps_grid) >= 0):
+        if not math.isfinite(self.degree):
+            raise ValueError(f"degree must be finite, got {self.degree!r}")
+        if (isinstance(self.samples, bool) or not isinstance(self.samples, numbers.Integral)
+                or self.samples < 1):
+            raise ValueError(f"samples must be a positive integer, got {self.samples!r}")
+        if not (np.all(self.eps_grid > 0) and np.all(np.diff(self.eps_grid) < 0)):
             raise ValueError("eps grid must be strictly decreasing positive reals")
 
     @classmethod
@@ -162,8 +169,7 @@ def homogeneous_field(config: ControllerConfig, params_l: RobotParams,
     n finite entries, else ValueError.
     """
     q_c, law, arms = _field_inputs(config, params_l, params_r, q_c)
-    law = law._replace(delta_p=np.full_like(law.delta_p, np.inf),
-                       delta_d=np.full_like(law.delta_d, np.inf))
+    law = law._replace(levels=None)
     inv = np.linalg.inv(inertia_kernel(arms, link_angles(q_c)))
     if not np.all(np.isfinite(inv)):
         raise SingularInertiaError("frozen inertia matrix is singular at the consensus position")
@@ -188,7 +194,7 @@ def full_field(config: ControllerConfig, params_l: RobotParams,
 
     def dynamics(q, qdot, theta):
         tau, theta_dot = control_law(law, q, qdot, theta, q[:, ::-1])
-        return acceleration_kernel(arms, link_angles(q), qdot, tau), theta_dot
+        return acceleration_kernel(arms, link_angles(q), link_angles(qdot), tau), theta_dot
 
     return _error_field(config, q_c, dynamics)
 

@@ -263,12 +263,13 @@ def gravity_kernel(arm: ArmArrays, phi: np.ndarray) -> np.ndarray:
     return _suffix_sum(arm.gravity * np.cos(phi), -1)
 
 
-def acceleration_kernel(arm: ArmArrays, phi: np.ndarray, qdot: np.ndarray,
+def acceleration_kernel(arm: ArmArrays, phi: np.ndarray, omega: np.ndarray,
                         u: np.ndarray) -> np.ndarray:
     """qdd solving M qdd = u - C(q, qd) qd for u the torque net of gravity,
-    so u = 0 at rest gives qdd = 0 exactly. Builds neither M nor C; raises
+    given the link angles phi = L q and the link rates omega = L qd, so
+    u = 0 at rest gives qdd = 0 exactly. Builds neither M nor C; raises
     np.linalg.LinAlgError if A is exactly singular."""
-    omega, diff = link_angles(qdot), _differences(phi)
+    diff = _differences(phi)
     rhs = u - np.add.reduce(_coriolis_factor(arm, diff) * (omega * omega)[..., None, :], -1)
     rhs[..., :-1] -= u[..., 1:]   # L^-T u
     acc = np.linalg.solve(_link_inertia(arm, diff), rhs[..., None])[..., 0]   # omega_dot
@@ -320,7 +321,7 @@ def forward_dynamics(params: RobotParams, state: RobotState, tau, f_ext=None) ->
     if f_ext is not None:
         u = u + _check_q(params, f_ext)
     try:
-        return acceleration_kernel(params.arm, phi, state.qdot, u)
+        return acceleration_kernel(params.arm, phi, link_angles(state.qdot), u)
     except np.linalg.LinAlgError as exc:
         raise SingularInertiaError("inertia matrix is singular") from exc
 

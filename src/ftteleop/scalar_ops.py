@@ -43,18 +43,19 @@ def _as_finite_array(name: str, x) -> np.ndarray:
     return arr
 
 
-def channel(x: np.ndarray, p, delta) -> np.ndarray:
-    """Signed power |x|^p sign(x), saturated at |x| = delta (inf: never).
+def channel(x: np.ndarray, p, delta=None) -> np.ndarray:
+    """Signed power |x|^p sign(x), saturated at |x| = delta (None or inf: never).
 
     Unchecked; p and delta broadcast against x.
     """
-    return np.copysign(np.minimum(np.abs(x), delta) ** p, x)
+    a = np.abs(x)
+    return np.copysign((a if delta is None else np.minimum(a, delta)) ** p, x)
 
 
-def channel_integral(x: np.ndarray, p, delta) -> np.ndarray:
+def channel_integral(x: np.ndarray, p, delta=None) -> np.ndarray:
     """Integral of the channel map from 0 to x. Unchecked."""
     a = np.abs(x)
-    m = np.minimum(a, delta)
+    m = a if delta is None else np.minimum(a, delta)
     return m ** (p + 1.0) / (p + 1.0) + m**p * (a - m)
 
 
@@ -66,7 +67,7 @@ def signed_pow(x, p: float):
     """
     p = _check_positive("p", p)
     arr = _as_finite_array("x", x)
-    out = channel(arr, p, np.inf)
+    out = channel(arr, p)
     return float(out) if arr.ndim == 0 else out
 
 

@@ -49,7 +49,7 @@ class TestStep:
         qdot = np.array([[state.local.qdot, state.remote.qdot]], dtype=float)
         tau, _ = control_law(stack_laws([config]), q, qdot, None, q[:, ::-1])
         acc = acceleration_kernel(stack_arm_arrays([(params, params)]), link_angles(q),
-                                  qdot, tau)[0]
+                                  link_angles(qdot), tau)[0]
         action = ft.control_action(config, params, params, state.local, state.remote)
         for side, robot, applied in ((0, state.local, action.tau_l),
                                      (1, state.remote, action.tau_r)):
@@ -152,6 +152,17 @@ class TestStep:
         for call in calls:
             with pytest.raises(ValueError, match="requires a ControllerState"):
                 call()
+
+
+class TestTeleopState:
+    @pytest.mark.parametrize("side", ["theta_l", "theta_r"])
+    def test_controller_state_must_match_the_joint_count(self, side):
+        # a 3-entry theta on a 2-joint C2 state is named before any step
+        s = _scenario("C2", horizon=0.1)
+        state = s.initial_state()
+        ctrl = replace(state.ctrl, **{side: np.zeros(3)})
+        with pytest.raises(ValueError, match="controller state dimension mismatch"):
+            replace(state, ctrl=ctrl)
 
 
 class TestScenarioValidation:
@@ -559,6 +570,24 @@ class TestRunBatch:
         assert ft.run_batch([]) == []
 
 
+class TestFreeMotion:
+    @pytest.mark.parametrize("integrator", ["euler", "rk4"])
+    def test_run_batch_evaluates_no_force(self, integrator):
+        # no member has a force profile: the force pass is skipped, f stays zero
+        scenarios = [_scenario(v, horizon=h, integrator=integrator)
+                     for v, h in (("C1", 0.05), ("C4", 0.03), ("C2", 0.05))]
+        force = closed_loop_sim._force
+        with mock.patch.object(closed_loop_sim, "_force", wraps=force) as counted:
+            traces = ft.run_batch(scenarios)
+            assert counted.call_count == 0
+            ft.run_batch([replace(scenarios[0], profile_r=_PULSE)])
+            assert counted.call_count > 0
+        for trace in traces:
+            assert trace.samples > 1
+            np.testing.assert_array_equal(trace.f_l, np.zeros_like(trace.q_l))
+            np.testing.assert_array_equal(trace.f_r, np.zeros_like(trace.q_r))
+
+
 class TestNetTorque:
     """The laws return the torque net of gravity: the steps evaluate no
     gravity, and the record adds it back once."""
@@ -801,6 +830,19 @@ class TestEnergyBounds:
         assert bounds["err_norm"] >= np.linalg.norm(scenario.q0_l - scenario.q0_r)
         assert bounds["vel_norm"][0] == 0.0 or bounds["vel_norm"][0] > 0.0
         assert bounds["theta_err_norm"] is not None
+
+    @pytest.mark.parametrize("budget", [-1.0, np.nan, -np.inf])
+    def test_rejects_a_negative_or_nan_budget(self, budget):
+        s = _scenario("C4", horizon=0.1)
+        with pytest.raises(ValueError, match="energy budget must be nonnegative"):
+            ft.state_bounds_from_energy(s.config, s.params_l, s.params_r, budget)
+
+    @pytest.mark.parametrize("variant", ["C1", "C4"])
+    def test_infinite_budget_gives_infinite_caps(self, variant):
+        s = _scenario(variant, horizon=0.1)
+        bounds = ft.state_bounds_from_energy(s.config, s.params_l, s.params_r, np.inf)
+        caps = [bounds["err_norm"], *bounds["vel_norm"], *(bounds["theta_err_norm"] or ())]
+        assert caps and all(cap == np.inf for cap in caps)
 
     def test_boundedness_under_passive_environment(self, c2_spring_run):
         trace = c2_spring_run.trace

@@ -7,7 +7,8 @@ import pytest
 
 import ftteleop as ft
 from ftteleop import controllers
-from ftteleop.controllers import LOCAL, REMOTE
+from ftteleop.controllers import LOCAL, REMOTE, VARIANTS
+from ftteleop.scalar_ops import channel
 
 from conftest import BENCHMARK
 
@@ -360,6 +361,93 @@ class TestMixedStack:
     def test_joint_counts_must_match(self):
         with pytest.raises(ValueError, match="joint count"):
             controllers.stack_laws([_config("C1"), _config("C2", n=3)])
+
+
+def _reference_law(configs, q, qdot, theta, q_seen, unbounded=False):
+    """The stacked law channel by channel, as the kernels evaluated it before
+    one pass over all channels: saturation levels are inf for the unbounded
+    members (and for all with ``unbounded``), and the C1/C3 members of a
+    stack that holds theta damp through -qdot with the unsigned gain."""
+    def member(get):
+        return np.array([np.broadcast_to(np.asarray(get(c), float), (2, c.n)) for c in configs])
+
+    def level(get):
+        return member(lambda c: get(c) if c.is_bounded and not unbounded else np.inf)
+
+    mask = np.array([c.has_virtual_state for c in configs])[:, None, None]
+    k_s = np.array([c.k_s for c in configs])[:, None, :]
+    damping = member(lambda c: c.k_c if c.has_virtual_state else c.d_s)
+    p_damp = member(lambda c: c.p_pos if c.has_virtual_state else c.p_vel)
+    delta_d = level(lambda c: c.delta_d)
+    prop = k_s * channel(q - q_seen, member(lambda c: c.p_pos), level(lambda c: c.delta_p))
+    if not mask.any():
+        return -prop - damping * channel(qdot, p_damp, delta_d), None
+    theta_err = theta - q
+    tau = -prop + damping * channel(np.where(mask, theta_err, -qdot), p_damp, delta_d)
+    speed = member(lambda c: (c.k_c / c.d_c) ** (1.0 / c.p_vel) if c.has_virtual_state
+                   else 0.0)
+    rate = -speed * channel(theta_err, member(lambda c: c.weights.theta_exponent), delta_d)
+    return tau, rate
+
+
+class TestFusedLaw:
+    """control_law equals the per-channel reference bit for bit."""
+
+    STACKS = [("C1",), ("C2",), ("C3",), ("C4",), ("C1", "C3"), ("C2", "C4"),
+              ("C1", "C2", "C3", "C4"), ("C4", "C1", "C1", "C3", "C2")]
+
+    @staticmethod
+    def _configs(variants, n):
+        rng = np.random.default_rng(n)
+        return [_config(v, n=n, k_s=rng.uniform(1, 9, n),
+                        **({"d_s": rng.uniform(0, 9, (2, n))} if v in ("C1", "C3") else
+                           {"k_c": rng.uniform(5, 30, (2, n)), "d_c": rng.uniform(1, 9, (2, n))}))
+                for v in variants]
+
+    @staticmethod
+    def _states(rng, size, n):
+        # wide enough to cross every saturation level, with exact zeros
+        q, qdot, theta, seen = (rng.normal(scale=1.5, size=(size, 2, n)) for _ in range(4))
+        qdot[0, 0] = 0.0
+        theta[-1] = q[-1]
+        return q, qdot, theta, seen
+
+    def _check(self, law, configs, q, qdot, theta, q_seen, unbounded=False):
+        theta = theta if law.virtual else None
+        tau, rate = controllers.control_law(law, q, qdot, theta, q_seen)
+        ref_tau, ref_rate = _reference_law(configs, q, qdot, theta, q_seen, unbounded)
+        assert np.array_equal(tau, ref_tau)
+        if ref_rate is None:
+            assert rate is None
+        else:
+            assert np.array_equal(rate, ref_rate)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("variants", STACKS, ids="-".join)
+    def test_mixed_stacks(self, variants, n):
+        configs = self._configs(variants, n)
+        law = controllers.stack_laws(configs)
+        assert (law.levels is None) == (not any(c.is_bounded for c in configs))
+        assert law.gains.shape == law.exponents.shape == (len(configs), 2 + law.virtual, 2, n)
+        q, qdot, theta, _ = self._states(np.random.default_rng([n, 3]), len(configs), n)
+        self._check(law, configs, q, qdot, theta, q[:, ::-1])
+
+    @pytest.mark.parametrize("variants", STACKS, ids="-".join)
+    def test_delayed_position(self, variants):
+        configs = self._configs(variants, 2)
+        q, qdot, theta, seen = self._states(np.random.default_rng(7), len(configs), 2)
+        self._check(controllers.stack_laws(configs), configs, q, qdot, theta, seen)
+
+    @pytest.mark.parametrize("unbounded", [False, True], ids=["law", "core"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_law_broadcast_over_states(self, variant, unbounded):
+        # the audit's case: one member's law on N states; its core drops the levels
+        configs = self._configs((variant,), 2)
+        law = controllers.stack_laws(configs)
+        if unbounded:
+            law = law._replace(levels=None)
+        q, qdot, theta, _ = self._states(np.random.default_rng(11), 257, 2)
+        self._check(law, configs, q, qdot, theta, q[:, ::-1], unbounded)
 
 
 class TestSaturationGate:

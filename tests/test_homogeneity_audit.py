@@ -58,6 +58,24 @@ class TestSpec:
         assert spec.degree == pytest.approx(-0.5)
         assert spec.weights.size == 8
 
+    @pytest.mark.parametrize("changes, problem", [
+        (dict(samples=0), "samples must be a positive integer"),
+        (dict(samples=-3), "samples must be a positive integer"),
+        (dict(samples=2.5), "samples must be a positive integer"),
+        (dict(samples=True), "samples must be a positive integer"),
+        (dict(degree=np.nan), "degree must be finite"),
+        (dict(degree=-np.inf), "degree must be finite"),
+        (dict(weights=[1.0, np.nan, 1.0, 1.0]), "weights must be positive"),
+        (dict(eps_grid=[1.0, np.nan, 0.1]), "eps grid must be strictly decreasing"),
+    ])
+    def test_rejects_bad_samples_degree_and_nan(self, changes, problem):
+        with pytest.raises(ValueError, match=problem):
+            HomogeneitySpec(**{"weights": np.ones(4), "degree": -0.5, **changes})
+
+    def test_accepts_a_numpy_integer_sample_count(self):
+        spec = HomogeneitySpec(weights=np.ones(1), degree=0.0, samples=np.int64(8))
+        assert ft.check_degree(lambda x: x, spec) == 0.0
+
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError, match="decreasing"):
             HomogeneitySpec(weights=np.ones(4), degree=-0.5,
