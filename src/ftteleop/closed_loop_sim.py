@@ -207,6 +207,8 @@ def _scenario_problems(params_l, params_r, config, initial, profiles, horizon, d
               and round(horizon / decimation) + 1 > _MAX_SAMPLES):
             problems.append(f"[simulation] the trace must hold at most {_MAX_SAMPLES} "
                             "samples (horizon / decimation + 1)")
+    if decimation is None:
+        problems.append("[simulation] decimation must be positive")
     # a longer step rounds the horizon to zero steps (a non-finite dt is reported above)
     if dt is not None and horizon is not None and 0 < horizon < dt < math.inf:
         problems.append("[simulation] dt must not exceed the horizon")
@@ -351,8 +353,10 @@ def _take(fields, members: slice):
 class _Batch:
     """The closed loop of B scenarios that share the joint count.
 
-    The state is one array x of shape (B, k, 2, n): q, qdot and, when some
-    member is C2/C4, theta (k = 3), each with rows (local, remote).
+    The state is one array x of shape (k, B, 2, n): q, qdot and, when some
+    member is C2/C4, theta (k = 3), each with rows (local, remote). With the
+    member axis second, each of them is one contiguous (B, 2, n) block, which
+    numpy's ufuncs run faster than a strided view.
     """
 
     def __init__(self, arms, law, forces, labels, order):
@@ -372,14 +376,14 @@ class _Batch:
 
     def take(self, members: slice) -> "_Batch":
         """The members in the slice ``members``."""
-        return _Batch(_take(self.arms, members), _take(self.law, members),
+        return _Batch(_take(self.arms, members), self.law.take(members),
                       _take(self.forces, members), self.labels[members], self.order[members])
 
     def check_finite(self, x: np.ndarray, t: float) -> None:
         """Raise SimulationUnstableError naming the member, first in input
-        order, whose slice of x (leading axis B) is not finite."""
+        order, whose slice of x (member axis second) is not finite."""
         if not math.isfinite(x.sum()):   # one reduction; scan only when it is not finite
-            bad = ~np.isfinite(x).reshape(len(x), -1).all(axis=1)
+            bad = ~np.isfinite(x).all(axis=(0, 2, 3))
             if bad.any():   # False when only the sum of a finite state overflowed
                 first = np.flatnonzero(bad)[np.argmin(self.order[bad])]
                 raise SimulationUnstableError(
@@ -393,21 +397,21 @@ class _Batch:
         ``q_seen`` is the exchanged position each side receives; by default
         the other side's current one.
         """
-        q, qdot = x[:, 0], x[:, 1]
-        tau, theta_dot = control_law(self.law, q, qdot, x[:, 2] if self.law.virtual else None,
+        q, qdot = x[0], x[1]
+        tau, theta_dot = control_law(self.law, q, qdot, x[2] if self.law.virtual else None,
                                      q[:, ::-1] if q_seen is None else q_seen)
         f = None if self.free else _force(self.forces, t, q, qdot)
-        link = link_angles(x[:, :2])   # phi and omega
+        link = link_angles(x[:2])   # phi and omega
         dx = np.empty_like(x)
-        dx[:, 0] = qdot
+        dx[0] = qdot
         try:
-            dx[:, 1] = acceleration_kernel(self.arms, link[:, 0], link[:, 1],
-                                           tau if f is None else tau + f)
+            dx[1] = acceleration_kernel(self.arms, link[0], link[1],
+                                        tau if f is None else tau + f)
         except np.linalg.LinAlgError:
             self.check_finite(x, t)
             raise
         if self.law.virtual:
-            dx[:, 2] = theta_dot
+            dx[2] = theta_dot
         return dx, tau, f
 
     def euler(self, t: float, x: np.ndarray, dx: np.ndarray, dt: float) -> np.ndarray:
@@ -433,7 +437,7 @@ def _advance(update, state, config, params_l, params_r, profiles, dt: float) -> 
     batch = _Batch(stack_arm_arrays([(params_l, params_r)]), law,
                    _stack_forces([profiles], config.n), ["step"], [0])
     dx = batch.rhs(state.time, x)[0]
-    return _teleop_state(update(batch, state.time, x, dx, dt)[0], state.time + dt)
+    return _teleop_state(update(batch, state.time, x, dx, dt)[:, 0], state.time + dt)
 
 
 def step(state: TeleopState, config: ControllerConfig, params_l: RobotParams,
@@ -535,22 +539,25 @@ class _Cohort:
     """The members of a group that share a step count, with their records:
     one row per recorded step, so a group's records hold its members' own
     samples, not B times the longest horizon. The members are the fixed
-    slice ``cols`` of the stacked state."""
+    slice ``cols`` of the stacked state. The force record exists only when
+    some member of the group has a force profile (``forced``)."""
 
-    def __init__(self, cols: slice, last: int, every: int, x_shape: tuple):
+    def __init__(self, cols: slice, last: int, every: int, k: int, n: int, forced: bool):
         self.cols, self.last = cols, last
         rows = (-(-last // every) + 1, cols.stop - cols.start)
-        n = x_shape[-1]
         self.t = np.zeros(rows[0])
-        self.x = np.zeros(rows + x_shape)
-        self.tau, self.f = np.zeros(rows + (2, n)), np.zeros(rows + (2, n))
+        self.x = np.zeros(rows + (k, 2, n))
+        self.tau = np.zeros(rows + (2, n))
+        self.f = np.zeros(rows + (2, n)) if forced else None
 
     def record(self, row: int, t: float, x, tau, f) -> None:
-        """Record one step; f None (free motion) leaves the zero force rows."""
+        """Record one step of the engine state x (k, B, 2, n); f is None
+        exactly when the group has no force record."""
         self.t[row] = t
-        for out, value in ((self.x, x), (self.tau, tau), (self.f, f)):
-            if value is not None:
-                out[row] = value[self.cols]
+        self.x[row] = x[:, self.cols].swapaxes(0, 1)
+        self.tau[row] = tau[self.cols]
+        if f is not None:
+            self.f[row] = f[self.cols]
 
     def traces(self, members: "_Batch", dt: float) -> list[SimTrace]:
         law = members.law
@@ -563,12 +570,13 @@ class _Cohort:
         if law.virtual:
             theta = np.where(law.virtual_mask, theta, np.nan)
         err_norm = np.linalg.norm(q[:, :, LOCAL] - q[:, :, REMOTE], axis=-1)
+        f = np.zeros_like(self.tau) if self.f is None else self.f   # free motion: zero forces
         return [
             SimTrace(t=self.t.copy(), q_l=q[:, b, LOCAL], q_r=q[:, b, REMOTE],
                      qd_l=qdot[:, b, LOCAL], qd_r=qdot[:, b, REMOTE],
                      th_l=theta[:, b, LOCAL], th_r=theta[:, b, REMOTE],
                      tau_l=tau[:, b, LOCAL], tau_r=tau[:, b, REMOTE],
-                     f_l=self.f[:, b, LOCAL], f_r=self.f[:, b, REMOTE],
+                     f_l=f[:, b, LOCAL], f_r=f[:, b, REMOTE],
                      err_norm=err_norm[:, b], energy=energy[:, b], dt=dt)
             for b in range(q.shape[1])
         ]
@@ -587,21 +595,21 @@ def _integrate(scenarios, integrator: str, dt: float, every: int,
     steps = [int(round(s.horizon / dt)) for s in scenarios]
     order = sorted(range(len(scenarios)), key=lambda i: -steps[i])   # stable
     batch = group = _Batch.of(scenarios, order)
-    x = np.array([_initial_array(scenarios[i], batch.law.virtual) for i in order])
+    x = np.stack([_initial_array(scenarios[i], batch.law.virtual) for i in order], axis=1)
     lasts = [steps[i] for i in order]
     cuts = [b for b in range(len(lasts)) if b == 0 or lasts[b] < lasts[b - 1]] + [len(lasts)]
-    cohorts = [_Cohort(slice(a, b), lasts[a], every, x.shape[1:])   # longest first
-               for a, b in zip(cuts, cuts[1:])]
+    cohorts = [_Cohort(slice(a, b), lasts[a], every, len(x), x.shape[-1], not batch.free)
+               for a, b in zip(cuts, cuts[1:])]   # longest first
     live = list(cohorts)
     # transport delay: ring buffer of the last delay_steps + 1 exchanged
     # positions; a delay past the horizon only ever reads the start positions
-    ring = (np.empty((min(delay_steps, cohorts[0].last) + 1,) + x[:, 0].shape)
+    ring = (np.empty((min(delay_steps, cohorts[0].last) + 1,) + x[0].shape)
             if delay_steps else None)
     t = 0.0
     for k in range(cohorts[0].last + 1):
         q_seen = None
         if ring is not None:
-            ring[k % len(ring)] = x[:, 0]
+            ring[k % len(ring)] = x[0]
             q_seen = ring[max(0, k - delay_steps) % len(ring)][:, ::-1]
         dx, tau, f = batch.rhs(t, x, q_seen)
         for cohort in live:
@@ -612,7 +620,7 @@ def _integrate(scenarios, integrator: str, dt: float, every: int,
             if not live:
                 break
             running = slice(live[-1].cols.stop)
-            x, dx, batch = x[running], dx[running], batch.take(running)
+            x, dx, batch = x[:, running], dx[:, running], batch.take(running)
             if ring is not None:
                 ring = ring[:, running]
         x = batch.rk4(t, x, dx, dt) if integrator == "rk4" else batch.euler(t, x, dx, dt)

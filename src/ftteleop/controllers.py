@@ -187,10 +187,11 @@ class ControlAction:
 class StackedLaw(NamedTuple):
     """Gains of B controller configs of one joint count, stacked for the kernels.
 
-    ``exponents``, ``levels`` and ``gains`` are (B, c, 2, n) with rows (local,
+    ``exponents``, ``levels`` and ``gains`` are (c, B, 2, n) with rows (local,
     remote), one slot per channel: proportional on q - q_seen, damping on
     qdot (C1/C3) or theta - q (C2/C4) and, if some member holds theta
-    (c = 3), the theta rate on theta - q. The gains are signed (-k_s; -d_s or
+    (c = 3), the theta rate on theta - q. The slot axis leads so that each
+    slot is one contiguous (B, 2, n) block. The gains are signed (-k_s; -d_s or
     +k_c; -speed with speed = (k_c / d_c)^(1 / p_vel)). The saturation levels
     are infinite for the unbounded members, and ``levels`` is None when no
     member is bounded. ``k_s`` (B, 1, n) and ``damping`` (B, 2, n: d_s or k_c)
@@ -215,7 +216,13 @@ class StackedLaw(NamedTuple):
 
     def level(self, slot: int) -> np.ndarray | None:
         """Saturation levels of one channel slot (None: no member is bounded)."""
-        return None if self.levels is None else self.levels[:, slot]
+        return None if self.levels is None else self.levels[slot]
+
+    def take(self, members: slice) -> "StackedLaw":
+        """The members in the slice ``members`` (None stays None); the first
+        three fields hold them on their second axis."""
+        return StackedLaw(*(None if v is None else v[:, members] if i < 3 else v[members]
+                            for i, v in enumerate(self)))
 
 
 def stack_laws(configs) -> StackedLaw:
@@ -229,9 +236,9 @@ def stack_laws(configs) -> StackedLaw:
     def stacked(channels, count=slots):
         # full arrays: numpy's power takes another code path for a broadcast
         # exponent, which would make results depend on B
-        out = np.empty((len(configs), count) + shape)
-        for member, c in zip(out, configs):
-            for row, value in zip(member, channels(c)):
+        out = np.empty((count, len(configs)) + shape)
+        for b, c in enumerate(configs):
+            for row, value in zip(out[:, b], channels(c)):
                 row[...] = value
         return out
 
@@ -247,13 +254,13 @@ def stack_laws(configs) -> StackedLaw:
         damping=np.array([c.k_c if c.has_virtual_state else c.d_s for c in configs]),
         d_c=(np.array([c.d_c if c.has_virtual_state else zeros for c in configs])
              if slots == 3 else None),
-        p_vel=stacked(lambda c: (c.p_vel,), 1)[:, 0],
+        p_vel=stacked(lambda c: (c.p_vel,), 1)[0],
         virtual_mask=mask,
     )
 
 
 def _theta_rate(law: StackedLaw, theta_err: np.ndarray) -> np.ndarray:
-    return law.gains[:, 2] * channel(theta_err, law.exponents[:, 2], law.level(2))
+    return law.gains[2] * channel(theta_err, law.exponents[2], law.level(2))
 
 
 def control_law(law: StackedLaw, q, qdot, theta, q_seen):
@@ -262,20 +269,20 @@ def control_law(law: StackedLaw, q, qdot, theta, q_seen):
     ``q_seen`` holds, per side, the other robot's position as this side
     receives it (q with its rows swapped when nothing delays the exchange).
     The applied torque adds each robot's own gravity torque, cancelled exactly.
-    Every channel is evaluated in one pass over a (B, c, 2, n) argument
-    array. When the stack holds theta, its C1/C3 members damp through qdot
-    and get a zero theta rate. Negating a gain negates its term exactly, so
-    each member gets the torque its variant gives alone, to the bit.
+    Every channel is evaluated in one pass over a (c, B, 2, n) argument
+    array, whose slots are contiguous blocks like the law's. When the stack
+    holds theta, its C1/C3 members damp through qdot and get a zero theta
+    rate. Negating a gain negates its term exactly, so each member gets the
+    torque its variant gives alone, to the bit.
     """
-    arg = np.empty((len(q),) + law.gains.shape[1:])
-    np.subtract(q, q_seen, out=arg[:, 0])
+    arg = np.empty((len(law.gains),) + q.shape)
+    np.subtract(q, q_seen, out=arg[0])
+    arg[1] = qdot
     if law.virtual:
-        np.subtract(theta, q, out=arg[:, 2])
-        arg[:, 1] = np.where(law.virtual_mask, arg[:, 2], qdot)
-    else:
-        arg[:, 1] = qdot
+        np.subtract(theta, q, out=arg[2])
+        np.copyto(arg[1], arg[2], where=law.virtual_mask)   # C2/C4 damp through theta - q
     term = law.gains * channel(arg, law.exponents, law.levels)
-    return term[:, 0] + term[:, 1], term[:, 2] if law.virtual else None
+    return term[0] + term[1], term[2] if law.virtual else None
 
 
 def law_potential(law: StackedLaw, q, theta=None) -> np.ndarray:
@@ -285,11 +292,11 @@ def law_potential(law: StackedLaw, q, theta=None) -> np.ndarray:
     mismatch); its error gradient is minus the proportional torque term.
     """
     err = q[..., :1, :] - q[..., 1:, :]
-    delta_p = None if law.levels is None else law.levels[:, 0, :1]
-    value = np.sum(law.k_s * channel_integral(err, law.exponents[:, 0, :1], delta_p),
+    delta_p = None if law.levels is None else law.levels[0, :, :1]
+    value = np.sum(law.k_s * channel_integral(err, law.exponents[0, :, :1], delta_p),
                    axis=(-2, -1))
     if law.virtual:
-        virtual = law.damping * channel_integral(theta - q, law.exponents[:, 0], law.level(1))
+        virtual = law.damping * channel_integral(theta - q, law.exponents[0], law.level(1))
         value = value + np.sum(np.where(law.virtual_mask, virtual, 0.0), axis=(-2, -1))
     return value
 
@@ -310,22 +317,22 @@ def law_dissipation(law: StackedLaw, q, qdot, theta=None) -> np.ndarray:
 
 
 def _stacked(config, state_l, state_r, ctrl):
-    """The law and the (1, k, 2, n) engine state: q, qdot and, for C2/C4,
+    """The law and the (k, 1, 2, n) engine state: q, qdot and, for C2/C4,
     theta, which needs a ControllerState (ValueError without one)."""
-    rows = [(state_l.q, state_r.q), (state_l.qdot, state_r.qdot)]
+    rows = [[(state_l.q, state_r.q)], [(state_l.qdot, state_r.qdot)]]
     if config.has_virtual_state:
         if ctrl is None:
             raise ValueError(f"{config.variant} requires a ControllerState")
-        rows.append((ctrl.theta_l, ctrl.theta_r))
-    return stack_laws([config]), np.array([rows], dtype=float)
+        rows.append([(ctrl.theta_l, ctrl.theta_r)])
+    return stack_laws([config]), np.array(rows, dtype=float)
 
 
 def control_action(config, params_l, params_r, state_l, state_r,
                    ctrl: ControllerState | None = None) -> ControlAction:
     """The configured variant's torques (and virtual-state rates)."""
     law, x = _stacked(config, state_l, state_r, ctrl)
-    q = x[:, 0]
-    tau, theta_dot = control_law(law, q, x[:, 1], x[:, 2] if law.virtual else None, q[:, ::-1])
+    q = x[0]
+    tau, theta_dot = control_law(law, q, x[1], x[2] if law.virtual else None, q[:, ::-1])
     tau = tau + gravity_kernel(stack_arm_arrays([(params_l, params_r)]), link_angles(q))
     theta_dot = () if theta_dot is None else (theta_dot[0, LOCAL], theta_dot[0, REMOTE])
     return ControlAction(tau[0, LOCAL], tau[0, REMOTE], *theta_dot)
@@ -335,14 +342,14 @@ def shaped_potential(config, state_l: RobotState, state_r: RobotState,
                      ctrl: ControllerState | None = None) -> float:
     """Designed potential energy of the shaped closed loop (see law_potential)."""
     law, x = _stacked(config, state_l, state_r, ctrl)
-    return float(law_potential(law, x[:, 0], x[:, 2] if law.virtual else None)[0])
+    return float(law_potential(law, x[0], x[2] if law.virtual else None)[0])
 
 
 def dissipation_rate(config, state_l: RobotState, state_r: RobotState,
                      ctrl: ControllerState | None = None) -> float:
     """Analytic decay rate of the total shaped energy (see law_dissipation)."""
     law, x = _stacked(config, state_l, state_r, ctrl)
-    return float(law_dissipation(law, x[:, 0], x[:, 1], x[:, 2] if law.virtual else None)[0])
+    return float(law_dissipation(law, x[0], x[1], x[2] if law.virtual else None)[0])
 
 
 @dataclass(frozen=True)

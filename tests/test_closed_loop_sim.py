@@ -182,11 +182,12 @@ class TestScenarioValidation:
         (dict(dt=np.inf), "dt must be finite"),
         (dict(decimation=np.nan), "dt must not exceed the decimation interval"),
         (dict(decimation=np.inf), "decimation must be finite"),
+        (dict(decimation=None), "decimation must be positive"),
         (dict(delay=np.nan), "delay must be nonnegative"),
         (dict(delay=np.inf), "delay must be finite"),
     ], ids=["horizon", "dt", "dt-above-decimation", "decimation-multiple", "integrator",
             "delay", "delay-integrator", "nan-horizon", "inf-horizon", "nan-dt", "inf-dt",
-            "nan-decimation", "inf-decimation", "nan-delay", "inf-delay"])
+            "nan-decimation", "inf-decimation", "none-decimation", "nan-delay", "inf-delay"])
     def test_replace_checks_each_rule(self, changes, problem):
         base = ft.read_bundled_scenario("c1_sim")   # dt 1e-4, decimation 1e-3
         with pytest.raises(ft.ScenarioError) as info:
@@ -568,6 +569,28 @@ class TestRunBatch:
 
     def test_empty_batch(self):
         assert ft.run_batch([]) == []
+
+    def test_heterogeneous_three_link_pair(self):
+        # two different 3-link arms, C1-C4 and three horizons in one group of 40
+        arm_l = ft.RobotParams(**random_chain(np.random.default_rng(31), 3))
+        arm_r = ft.RobotParams(**random_chain(np.random.default_rng(32), 3))
+        rng = np.random.default_rng(33)
+        scenarios = []
+        for i in range(40):
+            q0_l = rng.uniform(-1.0, 1.0, 3)
+            scenarios.append(ft.Scenario(
+                params_l=arm_l, params_r=arm_r, config=_config(f"C{i % 4 + 1}", n=3),
+                q0_l=q0_l, q0_r=q0_l + rng.uniform(-0.3, 0.3, 3),
+                qd0_l=rng.uniform(-0.3, 0.3, 3), qd0_r=rng.uniform(-0.3, 0.3, 3),
+                horizon=(0.05, 0.037, 0.02)[i % 3], dt=1e-3, decimation=5e-3,
+                label=f"m{i}"))
+        with mock.patch.object(closed_loop_sim, "_integrate",
+                               wraps=closed_loop_sim._integrate) as groups:
+            traces = ft.run_batch(scenarios)
+        assert groups.call_count == 1
+        for scenario, trace in zip(scenarios, traces):
+            assert trace.t[-1] == pytest.approx(scenario.horizon, abs=1e-12)
+            assert np.array_equal(trace.matrix(), ft.run(scenario).matrix(), equal_nan=True)
 
 
 class TestFreeMotion:

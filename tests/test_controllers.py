@@ -428,7 +428,7 @@ class TestFusedLaw:
         configs = self._configs(variants, n)
         law = controllers.stack_laws(configs)
         assert (law.levels is None) == (not any(c.is_bounded for c in configs))
-        assert law.gains.shape == law.exponents.shape == (len(configs), 2 + law.virtual, 2, n)
+        assert law.gains.shape == law.exponents.shape == (2 + law.virtual, len(configs), 2, n)
         q, qdot, theta, _ = self._states(np.random.default_rng([n, 3]), len(configs), n)
         self._check(law, configs, q, qdot, theta, q[:, ::-1])
 
