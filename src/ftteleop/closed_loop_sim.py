@@ -17,6 +17,7 @@ the passive-environment energy ledger.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -187,39 +188,45 @@ def _scenario_problems(params_l, params_r, config, initial, profiles, horizon, d
             if vec is not None and n is not None and vec.shape not in ((1,), (n,)):
                 problems.append(f"[forces.{side}] {name} must have 1 or {n} entries")
 
-    # NaN fails every comparison, so "not x > 0" also rejects it
-    if horizon is None or not horizon > 0:
-        problems.append("[simulation] horizon must be positive")
-    elif math.isinf(horizon):
-        problems.append("[simulation] horizon must be finite")
-    if dt is None or not dt > 0:
-        problems.append("[simulation] dt must be positive")
-    elif math.isinf(dt):
-        problems.append("[simulation] dt must be finite")
-    elif decimation is not None:
-        if not dt <= decimation:
-            problems.append("[simulation] dt must not exceed the decimation interval")
-        elif math.isinf(decimation):
-            problems.append("[simulation] decimation must be finite")
-        elif abs(decimation / dt - round(decimation / dt)) > 1e-9:
-            problems.append("[simulation] decimation must be an integer multiple of dt")
-        elif (horizon is not None and 0 < horizon < math.inf
-              and round(horizon / decimation) + 1 > _MAX_SAMPLES):
-            problems.append(f"[simulation] the trace must hold at most {_MAX_SAMPLES} "
-                            "samples (horizon / decimation + 1)")
-    if decimation is None:
-        problems.append("[simulation] decimation must be positive")
-    # a longer step rounds the horizon to zero steps (a non-finite dt is reported above)
-    if dt is not None and horizon is not None and 0 < horizon < dt < math.inf:
-        problems.append("[simulation] dt must not exceed the horizon")
     if integrator not in ("euler", "rk4"):
         problems.append("[simulation] integrator must be 'euler' or 'rk4'")
-    if delay is None or not delay >= 0:
-        problems.append("[simulation] delay must be nonnegative")
-    elif math.isinf(delay):
-        problems.append("[simulation] delay must be finite")
-    elif delay > 0 and integrator != "euler":
-        problems.append("[simulation] delay > 0 requires integrator = euler")
+    # a value that is not a number cannot be compared: name it and compare nothing
+    wrong = [f"[simulation] {key} must be a number" for key, value in
+             (("horizon", horizon), ("dt", dt), ("decimation", decimation), ("delay", delay))
+             if value is not None and not isinstance(value, numbers.Real)]
+    problems += wrong
+    if not wrong:
+        # NaN fails every comparison, so "not x > 0" also rejects it
+        if horizon is None or not horizon > 0:
+            problems.append("[simulation] horizon must be positive")
+        elif math.isinf(horizon):
+            problems.append("[simulation] horizon must be finite")
+        if dt is None or not dt > 0:
+            problems.append("[simulation] dt must be positive")
+        elif math.isinf(dt):
+            problems.append("[simulation] dt must be finite")
+        elif decimation is not None:
+            if not dt <= decimation:
+                problems.append("[simulation] dt must not exceed the decimation interval")
+            elif math.isinf(decimation):
+                problems.append("[simulation] decimation must be finite")
+            elif abs(decimation / dt - round(decimation / dt)) > 1e-9:
+                problems.append("[simulation] decimation must be an integer multiple of dt")
+            elif (horizon is not None and 0 < horizon < math.inf
+                  and round(horizon / decimation) + 1 > _MAX_SAMPLES):
+                problems.append(f"[simulation] the trace must hold at most {_MAX_SAMPLES} "
+                                "samples (horizon / decimation + 1)")
+        if decimation is None:
+            problems.append("[simulation] decimation must be positive")
+        # a longer step rounds the horizon to zero steps (a non-finite dt is reported above)
+        if dt is not None and horizon is not None and 0 < horizon < dt < math.inf:
+            problems.append("[simulation] dt must not exceed the horizon")
+        if delay is None or not delay >= 0:
+            problems.append("[simulation] delay must be nonnegative")
+        elif math.isinf(delay):
+            problems.append("[simulation] delay must be finite")
+        elif delay > 0 and integrator != "euler":
+            problems.append("[simulation] delay > 0 requires integrator = euler")
 
     # a bounded variant may claim its torque limits only if the gate passes
     if (config is not None and config.is_bounded and len(counts) == 2

@@ -15,7 +15,9 @@ evidence for the structure, not a proof.
 
 Both fields map stacks of error-coordinate states of shape (..., dim) to
 their time derivatives of the same shape, so every sample of an audit is
-evaluated in one call of the engine's kernels.
+evaluated in one call of the engine's kernels. Only `sphere_points` needs
+scipy: `scipy.stats` loads on its first call, not on import, so simulating,
+comparing and validating a scenario need numpy only.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import norm, qmc
 
 from .controllers import ControllerConfig, control_law, stack_laws
 from .robot_dynamics import (
@@ -107,6 +108,7 @@ def sphere_points(dim: int, count: int, seed: int = 0) -> np.ndarray:
     normalized; identical (dim, count, seed) always give the same set. The
     set is cached and returned read-only.
     """
+    from scipy.stats import norm, qmc   # here, so runs that never audit skip loading scipy
     sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
     m = int(np.ceil(np.log2(max(count, 2))))
     pts = sampler.random_base2(m)[:count]

@@ -1,10 +1,14 @@
 """Every exported name resolves, so no deleted function is still exported,
-every library name the benchmark reads still exists, and the engine builds
-no joint-space inertia matrix."""
+every library name the benchmark reads still exists, the engine builds no
+joint-space inertia matrix, and only the homogeneity audit loads scipy."""
 
 import ast
 import contextlib
 import importlib
+import json
+import os
+import subprocess
+import sys
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -112,3 +116,34 @@ def test_engine_and_full_field_build_no_joint_space_inertia():
         values = field(points)
     assert counted and all(c.call_count == 0 for c in counted)
     assert all(t.samples == 11 for t in traces) and np.isfinite(values).all()
+
+
+_IMPORT_CONTRACT = """
+import json, sys
+import numpy as np
+import ftteleop
+import ftteleop.cli
+out, path = sys.argv[1:]
+codes = [ftteleop.cli.run_command(argv) for argv in (
+    ["validate", "c1_sim"], ["simulate", path, "--out", out], ["compare", path, "--out", out])]
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+np.save(out + "/points.npy", ftteleop.sphere_points(4, 8, 0))
+print(json.dumps({"codes": codes, "scipy": before, "stats": "scipy.stats" in sys.modules}))
+"""
+
+
+def test_only_the_audit_loads_scipy(tmp_path):
+    # a fresh interpreter: importing the package and the CLI, validate,
+    # simulate and compare load no scipy module; the first sphere sample does
+    path = tmp_path / "short.cfg"
+    path.write_text(ft.dump_scenario(replace(ft.read_bundled_scenario("c1_sim"),
+                                             horizon=0.01)))
+    src = str(Path(ft.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", _IMPORT_CONTRACT, str(tmp_path), str(path)],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report == {"codes": [0, 0, 0], "scipy": [], "stats": True}
+    assert np.array_equal(np.load(tmp_path / "points.npy"), ft.sphere_points(4, 8, 0))

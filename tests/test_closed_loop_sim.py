@@ -185,9 +185,14 @@ class TestScenarioValidation:
         (dict(decimation=None), "decimation must be positive"),
         (dict(delay=np.nan), "delay must be nonnegative"),
         (dict(delay=np.inf), "delay must be finite"),
+        (dict(horizon="0.5"), "horizon must be a number"),
+        (dict(dt="0.5"), "dt must be a number"),
+        (dict(delay="0.5"), "delay must be a number"),
+        (dict(decimation="x"), "decimation must be a number"),
     ], ids=["horizon", "dt", "dt-above-decimation", "decimation-multiple", "integrator",
             "delay", "delay-integrator", "nan-horizon", "inf-horizon", "nan-dt", "inf-dt",
-            "nan-decimation", "inf-decimation", "none-decimation", "nan-delay", "inf-delay"])
+            "nan-decimation", "inf-decimation", "none-decimation", "nan-delay", "inf-delay",
+            "str-horizon", "str-dt", "str-delay", "str-decimation"])
     def test_replace_checks_each_rule(self, changes, problem):
         base = ft.read_bundled_scenario("c1_sim")   # dt 1e-4, decimation 1e-3
         with pytest.raises(ft.ScenarioError) as info:
@@ -653,25 +658,30 @@ class TestCheckFinite:
 
     def test_finite_state_whose_sum_overflows_passes(self):
         batch = self._batch(2, [0, 1])
-        x = np.full((2, 2, 2, 2), 1e308)
-        x[1, :, 1] = -1e308
+        x = np.full((2, 2, 2, 2), 1e308)   # (k, B, 2, n): q and q-dot of two members
+        x[:, 1, 1] = -1e308                 # every row of member 1's remote side
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite(x.sum())
             batch.check_finite(x, 0.25)
             batch.check_finite(np.abs(x), 0.25)
 
+    # each bad entry is (state row, stacked member, value); stacked members
+    # 0, 1, 2 are the input members m2, m0, m1
     @pytest.mark.parametrize("bad, first", [
-        ({0: np.nan, 2: np.inf}, "m1"),     # stacked members m2, m1
-        ({0: -np.inf, 1: np.nan}, "m0"),    # stacked members m2, m0
-        ({0: np.nan, 1: np.inf, 2: np.nan}, "m0"),
-        ({0: np.inf}, "m2"),
+        ([(0, 0, np.nan), (2, 2, np.inf)], "m1"),     # stacked members m2, m1
+        ([(0, 0, -np.inf), (1, 1, np.nan)], "m0"),    # stacked members m2, m0
+        ([(0, 0, np.nan), (1, 1, np.inf), (2, 2, np.nan)], "m0"),
+        ([(0, 0, np.inf)], "m2"),
+        # theta row of m2 and q-dot row of m1: reading the row axis as the
+        # member axis would name m0
+        ([(2, 0, np.nan), (1, 2, np.inf)], "m1"),
     ])
     def test_names_the_first_bad_member_in_input_order(self, bad, first):
         batch = self._batch(3, [2, 0, 1])
-        x = np.zeros((3, 3, 2, 2))
-        x[:, 1, 0, 0] = 1e308   # the sum would overflow without the bad entries
-        for member, value in bad.items():
-            x[member, member % 3, member % 2, 1] = value
+        x = np.zeros((3, 3, 2, 2))   # (k, B, 2, n): q, q-dot and theta of three members
+        x[1, :, 0, 0] = 1e308        # the sum would overflow without the bad entries
+        for row, member, value in bad:
+            x[row, member, member % 2, 1] = value
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ft.SimulationUnstableError) as info:
                 batch.check_finite(x, 0.25)
