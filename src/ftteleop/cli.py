@@ -161,6 +161,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_audit(args) -> int:
     cfg = _load(args)
+    if args.seed < 0:   # argparse already made it an int
+        raise ScenarioError([f"--seed must be a nonnegative integer, got {args.seed}"])
     if not cfg.config.weights.is_finite_time:
         print("audit requires a finite-time weight pair (r1 > r2)")
         return EXIT_CHECK_FAILED

@@ -65,6 +65,11 @@ def stacked_weights(config: ControllerConfig, n: int) -> np.ndarray:
     return np.array(w)
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class HomogeneitySpec:
     """Sampling plan for one audit: weights, claimed degree, sphere size and
@@ -79,15 +84,20 @@ class HomogeneitySpec:
     def __post_init__(self):
         object.__setattr__(self, "weights", np.asarray(self.weights, float))
         object.__setattr__(self, "eps_grid", np.asarray(self.eps_grid, float))
-        if not np.all(self.weights > 0):   # NaN fails every comparison
-            raise ValueError("weights must be positive")
+        for name, arr in (("weights", self.weights), ("eps grid", self.eps_grid)):
+            if arr.ndim != 1 or arr.size == 0:
+                raise ValueError(f"{name} must be a nonempty 1-D array, got shape {arr.shape}")
+        if not np.all((self.weights > 0) & np.isfinite(self.weights)):
+            raise ValueError("weights must be positive and finite")
         if not math.isfinite(self.degree):
             raise ValueError(f"degree must be finite, got {self.degree!r}")
-        if (isinstance(self.samples, bool) or not isinstance(self.samples, numbers.Integral)
-                or self.samples < 1):
+        if not _is_integer(self.samples) or self.samples < 1:
             raise ValueError(f"samples must be a positive integer, got {self.samples!r}")
-        if not (np.all(self.eps_grid > 0) and np.all(np.diff(self.eps_grid) < 0)):
-            raise ValueError("eps grid must be strictly decreasing positive reals")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not (np.all((self.eps_grid > 0) & np.isfinite(self.eps_grid))
+                and np.all(np.diff(self.eps_grid) < 0)):
+            raise ValueError("eps grid must be strictly decreasing positive finite reals")
 
     @classmethod
     def for_config(cls, config: ControllerConfig, n: int, samples: int = 256,
@@ -147,9 +157,12 @@ def _error_field(config: ControllerConfig, q_c, dynamics):
     returns the accelerations and the virtual-state rates (None for C1/C3).
     """
     k = 3 if config.has_virtual_state else 2
+    dim = 2 * k * config.n
 
     def field_fn(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float)
+        if x.shape[-1:] != (dim,):
+            raise ValueError(f"states must have last-axis length {dim}, got shape {x.shape}")
         blocks = x.reshape(-1, k, 2, config.n)
         q, qdot = blocks[:, 0] + q_c, blocks[:, 1]
         theta = blocks[:, 2] + q if k == 3 else None
@@ -172,13 +185,15 @@ def homogeneous_field(config: ControllerConfig, params_l: RobotParams,
     """
     q_c, law, arms = _field_inputs(config, params_l, params_r, q_c)
     law = law._replace(levels=None)
-    inv = np.linalg.inv(inertia_kernel(arms, link_angles(q_c)))
+    inv = np.linalg.inv(inertia_kernel(arms, link_angles(q_c)))[0]   # (2, n, n), one per arm
     if not np.all(np.isfinite(inv)):
         raise SingularInertiaError("frozen inertia matrix is singular at the consensus position")
+    inv_t = np.swapaxes(inv, -1, -2)
 
     def dynamics(q, qdot, theta):
         tau, theta_dot = control_law(law, q, qdot, theta, q[:, ::-1])
-        return (inv @ tau[..., None])[..., 0], theta_dot
+        # one (N, n) x (n, n) product per arm, not N mat-vecs
+        return np.swapaxes(np.swapaxes(tau, 0, 1) @ inv_t, 0, 1), theta_dot
 
     return _error_field(config, 0.0, dynamics)
 
@@ -240,10 +255,17 @@ def vanishing_sweep(config: ControllerConfig, params_l: RobotParams,
 
 
 def fitted_decay_slope(eps: np.ndarray, devs: np.ndarray) -> float:
-    """Log-log slope of the sweep over its final decade of epsilon."""
+    """Log-log slope of the sweep over its final decade of epsilon.
+
+    Raises ValueError unless that decade holds two or more grid points and
+    every deviation in it is positive and finite.
+    """
     eps = np.asarray(eps, float)
     devs = np.asarray(devs, float)
     mask = eps <= eps.min() * 10.0 * (1 + 1e-9)
     if mask.sum() < 2:
         raise ValueError("need at least two grid points in the final decade")
-    return float(np.polyfit(np.log(eps[mask]), np.log(devs[mask]), 1)[0])
+    devs = devs[mask]
+    if not np.all((devs > 0) & np.isfinite(devs)):
+        raise ValueError("deviations must be positive and finite")
+    return float(np.polyfit(np.log(eps[mask]), np.log(devs), 1)[0])

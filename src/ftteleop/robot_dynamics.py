@@ -270,7 +270,7 @@ def acceleration_kernel(arm: ArmArrays, phi: np.ndarray, omega: np.ndarray,
     u = 0 at rest gives qdd = 0 exactly. Builds neither M nor C; raises
     np.linalg.LinAlgError if A is exactly singular."""
     diff = _differences(phi)
-    rhs = u - np.add.reduce(_coriolis_factor(arm, diff) * (omega * omega)[..., None, :], -1)
+    rhs = u - np.einsum("...ab,...b->...a", _coriolis_factor(arm, diff), omega * omega)
     rhs[..., :-1] -= u[..., 1:]   # L^-T u
     acc = np.linalg.solve(_link_inertia(arm, diff), rhs[..., None])[..., 0]   # omega_dot
     acc[..., 1:] -= acc[..., :-1]   # L^-1; ufuncs buffer the overlapping operands

@@ -67,6 +67,14 @@ class TestSpec:
         (dict(degree=-np.inf), "degree must be finite"),
         (dict(weights=[1.0, np.nan, 1.0, 1.0]), "weights must be positive"),
         (dict(eps_grid=[1.0, np.nan, 0.1]), "eps grid must be strictly decreasing"),
+        (dict(seed=-1), "seed must be a nonnegative integer"),
+        (dict(seed=1.5), "seed must be a nonnegative integer"),
+        (dict(seed=True), "seed must be a nonnegative integer"),
+        (dict(eps_grid=[]), "eps grid must be a nonempty 1-D array"),
+        (dict(eps_grid=[[1.0, 0.5], [0.2, 0.1]]), "eps grid must be a nonempty 1-D array"),
+        (dict(eps_grid=[np.inf, 1.0, 0.1]), "eps grid must be strictly decreasing positive finite"),
+        (dict(weights=np.ones((2, 4))), "weights must be a nonempty 1-D array"),
+        (dict(weights=[1.0, np.inf, 1.0, 1.0]), "weights must be positive and finite"),
     ])
     def test_rejects_bad_samples_degree_and_nan(self, changes, problem):
         with pytest.raises(ValueError, match=problem):
@@ -75,6 +83,11 @@ class TestSpec:
     def test_accepts_a_numpy_integer_sample_count(self):
         spec = HomogeneitySpec(weights=np.ones(1), degree=0.0, samples=np.int64(8))
         assert ft.check_degree(lambda x: x, spec) == 0.0
+
+    def test_accepts_a_numpy_integer_seed(self):
+        spec = HomogeneitySpec(weights=np.ones(3), degree=0.0, samples=8, seed=np.int64(4))
+        np.testing.assert_array_equal(ft.check_degree(lambda x: x, spec), 0.0)
+        assert spec.seed == 4
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError, match="decreasing"):
@@ -164,6 +177,22 @@ class TestFieldComposition:
                 assert single.shape == (dim,)
                 np.testing.assert_allclose(values[index], single, rtol=0.0, atol=1e-13)
 
+    @pytest.mark.parametrize("shape", [(2, 16), (4, 6), (3, 7), ()],
+                             ids=["wide", "narrow", "not-dividing", "scalar"])
+    @pytest.mark.parametrize("make", ["homogeneous_field", "full_field"])
+    def test_wrong_state_length_is_a_named_problem(self, make, shape):
+        # the 8-dim C1 fields used to reshape any stack whose size divides by 8
+        params, config = _params(), _config("C1")
+        field_fn = getattr(ft, make)(config, params, params, Q_C)
+        with pytest.raises(ValueError, match="states must have last-axis length 8"):
+            field_fn(np.ones(shape))
+
+    def test_check_degree_with_wrong_dimension_fails(self):
+        params = _params()
+        core = ft.homogeneous_field(_config("C1"), params, params, Q_C)
+        with pytest.raises(ValueError, match=r"last-axis length 8, got shape \(256, 5\)"):
+            ft.check_degree(core, HomogeneitySpec(weights=np.ones(5), degree=-0.5))
+
     def test_full_field_matches_simulation_rhs(self):
         # one Euler step of the simulator equals x + dt * f(x) in the
         # error coordinates
@@ -250,3 +279,13 @@ class TestVanishingSweep:
         eps = np.geomspace(1.0, 1e-3, 13)
         devs = 3.0 * eps**1.7
         assert ft.fitted_decay_slope(eps, devs) == pytest.approx(1.7, rel=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [0.0, -1e-6, np.nan, np.inf],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_slope_helper_rejects_bad_deviations(self, bad):
+        eps = np.geomspace(1.0, 1e-3, 13)
+        devs = 3.0 * eps**1.7
+        devs[-2] = bad
+        with pytest.raises(ValueError, match="^deviations must be positive and finite$"):
+            ft.fitted_decay_slope(eps, devs)

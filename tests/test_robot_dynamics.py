@@ -270,6 +270,33 @@ class TestForwardDynamics:
                         + ft.gravity_vector(benchmark_params, q) - tau - f)
             assert np.max(np.abs(residual)) < 1e-10
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_kernel_members_do_not_depend_on_the_batch(self, n):
+        # each member of a (B, 2, n) stack equals the member evaluated alone,
+        # bit for bit: the engine's batch == alone guarantee rests on this
+        rng = np.random.default_rng([n, 17])
+        pair = [ft.RobotParams(**random_chain(rng, n)) for _ in range(2)]
+        for size in (1, 7, 64):
+            arms = robot_dynamics.stack_arm_arrays([pair] * size)
+            phi, omega, u = rng.normal(size=(3, size, 2, n)) * 2.0
+            acc = robot_dynamics.acceleration_kernel(arms, phi, omega, u)
+            alone = robot_dynamics.stack_arm_arrays([pair])
+            for b in range(size):
+                single = robot_dynamics.acceleration_kernel(alone, phi[[b]], omega[[b]], u[[b]])
+                np.testing.assert_array_equal(acc[[b]], single, err_msg=f"B={size}, member {b}")
+
+    @pytest.mark.parametrize("size", [1, 16, 1000])
+    def test_two_link_coriolis_contraction_equals_the_reduce(self, size):
+        # at n = 2 the contraction rounds exactly like the multiply-and-reduce
+        # it replaced, which keeps the golden traces exact
+        rng = np.random.default_rng([size, 18])
+        arms = robot_dynamics.stack_arm_arrays([[ft.RobotParams(**BENCHMARK)] * 2] * size)
+        phi, omega = rng.normal(size=(2, size, 2, 2)) * 2.0
+        s = robot_dynamics._coriolis_factor(arms, robot_dynamics._differences(phi))
+        w2 = omega * omega
+        np.testing.assert_array_equal(np.einsum("...ab,...b->...a", s, w2),
+                                      np.add.reduce(s * w2[..., None, :], -1))
+
     def test_link_inertia_is_positive_definite(self):
         # why the solve needs no definiteness check: W is a Gram matrix, so
         # A = W o cos(phi_a - phi_b) + diag(I) is positive definite (Schur

@@ -358,6 +358,18 @@ class TestCli:
         assert table.shape[1] == 2
         assert np.all(np.diff(table[:, 0]) < 0)
 
+    def test_negative_audit_seed_exit_code(self, tmp_path, capsys):
+        # checked before the run, so nothing is simulated and no table written
+        cfg_path = _write(tmp_path, FAST_SCENARIO)
+        with mock.patch("ftteleop.cli.run") as simulate:
+            code = run_command(["audit", cfg_path, "--out", str(tmp_path), "--seed", "-1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "--seed must be a nonnegative integer, got -1" in err
+        assert "Traceback" not in err
+        simulate.assert_not_called()
+        assert not (tmp_path / "fast_audit.csv").exists()
+
     def test_config_flag_alias(self, tmp_path):
         cfg_path = _write(tmp_path, FAST_SCENARIO)
         assert run_command(["validate", "--config", cfg_path]) == 0
