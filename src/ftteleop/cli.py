@@ -216,9 +216,16 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line to run_command instead of exiting."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 @functools.lru_cache(maxsize=None)   # parsing does not change the parser
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ftteleop",
         description="finite-time energy-shaping teleoperation simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -243,7 +250,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"error: {exc} (see ftteleop --help)", file=sys.stderr)
+        return EXIT_BAD_SCENARIO
     try:
         return args.handler(args)
     except FileNotFoundError as exc:

@@ -162,9 +162,10 @@ def _scenario_problems(params_l, params_r, config, initial, profiles, horizon, d
     """Every rule that ties a scenario's parts together, named as in the
     scenario file.
 
-    A robot, the config or a profile passed as None failed to parse and is
-    skipped. ``initial`` maps each [initial] key to its vector (None when not
-    given); a [simulation] value of None failed to parse and is reported.
+    A robot, the config or a profile passed as None (a profile also of any
+    other type) failed to parse and is skipped. ``initial`` maps each
+    [initial] key to its vector (None when not given); a [simulation] value
+    of None failed to parse and is reported.
     """
     problems = []
     counts = [p.n for p in (params_l, params_r) if p is not None]
@@ -178,13 +179,13 @@ def _scenario_problems(params_l, params_r, config, initial, profiles, horizon, d
         if vec is None:
             continue
         vec = np.asarray(vec, dtype=float)
-        if n is not None and vec.size != n:
+        if n is not None and (vec.ndim > 1 or vec.size != n):
             problems.append(f"[initial] {key} must have {n} entries")
         if not np.isfinite(vec).all():
             problems.append(f"[initial] {key} must be finite")
     for side, profile in zip(("local", "remote"), profiles):
         for name in ("amplitude", "stiffness", "damping", "anchor"):
-            vec = None if profile is None else getattr(profile, name)
+            vec = getattr(profile, name, None)
             if vec is not None and n is not None and vec.shape not in ((1,), (n,)):
                 problems.append(f"[forces.{side}] {name} must have 1 or {n} entries")
 
@@ -243,8 +244,9 @@ def _scenario_problems(params_l, params_r, config, initial, profiles, horizon, d
 class Scenario:
     """Everything one closed-loop run needs.
 
-    Every rule that ties the parts together (the joint counts of both robots
-    and the controller, the initial vectors, force-vector lengths, the
+    Every rule that ties the parts together (both robots and the controller
+    are given and share the joint count, the initial vectors are scalars or
+    1-D of that length, the force profiles and their vector lengths, the
     [simulation] values and, for C3/C4, the saturation gate) is checked when
     a scenario is built, also by dataclasses.replace; a violation raises
     ScenarioError listing them all.
@@ -273,7 +275,15 @@ class Scenario:
     audit_path: str | None = None
 
     def __post_init__(self):
-        problems = _scenario_problems(
+        # _scenario_problems skips a missing part (the parser names it); a
+        # Scenario needs every part
+        problems = [f"missing section [{name}]" for name, part in (
+            ("robot.local", self.params_l), ("robot.remote", self.params_r),
+            ("controller", self.config)) if part is None]
+        problems += [f"[forces.{side}] must be a ForceProfile" for side, profile in (
+            ("local", self.profile_l), ("remote", self.profile_r))
+            if not isinstance(profile, ForceProfile)]
+        problems += _scenario_problems(
             self.params_l, self.params_r, self.config,
             {key: getattr(self, name) for key, name in _INITIAL_FIELDS},
             (self.profile_l, self.profile_r), self.horizon, self.dt, self.decimation,
@@ -788,20 +798,21 @@ def state_bounds_from_energy(config: ControllerConfig, params_l: RobotParams,
     """
     if not budget >= 0:   # NaN fails every comparison
         raise ValueError("energy budget must be nonnegative")
-    p = config.p_pos
+    law = stack_laws([config])
 
-    def invert(gains: np.ndarray, delta: float | None) -> float:
-        # beyond a saturation level delta the kernel exceeds delta^p |x| / (p+1),
-        # so either the unsaturated inversion holds or the affine branch caps |x|
+    def invert(slot: int, side: int) -> float:
+        # the slot's term |gain| channel_integral(x, p, delta): beyond the level
+        # delta it exceeds delta^p |x| / (p+1), so either the unsaturated
+        # inversion holds or the affine branch caps |x|
+        gains, p = np.abs(law.gains[slot, 0, side]), law.exponents[slot, 0, side]
         per_joint = ((p + 1.0) * budget / gains) ** (1.0 / (p + 1.0))
-        if delta is not None:
+        if law.levels is not None:
+            delta = law.levels[slot, 0, side]
             per_joint = np.maximum(
                 per_joint, (budget / gains + p / (p + 1.0) * delta ** (p + 1.0)) / delta**p)
         return float(np.linalg.norm(per_joint))
 
     vel_caps = tuple(math.sqrt(2.0 * budget / params.bounds.inertia_min)
                      for params in (params_l, params_r))
-    theta_caps = (tuple(invert(config.k_c[side], config.delta_d) for side in (LOCAL, REMOTE))
-                  if config.has_virtual_state else None)
-    return {"err_norm": invert(config.k_s, config.delta_p), "vel_norm": vel_caps,
-            "theta_err_norm": theta_caps}
+    theta_caps = tuple(invert(1, side) for side in (LOCAL, REMOTE)) if law.virtual else None
+    return {"err_norm": invert(0, LOCAL), "vel_norm": vel_caps, "theta_err_norm": theta_caps}

@@ -22,6 +22,8 @@ theta (by convention initialized at the robot's starting position).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -89,9 +91,10 @@ class ControllerConfig:
     k_s is the shared inter-robot stiffness (per joint). d_s (C1/C3), k_c and
     d_c (C2/C4) are per-robot per-joint arrays with rows (local, remote).
     delta_p / delta_d are the saturation levels of the proportional and
-    damping channels (C3/C4 only; C1/C2 reject them). Gains may be given as
-    scalars, per-joint vectors or (2, n) pairs; they are normalized and
-    checked on construction, also by dataclasses.replace, and a bad value
+    damping channels (C3/C4 only; C1/C2 reject them). The weight pair may be
+    a Weights or an (r1, r2) pair, and n is a positive integer. Gains may be
+    given as scalars, per-joint vectors or (2, n) pairs; they are normalized
+    and checked on construction, also by dataclasses.replace, and a bad value
     raises ValueError.
     """
 
@@ -108,8 +111,17 @@ class ControllerConfig:
     p_vel: float = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool) or self.n < 1:
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
         n = int(self.n)
         object.__setattr__(self, "n", n)
+        if not isinstance(self.weights, Weights):
+            try:
+                r1, r2 = self.weights
+            except (TypeError, ValueError):
+                raise ValueError("weights must be a Weights or an (r1, r2) pair, "
+                                 f"got {self.weights!r}") from None
+            object.__setattr__(self, "weights", Weights(r1, r2))
         object.__setattr__(self, "k_s", _gain(self.k_s, (n,), "k_s"))
         for name in ("d_s", "k_c", "d_c"):
             if getattr(self, name) is not None:
@@ -130,17 +142,15 @@ class ControllerConfig:
         if self.is_bounded:
             if self.delta_p is None or self.delta_d is None:
                 raise ValueError(f"{self.variant} requires saturation levels delta_p and delta_d")
-            if not (self.delta_p > 0 and self.delta_d > 0):
-                raise ValueError("saturation levels must be positive")
+            if not (0 < self.delta_p < math.inf and 0 < self.delta_d < math.inf):
+                raise ValueError("saturation levels must be positive and finite")
         elif self.delta_p is not None or self.delta_d is not None:
             raise ValueError("delta_p and delta_d apply to C3/C4 only")
 
     @classmethod
     def build(cls, variant, n, weights, k_s, d_s=None, k_c=None, d_c=None,
               delta_p=None, delta_d=None) -> "ControllerConfig":
-        """Construct with the weight pair given as Weights or an (r1, r2) tuple."""
-        if not isinstance(weights, Weights):
-            weights = Weights(*weights)
+        """The constructor with the joint count before the weight pair."""
         return cls(variant, weights, n, k_s, d_s, k_c, d_c, delta_p, delta_d)
 
     @property
@@ -192,27 +202,22 @@ class StackedLaw(NamedTuple):
     qdot (C1/C3) or theta - q (C2/C4) and, if some member holds theta
     (c = 3), the theta rate on theta - q. The slot axis leads so that each
     slot is one contiguous (B, 2, n) block. The gains are signed (-k_s; -d_s or
-    +k_c; -speed with speed = (k_c / d_c)^(1 / p_vel)). The saturation levels
-    are infinite for the unbounded members, and ``levels`` is None when no
-    member is bounded. ``k_s`` (B, 1, n) and ``damping`` (B, 2, n: d_s or k_c)
-    are the unsigned gains of the energy terms, ``virtual_mask`` the (B, 1, 1)
-    mask of the C2/C4 members. ``d_c`` is None when no member holds theta;
-    otherwise the C1/C3 members get d_c = speed = 0, so their theta stays.
+    +k_c; -speed with speed = (k_c / d_c)^(1 / p_vel)), and the energy terms
+    read the same slots. The saturation levels are infinite for the unbounded
+    members, and ``levels`` is None when no member is bounded.
+    ``virtual_mask`` is the (B, 1, 1) mask of the C2/C4 members; in a stack
+    that holds theta the C1/C3 members get speed = 0, so their theta stays.
     """
 
     exponents: np.ndarray
     levels: np.ndarray | None
     gains: np.ndarray
-    k_s: np.ndarray
-    damping: np.ndarray
-    d_c: np.ndarray | None
-    p_vel: np.ndarray
     virtual_mask: np.ndarray
 
     @property
     def virtual(self) -> bool:
         """Whether the stack holds theta (some member is C2/C4)."""
-        return self.d_c is not None
+        return len(self.gains) == 3
 
     def level(self, slot: int) -> np.ndarray | None:
         """Saturation levels of one channel slot (None: no member is bounded)."""
@@ -233,10 +238,10 @@ def stack_laws(configs) -> StackedLaw:
     mask = np.array([c.has_virtual_state for c in configs])[:, None, None]
     slots, shape, zeros = (3 if mask.any() else 2), (2, first.n), np.zeros((2, first.n))
 
-    def stacked(channels, count=slots):
+    def stacked(channels):
         # full arrays: numpy's power takes another code path for a broadcast
         # exponent, which would make results depend on B
-        out = np.empty((count, len(configs)) + shape)
+        out = np.empty((slots, len(configs)) + shape)
         for b, c in enumerate(configs):
             for row, value in zip(out[:, b], channels(c)):
                 row[...] = value
@@ -250,17 +255,8 @@ def stack_laws(configs) -> StackedLaw:
                        else (np.inf,) * 3) if bounded else None,
         gains=stacked(lambda c: (-c.k_s, c.k_c, -(c.k_c / c.d_c) ** (1.0 / c.p_vel))
                       if c.has_virtual_state else (-c.k_s, -c.d_s, zeros)),
-        k_s=np.array([c.k_s for c in configs])[:, None, :],
-        damping=np.array([c.k_c if c.has_virtual_state else c.d_s for c in configs]),
-        d_c=(np.array([c.d_c if c.has_virtual_state else zeros for c in configs])
-             if slots == 3 else None),
-        p_vel=stacked(lambda c: (c.p_vel,), 1)[0],
         virtual_mask=mask,
     )
-
-
-def _theta_rate(law: StackedLaw, theta_err: np.ndarray) -> np.ndarray:
-    return law.gains[2] * channel(theta_err, law.exponents[2], law.level(2))
 
 
 def control_law(law: StackedLaw, q, qdot, theta, q_seen):
@@ -289,31 +285,36 @@ def law_potential(law: StackedLaw, q, theta=None) -> np.ndarray:
     """Shaped potential energy of states (..., B, 2, n), shape (..., B).
 
     Positive definite in the error (and, for C2/C4, the virtual-state
-    mismatch); its error gradient is minus the proportional torque term.
+    mismatch); its error gradient is minus the proportional torque term and
+    its theta gradient minus the damping one.
     """
     err = q[..., :1, :] - q[..., 1:, :]
     delta_p = None if law.levels is None else law.levels[0, :, :1]
-    value = np.sum(law.k_s * channel_integral(err, law.exponents[0, :, :1], delta_p),
+    value = np.sum(-law.gains[0, :, :1] * channel_integral(err, law.exponents[0, :, :1], delta_p),
                    axis=(-2, -1))
     if law.virtual:
-        virtual = law.damping * channel_integral(theta - q, law.exponents[0], law.level(1))
+        virtual = law.gains[1] * channel_integral(theta - q, law.exponents[1], law.level(1))
         value = value + np.sum(np.where(law.virtual_mask, virtual, 0.0), axis=(-2, -1))
     return value
 
 
 def law_dissipation(law: StackedLaw, q, qdot, theta=None) -> np.ndarray:
     """Analytic decay rate (<= 0) of the shaped energy in free motion,
-    shape (..., B).
+    shape (..., B): the power of the damping channel.
 
-    C1/C3 dissipate through the measured joint velocities, C2/C4 through the
-    virtual-state velocities; saturation only slows the decay, it never
-    changes its sign.
+    C1/C3 damp the measured joint velocities. For C2/C4 the damping torque's
+    qdot part cancels against the potential's theta gradient, which leaves
+    the channel's power on the virtual-state velocity. Saturation only slows
+    the decay, it never changes its sign.
     """
-    power = law.damping * qdot * channel(qdot, law.p_vel, law.level(1))
+    arg = vel = qdot
     if law.virtual:
-        rate = law.d_c * np.abs(_theta_rate(law, theta - q)) ** (law.p_vel + 1.0)
-        power = np.where(law.virtual_mask, rate, power)
-    return -np.sum(power, axis=(-2, -1))
+        theta_err = theta - q
+        rate = law.gains[2] * channel(theta_err, law.exponents[2], law.level(2))
+        arg = np.where(law.virtual_mask, theta_err, qdot)
+        vel = np.where(law.virtual_mask, rate, qdot)
+    power = law.gains[1] * vel * channel(arg, law.exponents[1], law.level(1))
+    return np.sum(power, axis=(-2, -1))
 
 
 def _stacked(config, state_l, state_r, ctrl):

@@ -199,6 +199,22 @@ class TestScenarioValidation:
             replace(base, **changes)
         assert info.value.problems == [f"[simulation] {problem}"]
 
+    @pytest.mark.parametrize("changes, problems", [
+        (dict(config=None), ["missing section [controller]"]),
+        (dict(params_l=None), ["missing section [robot.local]"]),
+        (dict(params_r=None), ["missing section [robot.remote]"]),
+        (dict(profile_l=None), ["[forces.local] must be a ForceProfile"]),
+        (dict(profile_r="zero"), ["[forces.remote] must be a ForceProfile"]),
+        (dict(params_l=None, params_r=None, config=None),
+         ["missing section [robot.local]", "missing section [robot.remote]",
+          "missing section [controller]"]),
+    ], ids=["config", "params_l", "params_r", "profile_l", "profile_r-str", "all-parts"])
+    def test_replace_requires_every_part(self, changes, problems):
+        base = ft.read_bundled_scenario("c3_sim")
+        with pytest.raises(ft.ScenarioError) as info:
+            replace(base, **changes)
+        assert info.value.problems == problems
+
     def test_constructor_lists_every_problem(self):
         with pytest.raises(ft.ScenarioError) as info:
             _scenario(horizon=0.0, integrator="midpoint")
@@ -208,11 +224,17 @@ class TestScenarioValidation:
                 ("qd0_r", "qdot_remote"), ("theta0_l", "theta_local"),
                 ("theta0_r", "theta_remote")]
 
-    @pytest.mark.parametrize("name, key", _INITIAL, ids=[key for _, key in _INITIAL])
-    def test_replace_checks_initial_length(self, name, key):
+    _SHAPES = (("", (3,)), ("-1x2", (1, 2)), ("-2x1", (2, 1)))
+
+    @pytest.mark.parametrize("name, key, value", [
+        (name, key, np.zeros(shape))
+        for (_, shape), (name, key) in itertools.product(_SHAPES, _INITIAL)],
+        ids=[key + suffix for (suffix, _), (_, key) in itertools.product(_SHAPES, _INITIAL)])
+    def test_replace_checks_initial_length(self, name, key, value):
+        # only a scalar (at n = 1) or a 1-D vector can be written back
         base = ft.read_bundled_scenario("c1_sim")
         with pytest.raises(ft.ScenarioError) as info:
-            replace(base, **{name: np.zeros(3)})
+            replace(base, **{name: value})
         assert info.value.problems == [f"[initial] {key} must have 2 entries"]
 
     @pytest.mark.parametrize("name, key", _INITIAL, ids=[key for _, key in _INITIAL])

@@ -8,7 +8,7 @@ import pytest
 import ftteleop as ft
 from ftteleop import controllers
 from ftteleop.controllers import LOCAL, REMOTE, VARIANTS
-from ftteleop.scalar_ops import channel
+from ftteleop.scalar_ops import channel, channel_integral
 
 from conftest import BENCHMARK
 
@@ -363,13 +363,18 @@ class TestMixedStack:
             controllers.stack_laws([_config("C1"), _config("C2", n=3)])
 
 
+def _member(configs, get):
+    """A per-config value as one full (B, 2, n) array."""
+    return np.array([np.broadcast_to(np.asarray(get(c), float), (2, c.n)) for c in configs])
+
+
 def _reference_law(configs, q, qdot, theta, q_seen, unbounded=False):
     """The stacked law channel by channel, as the kernels evaluated it before
     one pass over all channels: saturation levels are inf for the unbounded
     members (and for all with ``unbounded``), and the C1/C3 members of a
     stack that holds theta damp through -qdot with the unsigned gain."""
     def member(get):
-        return np.array([np.broadcast_to(np.asarray(get(c), float), (2, c.n)) for c in configs])
+        return _member(configs, get)
 
     def level(get):
         return member(lambda c: get(c) if c.is_bounded and not unbounded else np.inf)
@@ -388,6 +393,45 @@ def _reference_law(configs, q, qdot, theta, q_seen, unbounded=False):
                    else 0.0)
     rate = -speed * channel(theta_err, member(lambda c: c.weights.theta_exponent), delta_d)
     return tau, rate
+
+
+def _reference_energy(configs, q, qdot, theta):
+    """law_potential and law_dissipation from the config gains, as they were
+    evaluated before the energy terms read the law's channel slots: the C2/C4
+    decay is d_c |theta_dot|^(p_vel + 1), the C1/C3 one d_s qdot ch(qdot)."""
+    mask = np.array([c.has_virtual_state for c in configs])[:, None, None]
+    delta_p, delta_d = (_member(configs, lambda c: getattr(c, name) if c.is_bounded else np.inf)
+                        for name in ("delta_p", "delta_d"))
+    p_pos, p_vel = _member(configs, lambda c: c.p_pos), _member(configs, lambda c: c.p_vel)
+    k_s = np.array([c.k_s for c in configs])[:, None, :]
+    err = q[..., :1, :] - q[..., 1:, :]
+    potential = np.sum(k_s * channel_integral(err, p_pos[:, :1], delta_p[:, :1]), axis=(-2, -1))
+    damping = _member(configs, lambda c: c.k_c if c.has_virtual_state else c.d_s)
+    power = damping * qdot * channel(qdot, p_vel, delta_d)
+    if mask.any():
+        virtual = damping * channel_integral(theta - q, p_pos, delta_d)
+        potential = potential + np.sum(np.where(mask, virtual, 0.0), axis=(-2, -1))
+        _, theta_dot = _reference_law(configs, q, qdot, theta, q[..., ::-1, :])
+        d_c = _member(configs, lambda c: c.d_c if c.has_virtual_state else 0.0)
+        power = np.where(mask, d_c * np.abs(theta_dot) ** (p_vel + 1.0), power)
+    return potential, -np.sum(power, axis=(-2, -1))
+
+
+def _reference_bounds(config, budget):
+    """state_bounds_from_energy's error and theta caps from the config gains,
+    as they were computed before the bounds read the law's channel slots."""
+    p = config.p_pos
+
+    def invert(gains, delta):
+        per_joint = ((p + 1.0) * budget / gains) ** (1.0 / (p + 1.0))
+        if delta is not None:
+            per_joint = np.maximum(
+                per_joint, (budget / gains + p / (p + 1.0) * delta ** (p + 1.0)) / delta**p)
+        return float(np.linalg.norm(per_joint))
+
+    theta = (tuple(invert(config.k_c[side], config.delta_d) for side in (LOCAL, REMOTE))
+             if config.has_virtual_state else None)
+    return invert(config.k_s, config.delta_p), theta
 
 
 class TestFusedLaw:
@@ -448,6 +492,54 @@ class TestFusedLaw:
             law = law._replace(levels=None)
         q, qdot, theta, _ = self._states(np.random.default_rng(11), 257, 2)
         self._check(law, configs, q, qdot, theta, q[:, ::-1], unbounded)
+
+
+class TestEnergyTerms:
+    """The energy terms read the law's channel slots and give what the
+    config formulas give: the potential and the C1/C3 decay bit for bit, the
+    C2/C4 decay (the damping channel's power on theta_dot) to rounding."""
+
+    @staticmethod
+    def _states(rng, size, n):
+        # 64 states per member, wide enough to cross every saturation level,
+        # with exact zeros in qdot, in the error and in theta - q
+        q, qdot, theta = (rng.normal(scale=1.5, size=(64, size, 2, n)) for _ in range(3))
+        qdot[0] = 0.0
+        q[1, :, 1] = q[1, :, 0]
+        theta[2] = q[2]
+        return q, qdot, theta
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("variants", TestFusedLaw.STACKS, ids="-".join)
+    def test_match_the_config_formulas(self, variants, n):
+        configs = TestFusedLaw._configs(variants, n)
+        law = controllers.stack_laws(configs)
+        q, qdot, theta = self._states(np.random.default_rng([n, 13]), len(configs), n)
+        theta = theta if law.virtual else None
+        ref_potential, ref_dissipation = _reference_energy(configs, q, qdot, theta)
+        assert np.array_equal(controllers.law_potential(law, q, theta), ref_potential)
+        dissipation = controllers.law_dissipation(law, q, qdot, theta)
+        virtual = law.virtual_mask.ravel()
+        assert np.array_equal(dissipation[:, ~virtual], ref_dissipation[:, ~virtual])
+        np.testing.assert_allclose(dissipation[:, virtual], ref_dissipation[:, virtual],
+                                   rtol=1e-13, atol=0.0)
+        assert np.array_equal(np.sign(dissipation), np.sign(ref_dissipation))
+        assert np.all(dissipation <= 0.0)
+
+    @pytest.mark.parametrize("budget", [0.0, 1e-3, 0.7, 50.0])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_state_bounds_match_the_config_formula(self, variant, budget):
+        config = _config(variant, k_s=[6.0, 2.5], **(
+            {"d_s": [[8.0, 3.0], [1.0, 2.0]]} if variant in ("C1", "C3") else
+            {"k_c": [[20.0, 11.0], [7.0, 30.0]], "d_c": [[8.0, 2.0], [5.0, 1.0]]}))
+        bounds = ft.state_bounds_from_energy(config, _flat_params(), _flat_params(), budget)
+        err_norm, theta_err_norm = _reference_bounds(config, budget)
+        np.testing.assert_array_max_ulp(bounds["err_norm"], err_norm, maxulp=2)
+        if theta_err_norm is None:
+            assert bounds["theta_err_norm"] is None
+        else:
+            np.testing.assert_array_max_ulp(np.array(bounds["theta_err_norm"]),
+                                            np.array(theta_err_norm), maxulp=2)
 
 
 class TestSaturationGate:
@@ -541,6 +633,38 @@ class TestConfigValidation:
         np.testing.assert_array_equal(config.d_s[LOCAL], [8.0, 8.0])
         np.testing.assert_array_equal(config.d_s[REMOTE], [2.0, 3.0])
         np.testing.assert_array_equal(config.k_s, [6.0, 5.0])
+
+    @pytest.mark.parametrize("n", [2.5, True, 0, -1, "2", None],
+                             ids=["float", "bool", "zero", "negative", "str", "none"])
+    def test_joint_count_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match=r"^n must be a positive integer, got "):
+            ft.ControllerConfig.build(variant="C1", n=n, weights=(1.5, 1.0), k_s=6.0, d_s=8.0)
+
+    def test_numpy_integer_joint_count(self):
+        config = ft.ControllerConfig.build(variant="C1", n=np.int64(3), weights=(1.5, 1.0),
+                                           k_s=6.0, d_s=8.0)
+        assert config.n == 3 and type(config.n) is int
+        assert config.k_s.shape == (3,)
+
+    def test_constructor_takes_a_weight_pair_like_build(self):
+        config = ft.ControllerConfig("C1", (1.5, 1.0), 2, 6.0, 8.0)
+        assert config.weights == ft.Weights(1.5, 1.0)
+        assert config.p_pos == _config("C1").p_pos
+        assert replace(config, weights=[1.2, 1.0]).weights == ft.Weights(1.2, 1.0)
+
+    @pytest.mark.parametrize("weights", [1.5, (1.5, 1.0, 0.5), None],
+                             ids=["scalar", "triple", "none"])
+    def test_weights_that_are_not_a_pair(self, weights):
+        with pytest.raises(ValueError, match=r"^weights must be a Weights or an \(r1, r2\) pair"):
+            ft.ControllerConfig("C1", weights, 2, 6.0, 8.0)
+
+    @pytest.mark.parametrize("variant", ["C3", "C4"])
+    @pytest.mark.parametrize("levels", [dict(delta_p=np.inf), dict(delta_d=np.inf),
+                                        dict(delta_p=np.nan), dict(delta_d=0.0)],
+                             ids=["inf-delta_p", "inf-delta_d", "nan-delta_p", "zero-delta_d"])
+    def test_saturation_levels_positive_and_finite(self, variant, levels):
+        with pytest.raises(ValueError, match=r"^saturation levels must be positive and finite$"):
+            _config(variant, **levels)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):

@@ -374,5 +374,30 @@ class TestCli:
         cfg_path = _write(tmp_path, FAST_SCENARIO)
         assert run_command(["validate", "--config", cfg_path]) == 0
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate", "c1_sim", "--dt", "abc"], "argument --dt: invalid float value: 'abc'"),
+        (["audit", "c4_sim", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+        (["audit", "c4_sim", "--tol", "x"], "argument --tol: invalid float value: 'x'"),
+        (["simulate", "c1_sim", "--bogus"], "unrecognized arguments: --bogus"),
+        (["simulate", "c1_sim", "--dt"], "argument --dt: expected one argument"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ], ids=["float-dt", "float-seed", "str-tol", "unknown-flag", "dt-without-value",
+            "unknown-command"])
+    def test_malformed_flag_exit_code(self, capsys, argv, flag):
+        # the invalid-flag code, returned rather than raised, and nothing is run
+        with mock.patch("ftteleop.cli.run") as simulate:
+            assert run_command(argv) == 3
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Traceback" not in err
+        simulate.assert_not_called()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            run_command(argv)
+        assert info.value.code == 0
+        assert "usage: ftteleop" in capsys.readouterr().out
+
     def test_no_scenario_given(self, capsys):
         assert run_command(["simulate"]) == 2
