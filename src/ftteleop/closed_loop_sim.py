@@ -81,6 +81,13 @@ class SimulationUnstableError(RuntimeError):
     """
 
 
+def _is_number(value) -> bool:
+    """A real number (numpy's included), but not a bool."""
+    # a float first: isinstance against the numbers ABC is several times slower
+    return type(value) is float or (isinstance(value, numbers.Real)
+                                    and not isinstance(value, bool))
+
+
 @dataclass(frozen=True, eq=False)
 class ForceProfile:
     """Scripted external force acting on one robot.
@@ -104,6 +111,10 @@ class ForceProfile:
     def __post_init__(self):
         if self.kind not in ("zero", "pulse", "spring_damper"):
             raise ValueError(f"unknown force profile kind {self.kind!r}")
+        for name in ("start", "stop"):
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a number")
+            object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("amplitude", "stiffness", "damping", "anchor"):
             value = getattr(self, name)
             if value is not None:
@@ -155,18 +166,30 @@ _MAX_SAMPLES = 10**7
 _INITIAL_FIELDS = (("q_local", "q0_l"), ("q_remote", "q0_r"), ("qdot_local", "qd0_l"),
                    ("qdot_remote", "qd0_r"), ("theta_local", "theta0_l"),
                    ("theta_remote", "theta0_r"))
+# the [simulation] keys that hold numbers, each the Scenario field of that name
+_SIMULATION_NUMBERS = ("horizon", "dt", "decimation", "delay")
 
 
-def _scenario_problems(params_l, params_r, config, initial, profiles, horizon, dt,
-                       decimation, integrator, delay) -> list[str]:
+# each part of a Scenario: its scenario-file section, field and type
+_PARTS = (("robot.local", "params_l", RobotParams), ("robot.remote", "params_r", RobotParams),
+          ("controller", "config", ControllerConfig), ("forces.local", "profile_l", ForceProfile),
+          ("forces.remote", "profile_r", ForceProfile))
+
+
+def _scenario_problems(parts) -> list[str]:
     """Every rule that ties a scenario's parts together, named as in the
     scenario file.
 
-    A robot, the config or a profile passed as None (a profile also of any
-    other type) failed to parse and is skipped. ``initial`` maps each
-    [initial] key to its vector (None when not given); a [simulation] value
-    of None failed to parse and is reported.
+    ``parts`` maps each Scenario field name to its value. A robot, the
+    config or a profile counts only when it is an instance of its type; any
+    other value (None included) failed to parse or is named by Scenario, and
+    is skipped. An initial vector of None was not given; a [simulation]
+    value of None is reported.
     """
+    params_l, params_r, config, profile_l, profile_r = [
+        parts[name] if isinstance(parts[name], kind) else None for _, name, kind in _PARTS]
+    horizon, dt, decimation, integrator, delay = [
+        parts[key] for key in ("horizon", "dt", "decimation", "integrator", "delay")]
     problems = []
     counts = [p.n for p in (params_l, params_r) if p is not None]
     if len(set(counts)) > 1:
@@ -175,26 +198,31 @@ def _scenario_problems(params_l, params_r, config, initial, profiles, horizon, d
     if config is not None and n is not None and config.n != n:
         problems.append(f"[controller] gains are set for {config.n} joints, "
                         f"the robots have {n}")
-    for key, vec in initial.items():
+    for key, name in _INITIAL_FIELDS:
+        vec = parts[name]
         if vec is None:
             continue
-        vec = np.asarray(vec, dtype=float)
+        try:
+            vec = np.asarray(vec, dtype=float)
+        except (TypeError, ValueError):
+            problems.append(f"[initial] {key} must be numbers")
+            continue
         if n is not None and (vec.ndim > 1 or vec.size != n):
             problems.append(f"[initial] {key} must have {n} entries")
         if not np.isfinite(vec).all():
             problems.append(f"[initial] {key} must be finite")
-    for side, profile in zip(("local", "remote"), profiles):
+    for side, profile in (("local", profile_l), ("remote", profile_r)):
         for name in ("amplitude", "stiffness", "damping", "anchor"):
             vec = getattr(profile, name, None)
             if vec is not None and n is not None and vec.shape not in ((1,), (n,)):
                 problems.append(f"[forces.{side}] {name} must have 1 or {n} entries")
 
-    if integrator not in ("euler", "rk4"):
+    if not isinstance(integrator, str) or integrator not in ("euler", "rk4"):
         problems.append("[simulation] integrator must be 'euler' or 'rk4'")
-    # a value that is not a number cannot be compared: name it and compare nothing
-    wrong = [f"[simulation] {key} must be a number" for key, value in
-             (("horizon", horizon), ("dt", dt), ("decimation", decimation), ("delay", delay))
-             if value is not None and not isinstance(value, numbers.Real)]
+    # a value that is not a number (a bool included) cannot be compared: name it
+    # and compare nothing
+    wrong = [f"[simulation] {key} must be a number" for key in _SIMULATION_NUMBERS
+             if parts[key] is not None and not _is_number(parts[key])]
     problems += wrong
     if not wrong:
         # NaN fails every comparison, so "not x > 0" also rejects it
@@ -211,12 +239,18 @@ def _scenario_problems(params_l, params_r, config, initial, profiles, horizon, d
                 problems.append("[simulation] dt must not exceed the decimation interval")
             elif math.isinf(decimation):
                 problems.append("[simulation] decimation must be finite")
+            # every ratio that is rounded to a step count must be finite
+            elif math.isinf(decimation / dt):
+                problems.append("[simulation] decimation / dt must be finite")
             elif abs(decimation / dt - round(decimation / dt)) > 1e-9:
                 problems.append("[simulation] decimation must be an integer multiple of dt")
-            elif (horizon is not None and 0 < horizon < math.inf
-                  and round(horizon / decimation) + 1 > _MAX_SAMPLES):
-                problems.append(f"[simulation] the trace must hold at most {_MAX_SAMPLES} "
-                                "samples (horizon / decimation + 1)")
+            elif horizon is not None and 0 < horizon < math.inf:
+                samples = horizon / decimation   # inf holds more than any cap
+                if samples > _MAX_SAMPLES or round(samples) + 1 > _MAX_SAMPLES:
+                    problems.append(f"[simulation] the trace must hold at most {_MAX_SAMPLES} "
+                                    "samples (horizon / decimation + 1)")
+                elif math.isinf(horizon / dt):
+                    problems.append("[simulation] horizon / dt must be finite")
         if decimation is None:
             problems.append("[simulation] decimation must be positive")
         # a longer step rounds the horizon to zero steps (a non-finite dt is reported above)
@@ -228,6 +262,8 @@ def _scenario_problems(params_l, params_r, config, initial, profiles, horizon, d
             problems.append("[simulation] delay must be finite")
         elif delay > 0 and integrator != "euler":
             problems.append("[simulation] delay > 0 requires integrator = euler")
+        elif dt is not None and 0 < dt < math.inf and math.isinf(delay / dt):
+            problems.append("[simulation] delay / dt must be finite")
 
     # a bounded variant may claim its torque limits only if the gate passes
     if (config is not None and config.is_bounded and len(counts) == 2
@@ -244,12 +280,14 @@ def _scenario_problems(params_l, params_r, config, initial, profiles, horizon, d
 class Scenario:
     """Everything one closed-loop run needs.
 
-    Every rule that ties the parts together (both robots and the controller
-    are given and share the joint count, the initial vectors are scalars or
-    1-D of that length, the force profiles and their vector lengths, the
+    Every rule that ties the parts together (both robots, the controller and
+    the profiles are of their types and the robots and controller share the
+    joint count, q0_l and q0_r are given, the initial vectors are numbers,
+    scalars or 1-D of that length, the profiles' vector lengths, the
     [simulation] values and, for C3/C4, the saturation gate) is checked when
     a scenario is built, also by dataclasses.replace; a violation raises
-    ScenarioError listing them all.
+    ScenarioError listing them all. The [simulation] numbers are then held
+    as Python floats.
     """
 
     params_l: RobotParams
@@ -275,21 +313,24 @@ class Scenario:
     audit_path: str | None = None
 
     def __post_init__(self):
-        # _scenario_problems skips a missing part (the parser names it); a
-        # Scenario needs every part
-        problems = [f"missing section [{name}]" for name, part in (
-            ("robot.local", self.params_l), ("robot.remote", self.params_r),
-            ("controller", self.config)) if part is None]
-        problems += [f"[forces.{side}] must be a ForceProfile" for side, profile in (
-            ("local", self.profile_l), ("remote", self.profile_r))
-            if not isinstance(profile, ForceProfile)]
-        problems += _scenario_problems(
-            self.params_l, self.params_r, self.config,
-            {key: getattr(self, name) for key, name in _INITIAL_FIELDS},
-            (self.profile_l, self.profile_r), self.horizon, self.dt, self.decimation,
-            self.integrator, self.delay)
+        # _scenario_problems skips a part that is not of its type (the parser
+        # names it); a Scenario needs every part
+        problems = []
+        for section, name, kind in _PARTS:
+            part = getattr(self, name)
+            if part is None and kind is not ForceProfile:
+                problems.append(f"missing section [{section}]")
+            elif not isinstance(part, kind):
+                problems.append(f"[{section}] must be a {kind.__name__}")
+        problems += [f"[initial] missing required key '{key}'"
+                     for key, name in _INITIAL_FIELDS[:2] if getattr(self, name) is None]
+        problems += _scenario_problems(vars(self))
         if problems:
             raise ScenarioError(problems)
+        # Python floats, so that dump_scenario writes text that parses
+        for key in _SIMULATION_NUMBERS:
+            if type(getattr(self, key)) is not float:
+                object.__setattr__(self, key, float(getattr(self, key)))
 
     def initial_state(self) -> TeleopState:
         return _teleop_state(_initial_array(self, self.config.has_virtual_state), 0.0)

@@ -56,8 +56,11 @@ def stacked_weights(config: ControllerConfig, n: int) -> np.ndarray:
 
     Layout (err coordinates relative to the consensus position): position
     blocks of both robots get r1, velocity blocks r2; C2/C4 append the
-    virtual-mismatch blocks, also weighted r1.
+    virtual-mismatch blocks, also weighted r1. n must be the controller's
+    joint count.
     """
+    if not (_is_integer(n) and n == config.n):
+        raise ValueError(f"n = {n!r} does not match the controller's joint count {config.n}")
     r1, r2 = config.weights.r1, config.weights.r2
     w = [r1] * (2 * n) + [r2] * (2 * n)
     if config.has_virtual_state:

@@ -51,6 +51,7 @@ import numpy as np
 
 from .closed_loop_sim import (
     _INITIAL_FIELDS,
+    _SIMULATION_NUMBERS,
     ForceProfile,
     Scenario,
     ScenarioError,
@@ -74,6 +75,8 @@ __all__ = [
 _LINK_KEYS = ("masses", "lengths", "com_offsets", "inertias")
 # [output] keys; each path is the Scenario field <key>_path
 _OUTPUT_KEYS = ("trace", "report", "audit")
+# each side's section suffix, with its Scenario field suffix
+_SIDES = (("local", "l"), ("remote", "r"))
 
 
 def _floats(text: str) -> np.ndarray:
@@ -93,15 +96,21 @@ class _SectionReader:
         self.problems = problems
         self.data = dict(parser[section]) if parser.has_section(section) else None
 
-    def missing(self) -> bool:
+    def missing(self, required: bool = False) -> bool:
+        """Whether the section is absent; an absent required one is a problem."""
+        if self.data is None and required:
+            self.problems.append(f"missing section [{self.section}]")
         return self.data is None
+
+    def problem(self, text: str) -> None:
+        self.problems.append(f"[{self.section}] {text}")
 
     def get(self, key: str, default=None, required: bool = False):
         if self.data is None:
             return default
         if key not in self.data:
             if required:
-                self.problems.append(f"[{self.section}] missing required key '{key}'")
+                self.problem(f"missing required key '{key}'")
             return default
         return self.data.pop(key)
 
@@ -112,7 +121,7 @@ class _SectionReader:
         try:
             return _floats(raw)
         except ValueError:
-            self.problems.append(f"[{self.section}] {key}: cannot parse '{raw}' as numbers")
+            self.problem(f"{key}: cannot parse '{raw}' as numbers")
             return default
 
     def scalar(self, key: str, default=None, required: bool = False):
@@ -122,18 +131,17 @@ class _SectionReader:
         try:
             return float(raw)
         except ValueError:
-            self.problems.append(f"[{self.section}] {key}: cannot parse '{raw}' as a number")
+            self.problem(f"{key}: cannot parse '{raw}' as a number")
             return default
 
     def leftovers(self):
         if self.data:
             for key in self.data:
-                self.problems.append(f"[{self.section}] unknown key '{key}'")
+                self.problem(f"unknown key '{key}'")
 
 
-def _read_robot(reader: _SectionReader, problems: list) -> RobotParams | None:
-    if reader.missing():
-        problems.append(f"missing section [{reader.section}]")
+def _read_robot(reader: _SectionReader) -> RobotParams | None:
+    if reader.missing(required=True):
         return None
     links = {key: reader.floats(key, required=True) for key in _LINK_KEYS}
     gravity = reader.scalar("gravity", default=RobotParams.gravity)
@@ -146,12 +154,12 @@ def _read_robot(reader: _SectionReader, problems: list) -> RobotParams | None:
         try:
             limits = _floats(str(limits_raw))
         except ValueError:
-            problems.append(f"[{reader.section}] torque_limits: need numbers or 'unlimited'")
+            reader.problem("torque_limits: need numbers or 'unlimited'")
             return None
     try:
         return RobotParams(**links, gravity=gravity, torque_limits=limits)
     except ValueError as exc:
-        problems.append(f"[{reader.section}] {exc}")
+        reader.problem(str(exc))
         return None
 
 
@@ -163,35 +171,31 @@ def _read_per_robot(reader: _SectionReader, key: str):
     if local is None and remote is None:
         return base
     if base is not None:
-        reader.problems.append(
-            f"[{reader.section}] give either '{key}' or the _local/_remote pair, not both")
+        reader.problem(f"give either '{key}' or the _local/_remote pair, not both")
         return None
     if local is None or remote is None:
-        reader.problems.append(
-            f"[{reader.section}] {key}_local and {key}_remote must be given together")
+        reader.problem(f"{key}_local and {key}_remote must be given together")
         return None
     try:
         return np.vstack(np.broadcast_arrays(local, remote))
     except ValueError:
-        reader.problems.append(
-            f"[{reader.section}] {key}_local and {key}_remote have different lengths")
+        reader.problem(f"{key}_local and {key}_remote have different lengths")
         return None
 
 
-def _read_controller(reader: _SectionReader, n: int, problems: list) -> ControllerConfig | None:
-    if reader.missing():
-        problems.append("missing section [controller]")
+def _read_controller(reader: _SectionReader, n: int) -> ControllerConfig | None:
+    if reader.missing(required=True):
         return None
     variant = (reader.get("variant", required=True) or "").strip().upper()
     r1 = reader.scalar("r1", required=True)
     r2 = reader.scalar("r2", required=True)
     k_s = reader.floats("k_s", required=True)
-    problems_before = len(problems)
+    problems_before = len(reader.problems)
     d_s = _read_per_robot(reader, "d_s")
     k_c = _read_per_robot(reader, "k_c")
     d_c = _read_per_robot(reader, "d_c")
     # a gain that failed to read is not missing: building would say it is
-    gains_failed = len(problems) > problems_before
+    gains_failed = len(reader.problems) > problems_before
     delta_p = reader.scalar("delta_p")
     delta_d = reader.scalar("delta_d")
     reader.leftovers()
@@ -202,11 +206,11 @@ def _read_controller(reader: _SectionReader, n: int, problems: list) -> Controll
         return ControllerConfig(variant, Weights(r1=r1, r2=r2), k_s.size if k_s.size > 1 else n,
                                 k_s, d_s, k_c, d_c, delta_p, delta_d)
     except ValueError as exc:
-        problems.append(f"[controller] {exc}")
+        reader.problem(str(exc))
         return None
 
 
-def _read_profile(reader: _SectionReader, problems: list) -> ForceProfile:
+def _read_profile(reader: _SectionReader) -> ForceProfile:
     if reader.missing():
         return ForceProfile()
     kind = (reader.get("kind", default="zero") or "zero").strip().lower()
@@ -223,7 +227,7 @@ def _read_profile(reader: _SectionReader, problems: list) -> ForceProfile:
     try:
         return ForceProfile(kind=kind, **kwargs)
     except ValueError as exc:
-        problems.append(f"[{reader.section}] {exc}")
+        reader.problem(str(exc))
         return ForceProfile()
 
 
@@ -239,42 +243,40 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
         raise ScenarioError([str(exc)]) from exc
 
     problems: list[str] = []
-    robot_l = _read_robot(_SectionReader(parser, "robot.local", problems), problems)
-    robot_r = _read_robot(_SectionReader(parser, "robot.remote", problems), problems)
+    parts = {"label": label}   # Scenario field name -> value
+    for side, name in _SIDES:
+        parts[f"params_{name}"] = _read_robot(_SectionReader(parser, f"robot.{side}", problems))
 
     # read the controller block even when a robot block failed: infer the
     # joint count from whatever source is available so all errors surface
-    n = next((robot.n for robot in (robot_l, robot_r) if robot is not None), None)
+    n = next((p.n for p in (parts["params_l"], parts["params_r"]) if p is not None), None)
     if n is None:
         try:
             n = _floats(parser.get("initial", "q_local")).size
         except (configparser.Error, ValueError):
             n = 1
 
-    config = _read_controller(_SectionReader(parser, "controller", problems), n, problems)
+    parts["config"] = _read_controller(_SectionReader(parser, "controller", problems), n)
 
     init = _SectionReader(parser, "initial", problems)
-    initial = {}
-    if init.missing():
-        problems.append("missing section [initial]")
-    else:
-        for key, _ in _INITIAL_FIELDS:
-            initial[key] = init.floats(key, required=key in ("q_local", "q_remote"))
-        init.leftovers()
+    init.missing(required=True)
+    for key, name in _INITIAL_FIELDS:
+        parts[name] = init.floats(key, required=key in ("q_local", "q_remote"))
+    init.leftovers()
 
-    profile_l = _read_profile(_SectionReader(parser, "forces.local", problems), problems)
-    profile_r = _read_profile(_SectionReader(parser, "forces.remote", problems), problems)
+    for side, name in _SIDES:
+        parts[f"profile_{name}"] = _read_profile(
+            _SectionReader(parser, f"forces.{side}", problems))
 
     sim = _SectionReader(parser, "simulation", problems)
-    horizon = sim.scalar("horizon", default=Scenario.horizon)
-    dt = sim.scalar("dt", default=Scenario.dt)
-    decimation = sim.scalar("decimation", default=Scenario.decimation)
-    integrator = (sim.get("integrator") or Scenario.integrator).strip().lower()
-    delay = sim.scalar("delay", default=Scenario.delay)
+    for key in _SIMULATION_NUMBERS:
+        parts[key] = sim.scalar(key, default=getattr(Scenario, key))
+    parts["integrator"] = (sim.get("integrator") or Scenario.integrator).strip().lower()
     sim.leftovers()
 
     out = _SectionReader(parser, "output", problems)
-    paths = {f"{key}_path": out.get(key) for key in _OUTPUT_KEYS}
+    for key in _OUTPUT_KEYS:
+        parts[f"{key}_path"] = out.get(key)
     out.leftovers()
 
     known = {"robot.local", "robot.remote", "controller", "initial",
@@ -286,19 +288,8 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
     # with every part parsed, the Scenario constructor runs the rules
     # across the parts; otherwise run them here so every problem is listed
     if problems:
-        raise ScenarioError(problems + _scenario_problems(
-            robot_l, robot_r, config, initial, (profile_l, profile_r),
-            horizon, dt, decimation, integrator, delay))
-
-    return Scenario(
-        params_l=robot_l, params_r=robot_r, config=config,
-        q0_l=initial["q_local"], q0_r=initial["q_remote"],
-        qd0_l=initial["qdot_local"], qd0_r=initial["qdot_remote"],
-        theta0_l=initial["theta_local"], theta0_r=initial["theta_remote"],
-        profile_l=profile_l, profile_r=profile_r,
-        horizon=horizon, dt=dt, decimation=decimation,
-        integrator=integrator, delay=delay, label=label, **paths,
-    )
+        raise ScenarioError(problems + _scenario_problems(parts))
+    return Scenario(**parts)
 
 
 def load_scenario(path) -> Scenario:

@@ -189,10 +189,22 @@ class TestScenarioValidation:
         (dict(dt="0.5"), "dt must be a number"),
         (dict(delay="0.5"), "delay must be a number"),
         (dict(decimation="x"), "decimation must be a number"),
+        (dict(horizon=True), "horizon must be a number"),
+        (dict(delay=np.bool_(False)), "delay must be a number"),
+        (dict(integrator=None), "integrator must be 'euler' or 'rk4'"),
+        (dict(integrator=np.array(["euler", "rk4"])), "integrator must be 'euler' or 'rk4'"),
+        # every ratio the rules or the engine round to a count must be finite
+        (dict(horizon=1e308),
+         "the trace must hold at most 10000000 samples (horizon / decimation + 1)"),
+        (dict(decimation=1e308), "decimation / dt must be finite"),
+        (dict(horizon=1e305, decimation=1e300), "horizon / dt must be finite"),
+        (dict(delay=1e308), "delay / dt must be finite"),
     ], ids=["horizon", "dt", "dt-above-decimation", "decimation-multiple", "integrator",
             "delay", "delay-integrator", "nan-horizon", "inf-horizon", "nan-dt", "inf-dt",
             "nan-decimation", "inf-decimation", "none-decimation", "nan-delay", "inf-delay",
-            "str-horizon", "str-dt", "str-delay", "str-decimation"])
+            "str-horizon", "str-dt", "str-delay", "str-decimation", "bool-horizon",
+            "numpy-bool-delay", "none-integrator", "array-integrator", "overflow-samples",
+            "overflow-decimation-steps", "overflow-horizon-steps", "overflow-delay-steps"])
     def test_replace_checks_each_rule(self, changes, problem):
         base = ft.read_bundled_scenario("c1_sim")   # dt 1e-4, decimation 1e-3
         with pytest.raises(ft.ScenarioError) as info:
@@ -208,7 +220,16 @@ class TestScenarioValidation:
         (dict(params_l=None, params_r=None, config=None),
          ["missing section [robot.local]", "missing section [robot.remote]",
           "missing section [controller]"]),
-    ], ids=["config", "params_l", "params_r", "profile_l", "profile_r-str", "all-parts"])
+        (dict(params_l="x"), ["[robot.local] must be a RobotParams"]),
+        (dict(params_r=3), ["[robot.remote] must be a RobotParams"]),
+        (dict(config="C1"), ["[controller] must be a ControllerConfig"]),
+        (dict(params_l=ft.read_bundled_scenario("c3_sim").config, params_r=None),
+         ["[robot.local] must be a RobotParams", "missing section [robot.remote]"]),
+        (dict(q0_l=None), ["[initial] missing required key 'q_local'"]),
+        (dict(q0_r=None), ["[initial] missing required key 'q_remote'"]),
+    ], ids=["config", "params_l", "params_r", "profile_l", "profile_r-str", "all-parts",
+            "params_l-str", "params_r-int", "config-str", "params_l-a-config",
+            "q0_l-none", "q0_r-none"])
     def test_replace_requires_every_part(self, changes, problems):
         base = ft.read_bundled_scenario("c3_sim")
         with pytest.raises(ft.ScenarioError) as info:
@@ -236,6 +257,14 @@ class TestScenarioValidation:
         with pytest.raises(ft.ScenarioError) as info:
             replace(base, **{name: value})
         assert info.value.problems == [f"[initial] {key} must have 2 entries"]
+
+    @pytest.mark.parametrize("value", ["ab", [1.0, "a"], {}], ids=["str", "list", "dict"])
+    @pytest.mark.parametrize("name, key", _INITIAL, ids=[key for _, key in _INITIAL])
+    def test_replace_checks_initial_numbers(self, name, key, value):
+        base = ft.read_bundled_scenario("c4_sim")
+        with pytest.raises(ft.ScenarioError) as info:
+            replace(base, **{name: value})
+        assert info.value.problems == [f"[initial] {key} must be numbers"]
 
     @pytest.mark.parametrize("name, key", _INITIAL, ids=[key for _, key in _INITIAL])
     def test_replace_checks_initial_finite(self, name, key):
@@ -300,6 +329,22 @@ class TestScenarioValidation:
         "trace-samples": ("c1_sim", {"horizon = 8.0": "horizon = 1e6"},
                           lambda s: dict(horizon=1e6),
                           "[simulation] the trace must hold at most 10000000 samples"),
+        "missing-q-local": ("c1_sim", {"q_local = 1.0, -0.4\n": ""}, lambda s: dict(q0_l=None),
+                            "[initial] missing required key 'q_local'"),
+        "overflow-samples": ("c1_sim", {"horizon = 8.0": "horizon = 1e308"},
+                             lambda s: dict(horizon=1e308),
+                             "[simulation] the trace must hold at most 10000000 samples"),
+        "overflow-decimation-steps": ("c1_sim", {"decimation = 0.001": "decimation = 1e308"},
+                                      lambda s: dict(decimation=1e308),
+                                      "[simulation] decimation / dt must be finite"),
+        "overflow-horizon-steps": (
+            "c1_sim", {"horizon = 8.0": "horizon = 1e305",
+                       "decimation = 0.001": "decimation = 1e300"},
+            lambda s: dict(horizon=1e305, decimation=1e300),
+            "[simulation] horizon / dt must be finite"),
+        "overflow-delay-steps": ("c1_sim", {"delay = 0.0": "delay = 1e308"},
+                                 lambda s: dict(delay=1e308),
+                                 "[simulation] delay / dt must be finite"),
     }
 
     @pytest.mark.parametrize("case", list(_THREE_WAYS))
@@ -332,12 +377,65 @@ class TestScenarioValidation:
         assert info.value.problems == [
             f"[simulation] the trace must hold at most {cap} samples (horizon / decimation + 1)"]
 
+    @pytest.mark.parametrize("changes", [
+        dict(horizon=np.float64(0.05)), dict(horizon=1), dict(delay=np.int64(0)),
+        dict(dt=np.float32(0.0005), decimation=np.float32(0.0005)),
+    ], ids=["float64-horizon", "int-horizon", "int64-delay", "float32-dt"])
+    def test_simulation_numbers_are_stored_as_floats(self, changes):
+        # a numpy or int value is kept as the Python float of the same value, so
+        # the scenario dumps to text that parses back, and runs as the float
+        base = replace(ft.read_bundled_scenario("c3_sim"), horizon=0.05)
+        s = replace(base, **changes)
+        for key in ("horizon", "dt", "decimation", "delay"):
+            assert type(getattr(s, key)) is float
+        assert ft.dump_scenario(ft.parse_scenario(ft.dump_scenario(s))) == ft.dump_scenario(s)
+        plain = replace(base, **{key: float(value) for key, value in changes.items()})
+        np.testing.assert_array_equal(ft.run(replace(s, horizon=0.01)).matrix(),
+                                      ft.run(replace(plain, horizon=0.01)).matrix())
+
     def test_one_entry_force_vector_applies_to_every_joint(self):
         base = ft.read_bundled_scenario("c3_sim")
         pulse = replace(base.profile_r, start=0.0, stop=0.01)
         short = replace(base, horizon=0.02, profile_r=replace(pulse, amplitude=[9.0]))
         full = replace(short, profile_r=replace(pulse, amplitude=[9.0, 9.0]))
         np.testing.assert_array_equal(ft.run(short).matrix(), ft.run(full).matrix())
+
+
+_FIELD_NAMES = [f.name for f in fields(ft.Scenario)]
+
+
+class TestBuildOrName:
+    """Whatever value a rule-bearing Scenario field is given, the build either
+    raises ScenarioError or gives a scenario whose dump parses back and dumps
+    to the same text: no other exception, and nothing built that cannot be
+    written back."""
+
+    _FIELDS = _FIELD_NAMES[_FIELD_NAMES.index("params_l"):_FIELD_NAMES.index("delay") + 1]
+    _POOL = (None, "x", 3, True, np.float64(np.nan), np.float64(0.5), np.int64(2),
+             [[1.0, 2.0]], [1.0, "a"], -1.0, 0.0, 1e308)
+
+    @pytest.mark.parametrize("name", _FIELDS)
+    def test_builds_or_names_the_problem(self, name):
+        failures = []
+        for base in (ft.read_bundled_scenario("c1_sim"), ft.read_bundled_scenario("c4_sim")):
+            for value in self._POOL:
+                case = f"{base.label}, {name} = {value!r}"
+                try:
+                    s = replace(base, **{name: value})
+                except ft.ScenarioError:
+                    continue
+                except Exception as exc:   # collect every case, not only the first
+                    failures.append(f"{case}: build raised {type(exc).__name__}: {exc}")
+                    continue
+                text = ft.dump_scenario(s)
+                try:
+                    again = ft.dump_scenario(ft.parse_scenario(text, label=s.label))
+                except ft.ScenarioError as exc:
+                    failures.append(f"{case}: its dump does not parse: {exc.problems}")
+                    continue
+                if again != text:
+                    failures.append(f"{case}: its dump changes on a reload")
+        assert failures == []
 
 
 class TestRun:
@@ -858,6 +956,24 @@ class TestForceProfiles:
     def test_rejects_bad_pulse_window(self):
         with pytest.raises(ValueError):
             ft.ForceProfile(kind="pulse", start=2.0, stop=1.0, amplitude=np.ones(2))
+
+    @pytest.mark.parametrize("start, stop", [(np.float64(3.0), 4), (0, np.int64(1))],
+                             ids=["float64-start", "int64-stop"])
+    def test_window_is_stored_as_floats(self, start, stop):
+        profile = ft.ForceProfile(kind="pulse", start=start, stop=stop, amplitude=np.ones(2))
+        assert (profile.start, profile.stop) == (start, stop)
+        assert type(profile.start) is float and type(profile.stop) is float
+        s = replace(ft.read_bundled_scenario("c3_sim"), profile_r=profile)
+        assert ft.dump_scenario(ft.parse_scenario(ft.dump_scenario(s))) == ft.dump_scenario(s)
+
+    @pytest.mark.parametrize("changes, problem", [
+        (dict(start=True), "start must be a number"), (dict(stop="1.0"), "stop must be a number"),
+        (dict(stop=None), "stop must be a number"),
+    ], ids=["bool-start", "str-stop", "none-stop"])
+    def test_rejects_a_window_that_is_not_numbers(self, changes, problem):
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            ft.ForceProfile(**{"kind": "pulse", "start": 0.0, "stop": 1.0,
+                               "amplitude": np.ones(2), **changes})
 
     @pytest.mark.parametrize("name", ["amplitude", "stiffness", "damping", "anchor"])
     def test_rejects_non_finite_vectors(self, name):

@@ -53,6 +53,21 @@ class TestSpec:
         assert w4.size == 12
         np.testing.assert_array_equal(w4[8:], [1.5] * 4)
 
+    @pytest.mark.parametrize("n", [5, 1, 2.5, 2.0, True, None], ids=str)
+    def test_stacked_weights_rejects_another_joint_count(self, n):
+        # the layout is the controller's: a count other than config.n is named
+        with pytest.raises(ValueError, match=rf"^n = {n!r} does not match the controller's "
+                                             "joint count 2$"):
+            ft.stacked_weights(_config("C1"), n)
+
+    def test_for_config_rejects_another_joint_count(self):
+        with pytest.raises(ValueError, match="n = 3 does not match the controller's joint"):
+            HomogeneitySpec.for_config(_config("C4"), 3)
+
+    def test_stacked_weights_accepts_a_numpy_integer(self):
+        np.testing.assert_array_equal(ft.stacked_weights(_config("C1"), np.int64(2)),
+                                      ft.stacked_weights(_config("C1"), 2))
+
     def test_for_config_negative_degree(self):
         spec = HomogeneitySpec.for_config(_config("C1"), 2)
         assert spec.degree == pytest.approx(-0.5)

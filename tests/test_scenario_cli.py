@@ -272,6 +272,22 @@ class TestCli:
         assert run_command([command, bad, "--out", str(tmp_path)]) == 3
         assert "the trace must hold at most 10000000 samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edits, problem", [
+        ({"horizon = 0.5": "horizon = 1e308"}, "the trace must hold at most 10000000 samples"),
+        ({"decimation = 1e-2": "decimation = 1e308"}, "decimation / dt must be finite"),
+        ({"horizon = 0.5": "horizon = 1e306", "decimation = 1e-2": "decimation = 1e300"},
+         "horizon / dt must be finite"),
+        ({"decimation = 1e-2": "decimation = 1e-2\ndelay = 1e308"}, "delay / dt must be finite"),
+    ], ids=["horizon", "decimation", "horizon-over-dt", "delay"])
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_overflowing_step_ratio_exit_code(self, tmp_path, capsys, command, edits, problem):
+        text = FAST_SCENARIO
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        bad = _write(tmp_path, text)
+        assert run_command([command, bad, "--out", str(tmp_path)]) == 3
+        assert f"[simulation] {problem}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["validate", "simulate"])
     def test_non_finite_robot_vector_exit_code(self, tmp_path, capsys, command):
         bad = _write(tmp_path, FAST_SCENARIO.replace("masses = 1.8, 1.6", "masses = nan, 1.6", 1))
