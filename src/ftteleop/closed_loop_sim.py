@@ -161,6 +161,8 @@ class TeleopState:
 
 # the most samples a trace may hold; the engine allocates the record up front
 _MAX_SAMPLES = 10**7
+# the most steps a run may take, round(horizon / dt): hours at one member
+_MAX_STEPS = 10**9
 
 # scenario-file key of each initial vector, with its Scenario field
 _INITIAL_FIELDS = (("q_local", "q0_l"), ("q_remote", "q0_r"), ("qdot_local", "qd0_l"),
@@ -184,12 +186,12 @@ def _scenario_problems(parts) -> list[str]:
     config or a profile counts only when it is an instance of its type; any
     other value (None included) failed to parse or is named by Scenario, and
     is skipped. An initial vector of None was not given; a [simulation]
-    value of None is reported.
+    value of None is reported. Each [simulation] number that converts is
+    written back to ``parts`` as a Python float.
     """
     params_l, params_r, config, profile_l, profile_r = [
         parts[name] if isinstance(parts[name], kind) else None for _, name, kind in _PARTS]
-    horizon, dt, decimation, integrator, delay = [
-        parts[key] for key in ("horizon", "dt", "decimation", "integrator", "delay")]
+    integrator = parts["integrator"]
     problems = []
     counts = [p.n for p in (params_l, params_r) if p is not None]
     if len(set(counts)) > 1:
@@ -203,9 +205,16 @@ def _scenario_problems(parts) -> list[str]:
         if vec is None:
             continue
         try:
-            vec = np.asarray(vec, dtype=float)
+            vec = np.asarray(vec)
+            if vec.dtype.kind == "c":   # casting would drop the imaginary part
+                problems.append(f"[initial] {key} must be real numbers")
+                continue
+            vec = vec.astype(float, copy=False)
         except (TypeError, ValueError):
             problems.append(f"[initial] {key} must be numbers")
+            continue
+        except OverflowError:   # an int beyond the float range
+            problems.append(f"[initial] {key} must lie within the float range")
             continue
         if n is not None and (vec.ndim > 1 or vec.size != n):
             problems.append(f"[initial] {key} must have {n} entries")
@@ -219,10 +228,21 @@ def _scenario_problems(parts) -> list[str]:
 
     if not isinstance(integrator, str) or integrator not in ("euler", "rk4"):
         problems.append("[simulation] integrator must be 'euler' or 'rk4'")
-    # a value that is not a number (a bool included) cannot be compared: name it
-    # and compare nothing
-    wrong = [f"[simulation] {key} must be a number" for key in _SIMULATION_NUMBERS
-             if parts[key] is not None and not _is_number(parts[key])]
+    # each number is converted once; one that is not a number (a bool
+    # included) or beyond the float range is named, and nothing is compared
+    wrong = []
+    for key in _SIMULATION_NUMBERS:
+        value = parts[key]
+        if value is None or type(value) is float:
+            continue
+        if not _is_number(value):
+            wrong.append(f"[simulation] {key} must be a number")
+            continue
+        try:
+            parts[key] = float(value)
+        except OverflowError:   # an int beyond the float range
+            wrong.append(f"[simulation] {key} must lie within the float range")
+    horizon, dt, decimation, delay = [parts[key] for key in _SIMULATION_NUMBERS]
     problems += wrong
     if not wrong:
         # NaN fails every comparison, so "not x > 0" also rejects it
@@ -251,6 +271,9 @@ def _scenario_problems(parts) -> list[str]:
                                     "samples (horizon / decimation + 1)")
                 elif math.isinf(horizon / dt):
                     problems.append("[simulation] horizon / dt must be finite")
+                elif round(horizon / dt) > _MAX_STEPS:
+                    problems.append(f"[simulation] the run must take at most {_MAX_STEPS} "
+                                    "steps (horizon / dt)")
         if decimation is None:
             problems.append("[simulation] decimation must be positive")
         # a longer step rounds the horizon to zero steps (a non-finite dt is reported above)
@@ -282,7 +305,7 @@ class Scenario:
 
     Every rule that ties the parts together (both robots, the controller and
     the profiles are of their types and the robots and controller share the
-    joint count, q0_l and q0_r are given, the initial vectors are numbers,
+    joint count, q0_l and q0_r are given, the initial vectors are real numbers,
     scalars or 1-D of that length, the profiles' vector lengths, the
     [simulation] values and, for C3/C4, the saturation gate) is checked when
     a scenario is built, also by dataclasses.replace; a violation raises
@@ -324,13 +347,11 @@ class Scenario:
                 problems.append(f"[{section}] must be a {kind.__name__}")
         problems += [f"[initial] missing required key '{key}'"
                      for key, name in _INITIAL_FIELDS[:2] if getattr(self, name) is None]
+        # the rule pass also stores the [simulation] numbers as Python
+        # floats, so that dump_scenario writes text that parses
         problems += _scenario_problems(vars(self))
         if problems:
             raise ScenarioError(problems)
-        # Python floats, so that dump_scenario writes text that parses
-        for key in _SIMULATION_NUMBERS:
-            if type(getattr(self, key)) is not float:
-                object.__setattr__(self, key, float(getattr(self, key)))
 
     def initial_state(self) -> TeleopState:
         return _teleop_state(_initial_array(self, self.config.has_virtual_state), 0.0)

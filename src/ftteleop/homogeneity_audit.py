@@ -33,6 +33,7 @@ from .controllers import ControllerConfig, control_law, stack_laws
 from .robot_dynamics import (
     RobotParams,
     SingularInertiaError,
+    _spd_solve,
     acceleration_kernel,
     inertia_kernel,
     link_angles,
@@ -206,15 +207,18 @@ def full_field(config: ControllerConfig, params_l: RobotParams,
     """The complete free-motion closed loop in error coordinates around q_c.
 
     The torque laws return the torque net of the gravity they cancel, and it
-    drives the engine's link-coordinate solve, so the field evaluates no gravity
+    drives the engine's link-coordinate kernel, so the field evaluates no gravity
     and depends on q_c only through the configuration-varying inertia and Coriolis.
+    An audit evaluates thousands of states in one call, so the kernel solves
+    them by the stacked elimination, not by one LAPACK call per matrix.
     ``q_c`` must hold n finite entries, else ValueError.
     """
     q_c, law, arms = _field_inputs(config, params_l, params_r, q_c)
 
     def dynamics(q, qdot, theta):
         tau, theta_dot = control_law(law, q, qdot, theta, q[:, ::-1])
-        return acceleration_kernel(arms, link_angles(q), link_angles(qdot), tau), theta_dot
+        acc = acceleration_kernel(arms, link_angles(q), link_angles(qdot), tau, _spd_solve)
+        return acc, theta_dot
 
     return _error_field(config, q_c, dynamics)
 

@@ -263,16 +263,53 @@ def gravity_kernel(arm: ArmArrays, phi: np.ndarray) -> np.ndarray:
     return _suffix_sum(arm.gravity * np.cos(phi), -1)
 
 
+def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x solving a x = b for a stack of symmetric positive-definite (n, n)
+    matrices a and a stack of the same shape of (n, k) right-hand sides b,
+    as np.linalg.solve(a, b).
+
+    The stack is copied once into a batch-last (n, n, N) layout, so each step
+    of the elimination (a = L D L^T, D the pivots) is one contiguous ufunc
+    over all N systems.
+    Without pivoting the elimination is backward stable for positive-definite
+    matrices (Golub & Van Loan, Matrix Computations, 4th ed., sec. 4.2), and
+    every operation is elementwise along the stack, so a system's solution is
+    bit-identical alone and in any stack. Raises np.linalg.LinAlgError if a
+    pivot is zero or negative; a NaN pivot gives that system a NaN solution,
+    as LAPACK's does.
+    """
+    n, k = b.shape[-2:]
+    m = a.reshape(-1, n * n).T.reshape(n, n, -1).copy()
+    x = b.reshape(-1, n * k).T.reshape(n, k, -1).copy()
+    with np.errstate(divide="ignore", invalid="ignore"):   # a bad pivot raises below
+        for j in range(n - 1):
+            ratio = m[j + 1:, j] / m[j, j]
+            m[j + 1:, j + 1:] -= ratio[:, None] * m[j, j + 1:]
+            x[j + 1:] -= ratio[:, None] * x[j]
+        pivots = m.reshape(n * n, -1)[::n + 1]
+        if (pivots <= 0).any():
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+        for j in range(n - 1, -1, -1):   # back substitution, one column at a time
+            x[j] /= pivots[j]
+            x[:j] -= m[:j, j, None] * x[j]
+    return x.reshape(n * k, -1).T.reshape(b.shape)
+
+
 def acceleration_kernel(arm: ArmArrays, phi: np.ndarray, omega: np.ndarray,
-                        u: np.ndarray) -> np.ndarray:
+                        u: np.ndarray, solve=np.linalg.solve) -> np.ndarray:
     """qdd solving M qdd = u - C(q, qd) qd for u the torque net of gravity,
     given the link angles phi = L q and the link rates omega = L qd, so
-    u = 0 at rest gives qdd = 0 exactly. Builds neither M nor C; raises
-    np.linalg.LinAlgError if A is exactly singular."""
+    u = 0 at rest gives qdd = 0 exactly. Builds neither M nor C.
+
+    ``solve(a, b)`` solves the link-coordinate systems A omega_dot = rhs and
+    raises np.linalg.LinAlgError when it cannot: LAPACK by default (for an
+    exactly singular A), or _spd_solve (for a zero or negative pivot), which
+    is faster on large stacks and slower on small ones. Both give a NaN A a
+    NaN solution."""
     diff = _differences(phi)
     rhs = u - np.einsum("...ab,...b->...a", _coriolis_factor(arm, diff), omega * omega)
     rhs[..., :-1] -= u[..., 1:]   # L^-T u
-    acc = np.linalg.solve(_link_inertia(arm, diff), rhs[..., None])[..., 0]   # omega_dot
+    acc = solve(_link_inertia(arm, diff), rhs[..., None])[..., 0]   # omega_dot
     acc[..., 1:] -= acc[..., :-1]   # L^-1; ufuncs buffer the overlapping operands
     return acc
 

@@ -199,12 +199,17 @@ class TestScenarioValidation:
         (dict(decimation=1e308), "decimation / dt must be finite"),
         (dict(horizon=1e305, decimation=1e300), "horizon / dt must be finite"),
         (dict(delay=1e308), "delay / dt must be finite"),
+        (dict(horizon=10**400), "horizon must lie within the float range"),
+        (dict(delay=10**400), "delay must lie within the float range"),
+        (dict(dt=-10**400), "dt must lie within the float range"),
     ], ids=["horizon", "dt", "dt-above-decimation", "decimation-multiple", "integrator",
             "delay", "delay-integrator", "nan-horizon", "inf-horizon", "nan-dt", "inf-dt",
             "nan-decimation", "inf-decimation", "none-decimation", "nan-delay", "inf-delay",
             "str-horizon", "str-dt", "str-delay", "str-decimation", "bool-horizon",
             "numpy-bool-delay", "none-integrator", "array-integrator", "overflow-samples",
-            "overflow-decimation-steps", "overflow-horizon-steps", "overflow-delay-steps"])
+            "overflow-decimation-steps", "overflow-horizon-steps", "overflow-delay-steps",
+            "int-beyond-float-horizon", "int-beyond-float-delay",
+            "int-beyond-float-dt"])
     def test_replace_checks_each_rule(self, changes, problem):
         base = ft.read_bundled_scenario("c1_sim")   # dt 1e-4, decimation 1e-3
         with pytest.raises(ft.ScenarioError) as info:
@@ -265,6 +270,19 @@ class TestScenarioValidation:
         with pytest.raises(ft.ScenarioError) as info:
             replace(base, **{name: value})
         assert info.value.problems == [f"[initial] {key} must be numbers"]
+
+    @pytest.mark.parametrize("value, problem", [
+        # casting a complex vector to float would drop its imaginary part
+        (np.array([1 + 1j, 0.0]), "must be real numbers"), (1j, "must be real numbers"),
+        ([0.5, 2j], "must be real numbers"), (10**400, "must lie within the float range"),
+        ([0.1, -10**400], "must lie within the float range"),
+    ], ids=["complex-array", "complex-scalar", "complex-list", "huge-int", "huge-int-list"])
+    @pytest.mark.parametrize("name, key", _INITIAL, ids=[key for _, key in _INITIAL])
+    def test_replace_checks_initial_real_floats(self, name, key, value, problem):
+        base = ft.read_bundled_scenario("c4_sim")
+        with pytest.raises(ft.ScenarioError) as info:
+            replace(base, **{name: value})
+        assert info.value.problems == [f"[initial] {key} {problem}"]
 
     @pytest.mark.parametrize("name, key", _INITIAL, ids=[key for _, key in _INITIAL])
     def test_replace_checks_initial_finite(self, name, key):
@@ -345,6 +363,11 @@ class TestScenarioValidation:
         "overflow-delay-steps": ("c1_sim", {"delay = 0.0": "delay = 1e308"},
                                  lambda s: dict(delay=1e308),
                                  "[simulation] delay / dt must be finite"),
+        "long-run": (
+            "c1_sim", {"dt = 0.0001": "dt = 0.001", "horizon = 8.0": "horizon = 1e305",
+                       "decimation = 0.001": "decimation = 1e300"},
+            lambda s: dict(dt=1e-3, horizon=1e305, decimation=1e300),
+            "[simulation] the run must take at most 1000000000 steps"),
     }
 
     @pytest.mark.parametrize("case", list(_THREE_WAYS))
@@ -376,6 +399,17 @@ class TestScenarioValidation:
             replace(base, horizon=cap * base.decimation)
         assert info.value.problems == [
             f"[simulation] the trace must hold at most {cap} samples (horizon / decimation + 1)"]
+
+    def test_step_cap_counts_horizon_over_dt(self):
+        # the rule reads the step count only; neither scenario is run
+        base = ft.read_bundled_scenario("c1_sim")   # dt 1e-4
+        cap = closed_loop_sim._MAX_STEPS
+        at_cap = replace(base, horizon=cap * base.dt, decimation=0.1)
+        assert round(at_cap.horizon / at_cap.dt) == cap
+        with pytest.raises(ft.ScenarioError) as info:
+            replace(at_cap, horizon=(cap + 1) * base.dt)
+        assert info.value.problems == [
+            f"[simulation] the run must take at most {cap} steps (horizon / dt)"]
 
     @pytest.mark.parametrize("changes", [
         dict(horizon=np.float64(0.05)), dict(horizon=1), dict(delay=np.int64(0)),
@@ -412,7 +446,7 @@ class TestBuildOrName:
 
     _FIELDS = _FIELD_NAMES[_FIELD_NAMES.index("params_l"):_FIELD_NAMES.index("delay") + 1]
     _POOL = (None, "x", 3, True, np.float64(np.nan), np.float64(0.5), np.int64(2),
-             [[1.0, 2.0]], [1.0, "a"], -1.0, 0.0, 1e308)
+             [[1.0, 2.0]], [1.0, "a"], -1.0, 0.0, 1e308, 10**400, np.array([1 + 1j, 0.0]))
 
     @pytest.mark.parametrize("name", _FIELDS)
     def test_builds_or_names_the_problem(self, name):

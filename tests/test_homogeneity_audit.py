@@ -177,20 +177,23 @@ class TestFieldComposition:
     @pytest.mark.parametrize("variant", ["C1", "C2", "C3", "C4"])
     def test_stack_matches_single_points(self, variant):
         # an (E, S, dim) stack gives the same values as each row alone, and
-        # a 1-D point keeps its shape
+        # a 1-D point keeps its shape. The full field runs a stack of an
+        # audit's size (13 epsilons x 256 samples): its stacked solve is
+        # elementwise along the stack, so bit for bit
         params = _params()
         config = _config(variant)
         dim = ft.stacked_weights(config, 2).size
         rng = np.random.default_rng(10)
-        stack = rng.normal(size=(3, 5, dim)) * 0.5
-        for make in (ft.homogeneous_field, ft.full_field):
+        for make, shape, atol in ((ft.homogeneous_field, (3, 5), 1e-13),
+                                  (ft.full_field, (13, 256), 0.0)):
+            stack = rng.normal(size=shape + (dim,)) * 0.5
             field_fn = make(config, params, params, Q_C)
             values = field_fn(stack)
             assert values.shape == stack.shape
-            for index in np.ndindex(stack.shape[:-1]):
+            for index in np.ndindex(shape):
                 single = field_fn(stack[index])
                 assert single.shape == (dim,)
-                np.testing.assert_allclose(values[index], single, rtol=0.0, atol=1e-13)
+                np.testing.assert_allclose(values[index], single, rtol=0.0, atol=atol)
 
     @pytest.mark.parametrize("shape", [(2, 16), (4, 6), (3, 7), ()],
                              ids=["wide", "narrow", "not-dividing", "scalar"])
@@ -289,6 +292,19 @@ class TestVanishingSweep:
         _, devs_sat = ft.vanishing_sweep(cfg_sat, params, params, Q_C, spec)
         np.testing.assert_array_equal(devs_plain[-4:], devs_sat[-4:])
         assert not np.array_equal(devs_plain[0], devs_sat[0])
+
+    # a dilation by 1e200 overflows the sphere points to inf, so the link
+    # inertias are NaN: the solve passes NaN through and the sweep names it
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("variant", ["C1", "C2", "C3", "C4"])
+    def test_overflowing_dilation_is_named(self, variant):
+        params = _params()
+        config = _config(variant)
+        spec = HomogeneitySpec(weights=ft.stacked_weights(config, 2),
+                               degree=config.weights.degree, samples=16,
+                               eps_grid=[1e200, 1.0, 0.1])
+        with pytest.raises(FloatingPointError, match=r"^full field non-finite at eps=1e\+200$"):
+            ft.vanishing_sweep(config, params, params, Q_C, spec)
 
     def test_slope_helper_on_synthetic_power_law(self):
         eps = np.geomspace(1.0, 1e-3, 13)

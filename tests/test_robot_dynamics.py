@@ -298,7 +298,7 @@ class TestForwardDynamics:
                                       np.add.reduce(s * w2[..., None, :], -1))
 
     def test_link_inertia_is_positive_definite(self):
-        # why the solve needs no definiteness check: W is a Gram matrix, so
+        # why the audit's stacked solve needs no pivoting: W is a Gram matrix, so
         # A = W o cos(phi_a - phi_b) + diag(I) is positive definite (Schur
         # product theorem), and M = L^T A L is its congruence
         for n in range(1, 7):
@@ -311,6 +311,67 @@ class TestForwardDynamics:
             for qk, ak in zip(q, a):
                 np.testing.assert_allclose(robot_dynamics._congruence(ak),
                                            ft.mass_matrix(params, qk), rtol=1e-13, atol=1e-15)
+
+
+def _spd_stack(rng, size, n):
+    """A stack of random symmetric positive-definite matrices, condition ~ 10-100."""
+    g = rng.normal(size=(size, n, n))
+    return g @ np.swapaxes(g, -1, -2) + 0.5 * n * np.eye(n)
+
+
+class TestSpdSolve:
+    """The stacked elimination the audit's full field solves with."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("size", [1, 7, 6656])
+    def test_matches_lapack(self, n, size):
+        rng = np.random.default_rng([n, size, 19])
+        a = _spd_stack(rng, size, n)
+        for k in (1, 3):
+            b = rng.normal(size=(size, n, k))
+            x = robot_dynamics._spd_solve(a, b)
+            ref = np.linalg.solve(a, b)
+            assert x.shape == ref.shape
+            err = np.linalg.norm(x - ref, axis=-2) / np.linalg.norm(ref, axis=-2)
+            assert err.max() <= 1e-12, f"k={k}: {err.max():.2e}"
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_members_do_not_depend_on_the_stack(self, n):
+        # every operation is elementwise along the stack, so bit for bit
+        rng = np.random.default_rng([n, 20])
+        a = _spd_stack(rng, 6656, n).reshape(52, 128, n, n)
+        b = rng.normal(size=(52, 128, n, 1))
+        x = robot_dynamics._spd_solve(a, b)
+        for index in [(0, 0), (3, 77), (51, 127)] + [tuple(i) for i in rng.integers(0, 52, (5, 2))]:
+            np.testing.assert_array_equal(robot_dynamics._spd_solve(a[index], b[index]), x[index])
+            np.testing.assert_array_equal(
+                robot_dynamics._spd_solve(a[index][None], b[index][None])[0], x[index])
+
+    @pytest.mark.parametrize("bad", [
+        [[0.0, 1.0], [1.0, 2.0]], [[-1.0, 0.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]],
+        [[1.0, 1.0], [1.0, 1.0]],
+    ], ids=["zero-first", "negative-first", "negative-second", "singular"])
+    def test_a_pivot_that_is_not_positive_raises(self, bad):
+        # one bad member among good ones fails the whole stack, as LAPACK's does
+        rng = np.random.default_rng(21)
+        a = _spd_stack(rng, 9, 2)
+        a[4] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            robot_dynamics._spd_solve(a, rng.normal(size=(9, 2, 1)))
+
+    @pytest.mark.parametrize("bad", [
+        [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, np.nan]], [[1.0, np.nan], [np.nan, 1.0]],
+    ], ids=["nan-first", "nan-second", "nan-off-diagonal"])
+    def test_a_nan_member_solves_to_nan(self, bad):
+        # as with LAPACK, a NaN pivot raises nothing: only its own member is NaN
+        rng = np.random.default_rng(22)
+        a = _spd_stack(rng, 9, 2)
+        a[4] = bad
+        b = rng.normal(size=(9, 2, 1))
+        x = robot_dynamics._spd_solve(a, b)
+        assert np.isnan(np.linalg.solve(a, b)[4]).any() and np.isnan(x[4]).any()
+        good = np.arange(9) != 4
+        np.testing.assert_array_equal(x[good], robot_dynamics._spd_solve(a[good], b[good]))
 
 
 class TestEnergies:

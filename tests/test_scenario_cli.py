@@ -288,6 +288,15 @@ class TestCli:
         assert run_command([command, bad, "--out", str(tmp_path)]) == 3
         assert f"[simulation] {problem}" in capsys.readouterr().err
 
+    def test_long_run_exit_code(self, tmp_path, capsys):
+        # finite ratios (10^5 samples) but 10^308 steps; validate only, so that
+        # a regression fails here instead of integrating without end
+        bad = _write(tmp_path, FAST_SCENARIO.replace("horizon = 0.5", "horizon = 1e305")
+                     .replace("decimation = 1e-2", "decimation = 1e300"))
+        assert run_command(["validate", bad]) == 3
+        assert "[simulation] the run must take at most 1000000000 steps (horizon / dt)" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["validate", "simulate"])
     def test_non_finite_robot_vector_exit_code(self, tmp_path, capsys, command):
         bad = _write(tmp_path, FAST_SCENARIO.replace("masses = 1.8, 1.6", "masses = nan, 1.6", 1))
