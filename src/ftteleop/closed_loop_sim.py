@@ -17,7 +17,6 @@ the passive-environment energy ledger.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -38,6 +37,8 @@ from .controllers import (
 from .robot_dynamics import (
     RobotParams,
     RobotState,
+    _real_array,
+    _real_number,
     acceleration_kernel,
     gravity_kernel,
     kinetic_kernel,
@@ -81,13 +82,6 @@ class SimulationUnstableError(RuntimeError):
     """
 
 
-def _is_number(value) -> bool:
-    """A real number (numpy's included), but not a bool."""
-    # a float first: isinstance against the numbers ABC is several times slower
-    return type(value) is float or (isinstance(value, numbers.Real)
-                                    and not isinstance(value, bool))
-
-
 @dataclass(frozen=True, eq=False)
 class ForceProfile:
     """Scripted external force acting on one robot.
@@ -112,13 +106,11 @@ class ForceProfile:
         if self.kind not in ("zero", "pulse", "spring_damper"):
             raise ValueError(f"unknown force profile kind {self.kind!r}")
         for name in ("start", "stop"):
-            if not _is_number(getattr(self, name)):
-                raise ValueError(f"{name} must be a number")
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _real_number(name, getattr(self, name)))
         for name in ("amplitude", "stiffness", "damping", "anchor"):
             value = getattr(self, name)
             if value is not None:
-                value = np.atleast_1d(np.asarray(value, float))
+                value = np.atleast_1d(_real_array(name, value))
                 if not np.isfinite(value).all():
                     raise ValueError(f"{name} must be finite")
                 object.__setattr__(self, name, value)
@@ -205,16 +197,9 @@ def _scenario_problems(parts) -> list[str]:
         if vec is None:
             continue
         try:
-            vec = np.asarray(vec)
-            if vec.dtype.kind == "c":   # casting would drop the imaginary part
-                problems.append(f"[initial] {key} must be real numbers")
-                continue
-            vec = vec.astype(float, copy=False)
-        except (TypeError, ValueError):
-            problems.append(f"[initial] {key} must be numbers")
-            continue
-        except OverflowError:   # an int beyond the float range
-            problems.append(f"[initial] {key} must lie within the float range")
+            vec = _real_array(key, vec)
+        except ValueError as exc:
+            problems.append(f"[initial] {exc}")
             continue
         if n is not None and (vec.ndim > 1 or vec.size != n):
             problems.append(f"[initial] {key} must have {n} entries")
@@ -233,15 +218,12 @@ def _scenario_problems(parts) -> list[str]:
     wrong = []
     for key in _SIMULATION_NUMBERS:
         value = parts[key]
-        if value is None or type(value) is float:
-            continue
-        if not _is_number(value):
-            wrong.append(f"[simulation] {key} must be a number")
+        if value is None:
             continue
         try:
-            parts[key] = float(value)
-        except OverflowError:   # an int beyond the float range
-            wrong.append(f"[simulation] {key} must lie within the float range")
+            parts[key] = _real_number(key, value)
+        except ValueError as exc:
+            wrong.append(f"[simulation] {exc}")
     horizon, dt, decimation, delay = [parts[key] for key in _SIMULATION_NUMBERS]
     problems += wrong
     if not wrong:

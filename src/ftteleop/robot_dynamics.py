@@ -7,14 +7,17 @@ in-plane along -y (set the acceleration to 0 for a horizontal workspace).
 
 With absolute link angles phi = L q and link rates omega = L qd (L the
 lower-triangular matrix of ones), M(q) = L^T A(phi) L with
-A_ab = W_ab cos(phi_a - phi_b) + delta_ab I_a, positive definite since the
-geometry matrix W is a Gram matrix (Schur product theorem). Every Coriolis
-quantity comes from the one factor S = W o sin(phi_a - phi_b): the
-Christoffel matrix C = L^T S diag(omega) L, the vector C qd = L^T [S omega^2]
-and the quadratic forms [C(q, v) v]_k = v^T L^T diag(sum_{a>=k} S_a.) L v
-behind the growth bound. The motion is solved in link coordinates
-(Featherstone, Rigid Body Dynamics Algorithms, 2008): A omega_dot =
-L^-T u - S omega^2 with L^-T u = u_k - u_{k+1}, and qdd = L^-1 omega_dot is
+A = G o cos(phi_a - phi_b) and the link-inertia table G = W + diag(I): the
+diagonal of the cosines is 1, so the rotor inertias ride on W's diagonal. A
+is positive definite, since the geometry matrix W is a Gram matrix (Schur
+product theorem). Every Coriolis quantity comes from the one factor
+S = G o sin(phi_a - phi_b), equal to W o sin(phi_a - phi_b) because the
+diagonal of the sines is 0: the Christoffel matrix C = L^T S diag(omega) L,
+the vector C qd = L^T [S omega^2] and the quadratic forms
+[C(q, v) v]_k = v^T L^T diag(sum_{a>=k} S_a.) L v behind the growth bound.
+The motion is solved in link coordinates (Featherstone, Rigid Body Dynamics
+Algorithms, 2008): A omega_dot = L^-T u - S omega^2 with
+L^-T u = u_k - u_{k+1}, one direct LAPACK call, and qdd = L^-1 omega_dot is
 a first difference. The kinetic energy is 1/2 omega^T A omega, so only
 mass_matrix, the sampled bounds and the audit's frozen core build M.
 
@@ -29,10 +32,12 @@ are decomposed only at samples whose Frobenius-norm ceiling reaches it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "RobotParams",
@@ -87,11 +92,40 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _real_number(name: str, value) -> float:
+    """value, a real number (numpy's included) but not a bool, as a Python
+    float, or a ValueError naming ``name`` and the fault."""
+    if type(value) is float:   # first: isinstance against the numbers ABC is slower
+        return value
+    if isinstance(value, (complex, np.complexfloating)):
+        raise ValueError(f"{name} must be a real number")
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number")
+    try:
+        return float(value)
+    except OverflowError:   # an int beyond the float range
+        raise ValueError(f"{name} must lie within the float range") from None
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """value as a float array, or a ValueError naming ``name`` and the fault."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "USc":
+            return arr.astype(float, copy=False)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be numbers") from None
+    except OverflowError:   # an int beyond the float range
+        raise ValueError(f"{name} must lie within the float range") from None
+    # numpy would parse numeric text (as _real_number does not "0.5"), and
+    # casting a complex array would drop its imaginary part
+    raise ValueError(f"{name} must be {'real ' if arr.dtype.kind == 'c' else ''}numbers")
+
+
 class ArmArrays(NamedTuple):
     """Model constants of one arm, or of several stacked on leading axes."""
 
-    weights: np.ndarray   # (..., n, n) geometry matrix W
-    inertia: np.ndarray   # (..., n, n) diagonal of rotor inertias
+    weights: np.ndarray   # (..., n, n) link-inertia table G = W + diag(rotor inertias)
     gravity: np.ndarray   # (..., n) gravity * (masses @ lever)
 
 
@@ -120,13 +154,23 @@ class RobotParams:
     bounds: DerivedBounds = field(init=False, repr=False)
 
     def __post_init__(self):
+        # each field is converted once; one that is not real numbers or lies
+        # beyond the float range is named, and nothing is compared
+        vectors = ["masses", "lengths", "com_offsets", "inertias"]
+        if self.torque_limits is not None:
+            vectors.append("torque_limits")
         problems = []
-        for name in ("masses", "lengths", "com_offsets", "inertias", "torque_limits"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _readonly(np.atleast_1d(getattr(self, name))))
-                if not np.isfinite(getattr(self, name)).all():
-                    problems.append(f"{name} must be finite")
-        object.__setattr__(self, "gravity", float(self.gravity))
+        for name in vectors + ["gravity"]:
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, _real_number(name, value) if name == "gravity"
+                                   else _readonly(np.atleast_1d(_real_array(name, value))))
+            except ValueError as exc:
+                problems.append(str(exc))
+        if problems:
+            raise ValueError("invalid robot parameters: " + "; ".join(problems))
+        problems = [f"{name} must be finite" for name in vectors
+                    if not np.isfinite(getattr(self, name)).all()]
 
         n = self.masses.size
         for name in ("lengths", "com_offsets", "inertias"):
@@ -159,9 +203,9 @@ class RobotParams:
         for k in range(n):
             lever[k, :k] = self.lengths[:k]
             lever[k, k] = self.com_offsets[k]
+        weights = np.einsum("k,ka,kb->ab", self.masses, lever, lever) + np.diag(self.inertias)
         object.__setattr__(self, "arm", ArmArrays(
-            _readonly(np.einsum("k,ka,kb->ab", self.masses, lever, lever)),
-            _readonly(np.diag(self.inertias)), _readonly(self.gravity * (self.masses @ lever))))
+            _readonly(weights), _readonly(self.gravity * (self.masses @ lever))))
 
         object.__setattr__(self, "bounds", derive_bounds(self))
         if self.bounds.inertia_max / self.bounds.inertia_min > _MAX_CONDITION:
@@ -215,7 +259,8 @@ def _check_q(params: RobotParams, q) -> np.ndarray:
 
 def stack_arm_arrays(rows) -> ArmArrays:
     """Constants of a (B, k) grid of arms, stacked on two leading axes."""
-    return ArmArrays(*(np.array([[p.arm[i] for p in row] for row in rows]) for i in range(3)))
+    return ArmArrays(*(np.array([[p.arm[i] for p in row] for row in rows])
+                       for i in range(len(ArmArrays._fields))))
 
 
 def link_angles(q: np.ndarray) -> np.ndarray:
@@ -243,8 +288,9 @@ def _differences(phi: np.ndarray) -> np.ndarray:
 
 
 def _link_inertia(arm: ArmArrays, diff: np.ndarray) -> np.ndarray:
-    """A_ab = W_ab cos(phi_a - phi_b) + delta_ab I_a: M in link coordinates."""
-    return arm.weights * np.cos(diff) + arm.inertia
+    """A = G o cos(phi_a - phi_b), i.e. W_ab cos(phi_a - phi_b) + delta_ab I_a:
+    M in link coordinates."""
+    return arm.weights * np.cos(diff)
 
 
 def inertia_kernel(arm: ArmArrays, phi: np.ndarray) -> np.ndarray:
@@ -254,7 +300,8 @@ def inertia_kernel(arm: ArmArrays, phi: np.ndarray) -> np.ndarray:
 
 
 def _coriolis_factor(arm: ArmArrays, diff: np.ndarray) -> np.ndarray:
-    """S = W o sin(phi_a - phi_b), the factor of every Coriolis quantity."""
+    """S = G o sin(phi_a - phi_b) = W o sin(phi_a - phi_b), the factor of every
+    Coriolis quantity."""
     return arm.weights * np.sin(diff)
 
 
@@ -295,17 +342,31 @@ def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x.reshape(n * k, -1).T.reshape(b.shape)
 
 
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _lapack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) for float stacks a (..., n, n) and b (..., n, k):
+    the same LAPACK gufunc under the same error state, without the wrapper's
+    type and shape handling. Raises np.linalg.LinAlgError("Singular matrix")
+    for an exactly singular member; a NaN member solves to NaN."""
+    with np.errstate(call=_raise_singular, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.solve(a, b, signature="dd->d")
+
+
 def acceleration_kernel(arm: ArmArrays, phi: np.ndarray, omega: np.ndarray,
-                        u: np.ndarray, solve=np.linalg.solve) -> np.ndarray:
+                        u: np.ndarray, solve=_lapack_solve) -> np.ndarray:
     """qdd solving M qdd = u - C(q, qd) qd for u the torque net of gravity,
     given the link angles phi = L q and the link rates omega = L qd, so
     u = 0 at rest gives qdd = 0 exactly. Builds neither M nor C.
 
-    ``solve(a, b)`` solves the link-coordinate systems A omega_dot = rhs and
-    raises np.linalg.LinAlgError when it cannot: LAPACK by default (for an
-    exactly singular A), or _spd_solve (for a zero or negative pivot), which
-    is faster on large stacks and slower on small ones. Both give a NaN A a
-    NaN solution."""
+    ``solve(a, b)`` solves the link-coordinate systems A omega_dot = rhs,
+    A = G o cos(phi_a - phi_b), and raises np.linalg.LinAlgError when it
+    cannot: one direct LAPACK call by default (for an exactly singular A),
+    or _spd_solve (for a zero or negative pivot), which is faster on large
+    stacks and slower on small ones. Both give a NaN A a NaN solution."""
     diff = _differences(phi)
     rhs = u - np.einsum("...ab,...b->...a", _coriolis_factor(arm, diff), omega * omega)
     rhs[..., :-1] -= u[..., 1:]   # L^-T u

@@ -263,7 +263,8 @@ class TestScenarioValidation:
             replace(base, **{name: value})
         assert info.value.problems == [f"[initial] {key} must have 2 entries"]
 
-    @pytest.mark.parametrize("value", ["ab", [1.0, "a"], {}], ids=["str", "list", "dict"])
+    @pytest.mark.parametrize("value", ["ab", [1.0, "a"], {}, ["0.1", "0"]],
+                             ids=["str", "list", "dict", "numeric-text"])
     @pytest.mark.parametrize("name, key", _INITIAL, ids=[key for _, key in _INITIAL])
     def test_replace_checks_initial_numbers(self, name, key, value):
         base = ft.read_bundled_scenario("c4_sim")
@@ -1003,7 +1004,10 @@ class TestForceProfiles:
     @pytest.mark.parametrize("changes, problem", [
         (dict(start=True), "start must be a number"), (dict(stop="1.0"), "stop must be a number"),
         (dict(stop=None), "stop must be a number"),
-    ], ids=["bool-start", "str-stop", "none-stop"])
+        (dict(start=10**400), "start must lie within the float range"),
+        (dict(stop=-10**400), "stop must lie within the float range"),
+        (dict(stop=1.0 + 1j), "stop must be a real number"),
+    ], ids=["bool-start", "str-stop", "none-stop", "huge-start", "huge-stop", "complex-stop"])
     def test_rejects_a_window_that_is_not_numbers(self, changes, problem):
         with pytest.raises(ValueError, match=f"^{problem}$"):
             ft.ForceProfile(**{"kind": "pulse", "start": 0.0, "stop": 1.0,
@@ -1016,6 +1020,21 @@ class TestForceProfiles:
         vectors[name] = np.array([np.nan, 1.0])
         kind = "pulse" if name == "amplitude" else "spring_damper"
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            ft.ForceProfile(kind=kind, start=0.0, stop=1.0, **vectors)
+
+    @pytest.mark.parametrize("value, problem", [
+        # casting a complex vector to float would drop its imaginary part
+        (np.array([1 + 1j, 0.0]), "must be real numbers"), ([0.5, 2j], "must be real numbers"),
+        ([10**400, 1.0], "must lie within the float range"), (["a", 1.0], "must be numbers"),
+        (["9", "-6"], "must be numbers"),
+    ], ids=["complex-array", "complex-list", "huge-int", "text", "numeric-text"])
+    @pytest.mark.parametrize("name", ["amplitude", "stiffness", "damping", "anchor"])
+    def test_names_a_vector_that_is_not_real_numbers(self, name, value, problem):
+        vectors = dict(amplitude=np.ones(2), stiffness=np.ones(2), damping=np.ones(2),
+                       anchor=np.zeros(2))
+        vectors[name] = value
+        kind = "pulse" if name == "amplitude" else "spring_damper"
+        with pytest.raises(ValueError, match=f"^{name} {problem}$"):
             ft.ForceProfile(kind=kind, start=0.0, stop=1.0, **vectors)
 
     def test_file_rejects_non_finite_vectors(self):

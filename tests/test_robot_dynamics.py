@@ -5,7 +5,10 @@ center positions (forward kinematics with numeric differentiation) and never
 touch the implementation's precomputed geometry matrices.
 """
 
+import inspect
 import itertools
+import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -374,6 +377,78 @@ class TestSpdSolve:
         np.testing.assert_array_equal(x[good], robot_dynamics._spd_solve(a[good], b[good]))
 
 
+class TestLapackSolve:
+    """The direct LAPACK call the engine and forward_dynamics solve with."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    def test_equals_numpy_solve(self, n, size):
+        rng = np.random.default_rng([n, size, 23])
+        a = _spd_stack(rng, size, n)
+        for k in (1, 3):
+            b = rng.normal(size=(size, n, k))
+            x = robot_dynamics._lapack_solve(a, b)
+            assert x.shape == b.shape and x.dtype == float
+            np.testing.assert_array_equal(x, np.linalg.solve(a, b))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_members_do_not_depend_on_the_stack(self, n):
+        rng = np.random.default_rng([n, 24])
+        a = _spd_stack(rng, 64, n)
+        b = rng.normal(size=(64, n, 1))
+        x = robot_dynamics._lapack_solve(a, b)
+        for index in range(64):
+            np.testing.assert_array_equal(
+                robot_dynamics._lapack_solve(a[[index]], b[[index]]), x[[index]])
+
+    def test_a_zero_member_raises(self):
+        rng = np.random.default_rng(25)
+        a = _spd_stack(rng, 9, 2)
+        a[4] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            robot_dynamics._lapack_solve(a, rng.normal(size=(9, 2, 1)))
+
+    @pytest.mark.parametrize("bad", [
+        [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, np.nan]], [[1.0, np.nan], [np.nan, 1.0]],
+    ], ids=["nan-first", "nan-second", "nan-off-diagonal"])
+    def test_a_nan_member_solves_to_nan(self, bad):
+        rng = np.random.default_rng(26)
+        a = _spd_stack(rng, 9, 2)
+        a[4] = bad
+        b = rng.normal(size=(9, 2, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = robot_dynamics._lapack_solve(a, b)
+        assert np.isnan(x[4]).any()
+        good = np.arange(9) != 4
+        assert np.isfinite(x[good]).all()
+        np.testing.assert_array_equal(x[good], robot_dynamics._lapack_solve(a[good], b[good]))
+
+    def test_no_warning_escapes(self):
+        rng = np.random.default_rng(27)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            robot_dynamics._lapack_solve(_spd_stack(rng, 16, 3), rng.normal(size=(16, 3, 1)))
+
+    def test_the_engine_does_not_reach_numpy_solve(self):
+        # the kernel binds its default solve at import, so watch the calls
+        # rather than patch the name
+        wrapper = inspect.unwrap(np.linalg.solve).__code__
+        calls = []
+        scenario = replace(ft.read_bundled_scenario("c1_sim"), horizon=0.01)
+        params = ft.RobotParams(**BENCHMARK)
+        sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code is wrapper
+                       and calls.append(frame))
+        try:
+            ft.run(scenario)
+            ft.run(replace(scenario, integrator="rk4"))
+            ft.forward_dynamics(params, ft.RobotState(q=np.ones(2), qdot=np.ones(2)), np.zeros(2))
+            np.linalg.solve(np.eye(2), np.ones(2))   # the watch itself works
+        finally:
+            sys.setprofile(None)
+        assert len(calls) == 1
+
+
 class TestEnergies:
     def test_rest_has_no_kinetic_energy(self, benchmark_params):
         kinetic, _ = ft.energies(benchmark_params, ft.RobotState(q=np.ones(2), qdot=np.zeros(2)))
@@ -550,6 +625,31 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             ft.RobotParams(**vectors)
 
+    @pytest.mark.parametrize("name", ["masses", "lengths", "com_offsets", "inertias",
+                                      "torque_limits"])
+    def test_rejects_complex_vectors(self, name):
+        # casting to float would drop the imaginary part
+        vectors = dict(BENCHMARK, torque_limits=[40.0, 16.0])
+        vectors[name] = np.array([vectors[name][0] + 1j, vectors[name][1]])
+        with pytest.raises(ValueError, match=f"^invalid robot parameters: {name} must be real "
+                                             "numbers$"):
+            ft.RobotParams(**vectors)
+
+    @pytest.mark.parametrize("changes, problem", [
+        (dict(gravity=10**400), "gravity must lie within the float range"),
+        (dict(torque_limits=[10**400, 16]), "torque_limits must lie within the float range"),
+        (dict(gravity=9.81 + 1j), "gravity must be a real number"),
+        (dict(gravity=np.complex128(9.81)), "gravity must be a real number"),
+        (dict(gravity="9.81"), "gravity must be a number"),
+        (dict(masses=["a", 1.6]), "masses must be numbers"),
+        (dict(masses=["1.8", "1.6"]), "masses must be numbers"),
+        (dict(inertias=[[0.1], [0.2, 0.3]]), "inertias must be numbers"),
+    ], ids=["huge-gravity", "huge-limit", "complex-gravity", "complex128-gravity", "str-gravity",
+            "text-mass", "numeric-text-mass", "ragged-inertias"])
+    def test_names_a_field_that_is_not_real_numbers(self, changes, problem):
+        with pytest.raises(ValueError, match=f"^invalid robot parameters: {problem}$"):
+            ft.RobotParams(**{**BENCHMARK, **changes})
+
     def test_accepts_strong_actuators(self):
         params = ft.RobotParams(**BENCHMARK, torque_limits=[40.0, 16.0])
         assert np.all(params.torque_limits > params.bounds.gravity_caps)
@@ -566,7 +666,14 @@ class TestValidation:
 class TestArmArrays:
     def test_built_once_from_the_parameters(self, benchmark_params):
         arm = benchmark_params.arm
-        np.testing.assert_array_equal(arm.inertia, np.diag(BENCHMARK["inertias"]))
+        # the link-inertia table G = W + diag(I), W the Gram matrix of the
+        # lever arms: sum over links k of m_k lever_k lever_k^T
+        (m1, m2), (l1, _), (c1, c2) = (BENCHMARK[k] for k in ("masses", "lengths", "com_offsets"))
+        gram = np.array([[m1 * c1**2 + m2 * l1**2, m2 * l1 * c2], [m2 * l1 * c2, m2 * c2**2]])
+        np.testing.assert_allclose(np.diag(arm.weights), np.diag(gram) + BENCHMARK["inertias"],
+                                   rtol=1e-15)
+        off_diagonal = ~np.eye(2, dtype=bool)
+        np.testing.assert_allclose(arm.weights[off_diagonal], gram[off_diagonal], rtol=1e-15)
         # its suffix sums are the exact gravity caps
         np.testing.assert_allclose(np.cumsum(arm.gravity[::-1])[::-1],
                                    gravity_closed_form(BENCHMARK), rtol=1e-14)
