@@ -6,6 +6,10 @@ an explicit fixed-step scheme (forward Euler by default, classic RK4 for
 step-size studies). One engine integrates many scenarios at once as stacked
 arrays (run_batch); a single run is its B = 1 case. Runs are deterministic:
 identical scenarios produce bit-identical traces, alone or in a batch.
+The step evaluates in place: the Euler and RK4 updates and the force write
+into their first temporaries, operation by operation in the order of the
+written expressions, so every value keeps its bits, and the pulse part of
+the external force is cached between the edges of the stacked windows.
 
 The recorded trace carries the full state, torques, forces, the inter-robot
 error norm and the shaped total energy at a decimated sample interval, and
@@ -16,6 +20,7 @@ the passive-environment energy ledger.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -376,13 +381,46 @@ def _stack_forces(rows, n: int) -> _Forces:
     )
 
 
-def _force(forces: _Forces, t: float, q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
-    f = np.zeros_like(q)
-    if forces.amplitude is not None:
-        f = np.where((forces.start <= t) & (t < forces.stop), forces.amplitude, 0.0)
-    if forces.stiffness is not None:
-        f = f - forces.stiffness * (q - forces.anchor) - forces.damping * qdot
-    return f
+class _Pulse:
+    """The pulse part of the force of a (B, 2) grid, kept between the edges
+    of the stacked windows.
+
+    Between two consecutive edges (starts and stops) every window is on or
+    off throughout, so the part is recomputed only when t leaves the
+    interval [lo, hi) of the last evaluation: stage times never decrease
+    within a batch, so when t reaches the next edge. The cached array is
+    read-only.
+    """
+
+    def __init__(self, forces: _Forces):
+        self.forces = forces
+        self.edges = sorted(set(forces.start.ravel().tolist() + forces.stop.ravel().tolist()))
+        self.lo, self.hi, self.value = math.inf, -math.inf, None   # nothing cached yet
+
+    def at(self, t: float) -> np.ndarray:
+        if not self.lo <= t < self.hi:
+            f = self.forces
+            self.value = np.where((f.start <= t) & (t < f.stop), f.amplitude, 0.0)
+            self.value.setflags(write=False)
+            i = bisect.bisect_right(self.edges, t)   # edges[i - 1] <= t < edges[i]
+            self.lo = self.edges[i - 1] if i else -math.inf
+            self.hi = self.edges[i] if i < len(self.edges) else math.inf
+        return self.value
+
+
+def _force(forces: _Forces, pulse: _Pulse | None, t: float, q: np.ndarray,
+           qdot: np.ndarray) -> np.ndarray:
+    """The external force on each robot of a grid with some force profile:
+    the pulse part (``pulse``, None when no profile is a pulse) minus the
+    spring-damper part, which is formed in its first temporary."""
+    f = 0.0 if pulse is None else pulse.at(t)
+    if forces.stiffness is None:
+        return f
+    spring = q - forces.anchor
+    spring *= forces.stiffness
+    np.subtract(f, spring, out=spring)
+    spring -= forces.damping * qdot
+    return spring
 
 
 def _teleop_state(x: np.ndarray, t: float) -> TeleopState:
@@ -424,6 +462,8 @@ class _Batch:
         self.arms, self.law, self.forces, self.labels = arms, law, forces, list(labels)
         self.order = np.asarray(order)   # each member's input position
         self.free = all(v is None for v in forces)   # no member has a force profile
+        # a cut builds a new batch, and with it a cache for its own members
+        self.pulse = None if forces.amplitude is None else _Pulse(forces)
 
     @classmethod
     def of(cls, scenarios, order) -> "_Batch":
@@ -461,7 +501,7 @@ class _Batch:
         q, qdot = x[0], x[1]
         tau, theta_dot = control_law(self.law, q, qdot, x[2] if self.law.virtual else None,
                                      q[:, ::-1] if q_seen is None else q_seen)
-        f = None if self.free else _force(self.forces, t, q, qdot)
+        f = None if self.free else _force(self.forces, self.pulse, t, q, qdot)
         link = link_angles(x[:2])   # phi and omega
         dx = np.empty_like(x)
         dx[0] = qdot
@@ -471,23 +511,42 @@ class _Batch:
         except np.linalg.LinAlgError:
             self.check_finite(x, t)
             raise
-        if self.law.virtual:
+        if theta_dot is not None:
             dx[2] = theta_dot
         return dx, tau, f
 
     def euler(self, t: float, x: np.ndarray, dx: np.ndarray, dt: float) -> np.ndarray:
-        x1 = x + dt * dx
+        """x + dt dx, in the product's buffer."""
+        x1 = dt * dx
+        x1 += x
         self.check_finite(x1, t + dt)
         return x1
 
     def rk4(self, t: float, x: np.ndarray, k1: np.ndarray, dt: float) -> np.ndarray:
-        """Classic RK4 from x, given the slope k1 = rhs(t, x) already evaluated."""
-        k2 = self.rhs(t + 0.5 * dt, x + 0.5 * dt * k1)[0]
-        k3 = self.rhs(t + 0.5 * dt, x + 0.5 * dt * k2)[0]
-        k4 = self.rhs(t + dt, x + dt * k3)[0]
-        x1 = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        self.check_finite(x1, t + dt)
-        return x1
+        """Classic RK4 from x, given the slope k1 = rhs(t, x) already evaluated.
+
+        The stage states share one buffer (rhs keeps no reference to its x)
+        and the weighted sum x + dt/6 (k1 + 2 k2 + 2 k3 + k4) is formed in
+        k2's, operation by operation as written."""
+        half = 0.5 * dt
+        stage = half * k1
+        stage += x
+        k2 = self.rhs(t + half, stage)[0]
+        np.multiply(half, k2, out=stage)
+        stage += x
+        k3 = self.rhs(t + half, stage)[0]
+        np.multiply(dt, k3, out=stage)
+        stage += x
+        k4 = self.rhs(t + dt, stage)[0]
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= dt / 6.0
+        k2 += x
+        self.check_finite(k2, t + dt)
+        return k2
 
 
 def _advance(update, state, config, params_l, params_r, profiles, dt: float) -> TeleopState:

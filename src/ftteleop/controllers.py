@@ -269,7 +269,8 @@ def control_law(law: StackedLaw, q, qdot, theta, q_seen):
     array, whose slots are contiguous blocks like the law's. When the stack
     holds theta, its C1/C3 members damp through qdot and get a zero theta
     rate. Negating a gain negates its term exactly, so each member gets the
-    torque its variant gives alone, to the bit.
+    torque its variant gives alone, to the bit. The terms are scaled in the
+    channel map's own buffer.
     """
     arg = np.empty((len(law.gains),) + q.shape)
     np.subtract(q, q_seen, out=arg[0])
@@ -277,7 +278,8 @@ def control_law(law: StackedLaw, q, qdot, theta, q_seen):
     if law.virtual:
         np.subtract(theta, q, out=arg[2])
         np.copyto(arg[1], arg[2], where=law.virtual_mask)   # C2/C4 damp through theta - q
-    term = law.gains * channel(arg, law.exponents, law.levels)
+    term = channel(arg, law.exponents, law.levels)
+    term *= law.gains
     return term[0] + term[1], term[2] if law.virtual else None
 
 

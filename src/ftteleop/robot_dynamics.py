@@ -21,6 +21,11 @@ L^-T u = u_k - u_{k+1}, one direct LAPACK call, and qdd = L^-1 omega_dot is
 a first difference. The kinetic energy is 1/2 omega^T A omega, so only
 mass_matrix, the sampled bounds and the audit's frozen core build M.
 
+The engine's step evaluates this in place: the two first differences are
+taken on named views of their own buffers, and the solve takes its error
+state from np.errstate used as a decorator, which sets it per call, so no
+errstate object is built per solve and the solve stays re-entrant.
+
 The per-joint gravity caps are exact (all links horizontal). The inertia
 eigenvalue bounds and the Coriolis quadratic-growth constant are estimated
 once per parameter set by dense sampling with a safety margin. M and C read
@@ -111,6 +116,9 @@ def _real_array(name: str, value) -> np.ndarray:
     """value as a float array, or a ValueError naming ``name`` and the fault."""
     try:
         arr = np.asarray(value)
+        # an object array: numpy would cast None to NaN and parse numeric text
+        if arr.dtype.kind == "O" and not all(isinstance(v, numbers.Real) for v in arr.flat):
+            raise TypeError
         if arr.dtype.kind not in "USc":
             return arr.astype(float, copy=False)
     except (TypeError, ValueError):
@@ -265,7 +273,7 @@ def stack_arm_arrays(rows) -> ArmArrays:
 
 def link_angles(q: np.ndarray) -> np.ndarray:
     """Absolute link angles phi = L q."""
-    return np.asarray(q).cumsum(axis=-1)
+    return np.add.accumulate(q, axis=-1)
 
 
 _REVERSED = {-1: (Ellipsis, slice(None, None, -1)),
@@ -346,14 +354,17 @@ def _raise_singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
+# the decorator form sets the error state per call (numpy keeps its context
+# token per call, not on the shared errstate object), so the solve is
+# re-entrant and thread-safe without building an errstate on every call
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
 def _lapack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.linalg.solve(a, b) for float stacks a (..., n, n) and b (..., n, k):
     the same LAPACK gufunc under the same error state, without the wrapper's
     type and shape handling. Raises np.linalg.LinAlgError("Singular matrix")
     for an exactly singular member; a NaN member solves to NaN."""
-    with np.errstate(call=_raise_singular, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        return _umath_linalg.solve(a, b, signature="dd->d")
+    return _umath_linalg.solve(a, b, signature="dd->d")
 
 
 def acceleration_kernel(arm: ArmArrays, phi: np.ndarray, omega: np.ndarray,
@@ -369,9 +380,13 @@ def acceleration_kernel(arm: ArmArrays, phi: np.ndarray, omega: np.ndarray,
     stacks and slower on small ones. Both give a NaN A a NaN solution."""
     diff = _differences(phi)
     rhs = u - np.einsum("...ab,...b->...a", _coriolis_factor(arm, diff), omega * omega)
-    rhs[..., :-1] -= u[..., 1:]   # L^-T u
+    # the slices are named views: an augmented assignment to a subscript
+    # would copy the result back onto itself
+    head = rhs[..., :-1]
+    head -= u[..., 1:]   # L^-T u
     acc = solve(_link_inertia(arm, diff), rhs[..., None])[..., 0]   # omega_dot
-    acc[..., 1:] -= acc[..., :-1]   # L^-1; ufuncs buffer the overlapping operands
+    tail = acc[..., 1:]
+    tail -= acc[..., :-1]   # L^-1; ufuncs buffer the overlapping operands
     return acc
 
 

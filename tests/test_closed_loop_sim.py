@@ -263,8 +263,8 @@ class TestScenarioValidation:
             replace(base, **{name: value})
         assert info.value.problems == [f"[initial] {key} must have 2 entries"]
 
-    @pytest.mark.parametrize("value", ["ab", [1.0, "a"], {}, ["0.1", "0"]],
-                             ids=["str", "list", "dict", "numeric-text"])
+    @pytest.mark.parametrize("value", ["ab", [1.0, "a"], {}, ["0.1", "0"], [None, 0.0]],
+                             ids=["str", "list", "dict", "numeric-text", "none-entry"])
     @pytest.mark.parametrize("name, key", _INITIAL, ids=[key for _, key in _INITIAL])
     def test_replace_checks_initial_numbers(self, name, key, value):
         base = ft.read_bundled_scenario("c4_sim")
@@ -447,7 +447,8 @@ class TestBuildOrName:
 
     _FIELDS = _FIELD_NAMES[_FIELD_NAMES.index("params_l"):_FIELD_NAMES.index("delay") + 1]
     _POOL = (None, "x", 3, True, np.float64(np.nan), np.float64(0.5), np.int64(2),
-             [[1.0, 2.0]], [1.0, "a"], -1.0, 0.0, 1e308, 10**400, np.array([1 + 1j, 0.0]))
+             [[1.0, 2.0]], [1.0, "a"], -1.0, 0.0, 1e308, 10**400, np.array([1 + 1j, 0.0]),
+             [None, 0.0])
 
     @pytest.mark.parametrize("name", _FIELDS)
     def test_builds_or_names_the_problem(self, name):
@@ -710,6 +711,42 @@ class TestRunBatch:
         np.testing.assert_allclose(traces[2].f_l, -30.0 * traces[2].q_l)
         for scenario, trace in zip(scenarios, traces):
             np.testing.assert_array_equal(trace.matrix(), ft.run(scenario).matrix())
+
+    @pytest.mark.parametrize("integrator", ["euler", "rk4"])
+    def test_pulse_windows_in_one_group(self, integrator):
+        # the pulse force is cached between the edges of the stacked windows:
+        # edges on step times and on RK4 half-step times, one window past the
+        # cut of a shorter member, one empty and one past its member's horizon
+        dt = 1e-3
+        times = [0.0]
+        for _ in range(100):
+            times.append(times[-1] + dt)   # the engine's own step times
+        half = 0.5 * dt
+
+        def pulse(start, stop):
+            return ft.ForceProfile(kind="pulse", start=start, stop=stop,
+                                   amplitude=np.array([2.0, -1.0]))
+
+        windows = [(times[20], times[40] + half), (times[10], times[30]),
+                   (times[30] + half, times[80]), None, (0.5, 0.6)]
+        scenarios = [
+            _scenario("C1", horizon=0.1, profile_r=pulse(*windows[0])),
+            _scenario("C4", horizon=0.05, profile_r=pulse(*windows[1])),
+            _scenario("C3", horizon=0.1, profile_r=pulse(*windows[2]), profile_l=_SPRING),
+            _scenario("C2", horizon=0.08),
+            _scenario("C1", horizon=0.03, profile_r=pulse(*windows[4])),
+        ]
+        scenarios = [replace(s, integrator=integrator, decimation=dt) for s in scenarios]
+        traces = ft.run_batch(scenarios)
+        for scenario, trace, window in zip(scenarios, traces, windows):
+            np.testing.assert_array_equal(trace.matrix(), ft.run(scenario).matrix())
+            assert trace.t[-1] == times[round(scenario.horizon / dt)]
+            on = np.zeros(trace.samples, bool) if window is None else (
+                (window[0] <= trace.t) & (trace.t < window[1]))
+            np.testing.assert_array_equal(trace.f_r[on], np.tile([2.0, -1.0], (on.sum(), 1)))
+            np.testing.assert_array_equal(trace.f_r[~on], np.zeros(((~on).sum(), 2)))
+        assert [round(trace.t[trace.f_r[:, 0] != 0].sum() / dt) for trace in traces] == [
+            sum(range(20, 41)), sum(range(10, 30)), sum(range(31, 80)), 0, 0]
 
     def test_instability_names_the_member(self):
         stiff = ft.ControllerConfig.build(variant="C1", n=2, weights=(1.5, 1.0),
@@ -1026,8 +1063,8 @@ class TestForceProfiles:
         # casting a complex vector to float would drop its imaginary part
         (np.array([1 + 1j, 0.0]), "must be real numbers"), ([0.5, 2j], "must be real numbers"),
         ([10**400, 1.0], "must lie within the float range"), (["a", 1.0], "must be numbers"),
-        (["9", "-6"], "must be numbers"),
-    ], ids=["complex-array", "complex-list", "huge-int", "text", "numeric-text"])
+        (["9", "-6"], "must be numbers"), ([None, 1.0], "must be numbers"),
+    ], ids=["complex-array", "complex-list", "huge-int", "text", "numeric-text", "none-entry"])
     @pytest.mark.parametrize("name", ["amplitude", "stiffness", "damping", "anchor"])
     def test_names_a_vector_that_is_not_real_numbers(self, name, value, problem):
         vectors = dict(amplitude=np.ones(2), stiffness=np.ones(2), damping=np.ones(2),

@@ -4,8 +4,11 @@ The reference traces in ``golden_traces.npz`` were recorded from the
 per-step object engine that preceded the batched engine. They hold 0.5 s
 slices of the five bundled scenarios, each with forward Euler at its native
 dt and with RK4 at dt = 5e-4 (decimation 2e-3), one delayed Euler slice of
-c1_sim and one c4_sim Euler slice with its force pulse moved inside the
-slice. Only every ``STRIDE``-th recorded sample is stored.
+c1_sim, and c4_sim (Euler and RK4) and c3_sim (Euler) slices with the
+force pulse moved inside the slice. Only every ``STRIDE``-th recorded
+sample is stored; the c4_sim RK4 and c3_sim pulse rows were added later,
+recorded from the engine before it was evaluated in place, without
+re-recording the others.
 
 Regenerate (only when a change of the model itself is intended) with
 
@@ -36,8 +39,10 @@ def golden_scenarios() -> dict:
         out[f"{name}_rk4"] = replace(base, integrator="rk4", dt=5e-4, decimation=2e-3)
     c1 = out["c1_sim_euler"]
     out["c1_sim_delay"] = replace(c1, delay=5e-3)
-    c4 = out["c4_sim_euler"]
-    out["c4_sim_pulse"] = replace(c4, profile_r=replace(c4.profile_r, start=0.2, stop=0.3))
+    for key, base in (("c4_sim_pulse", "c4_sim_euler"), ("c4_sim_pulse_rk4", "c4_sim_rk4"),
+                      ("c3_sim_pulse", "c3_sim_euler")):   # the pulse inside the slice
+        base = out[base]
+        out[key] = replace(base, profile_r=replace(base.profile_r, start=0.2, stop=0.3))
     return {key: replace(s, label=key) for key, s in out.items()}
 
 

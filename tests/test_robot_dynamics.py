@@ -8,6 +8,7 @@ touch the implementation's precomputed geometry matrices.
 import inspect
 import itertools
 import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -430,6 +431,56 @@ class TestLapackSolve:
             warnings.simplefilter("error")
             robot_dynamics._lapack_solve(_spd_stack(rng, 16, 3), rng.normal(size=(16, 3, 1)))
 
+    def test_the_error_state_is_restored(self):
+        rng = np.random.default_rng(28)
+        a, b = _spd_stack(rng, 9, 2), rng.normal(size=(9, 2, 1))
+        before = np.geterr(), np.geterrcall()
+        robot_dynamics._lapack_solve(a, b)
+        assert (np.geterr(), np.geterrcall()) == before
+        a[4] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            robot_dynamics._lapack_solve(a, b)
+        assert (np.geterr(), np.geterrcall()) == before
+
+    def test_inside_a_raising_error_state(self):
+        # the solve's own error state applies inside the caller's
+        rng = np.random.default_rng(29)
+        a, b = _spd_stack(rng, 9, 2), rng.normal(size=(9, 2, 1))
+        expected = np.linalg.solve(a, b)
+        with np.errstate(all="raise"):
+            np.testing.assert_array_equal(robot_dynamics._lapack_solve(a, b), expected)
+            a[4] = 0.0
+            with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+                robot_dynamics._lapack_solve(a, b)
+            assert np.geterr()["invalid"] == "raise"
+
+    def test_threads_get_their_own_outcome(self):
+        # one thread solves a singular stack, the other an SPD one, at once
+        rng = np.random.default_rng(30)
+        spd, b = _spd_stack(rng, 64, 2), rng.normal(size=(64, 2, 1))
+        singular = spd.copy()
+        singular[17] = 0.0
+        expected = np.linalg.solve(spd, b)
+        start, rounds = threading.Barrier(2), 300
+        outcomes = {"singular": [], "spd": []}
+
+        def solve(name, a):
+            start.wait()
+            for _ in range(rounds):
+                try:
+                    x = robot_dynamics._lapack_solve(a, b)
+                    outcomes[name].append("equal" if np.array_equal(x, expected) else "wrong")
+                except np.linalg.LinAlgError as exc:
+                    outcomes[name].append(str(exc))
+
+        threads = [threading.Thread(target=solve, args=(name, a))
+                   for name, a in (("singular", singular), ("spd", spd))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert outcomes == {"singular": ["Singular matrix"] * rounds, "spd": ["equal"] * rounds}
+
     def test_the_engine_does_not_reach_numpy_solve(self):
         # the kernel binds its default solve at import, so watch the calls
         # rather than patch the name
@@ -644,8 +695,13 @@ class TestValidation:
         (dict(masses=["a", 1.6]), "masses must be numbers"),
         (dict(masses=["1.8", "1.6"]), "masses must be numbers"),
         (dict(inertias=[[0.1], [0.2, 0.3]]), "inertias must be numbers"),
+        # numpy casts None to NaN, and an object array would parse its text
+        (dict(masses=[None, 1.6]), "masses must be numbers"),
+        (dict(masses=None), "masses must be numbers"),
+        (dict(lengths=[10**400, "0.6"]), "lengths must be numbers"),
     ], ids=["huge-gravity", "huge-limit", "complex-gravity", "complex128-gravity", "str-gravity",
-            "text-mass", "numeric-text-mass", "ragged-inertias"])
+            "text-mass", "numeric-text-mass", "ragged-inertias", "none-entry-mass", "none-masses",
+            "huge-int-and-text-lengths"])
     def test_names_a_field_that_is_not_real_numbers(self, changes, problem):
         with pytest.raises(ValueError, match=f"^invalid robot parameters: {problem}$"):
             ft.RobotParams(**{**BENCHMARK, **changes})
