@@ -272,15 +272,16 @@ def control_law(law: StackedLaw, q, qdot, theta, q_seen):
     torque its variant gives alone, to the bit. The terms are scaled in the
     channel map's own buffer.
     """
+    virtual = law.virtual
     arg = np.empty((len(law.gains),) + q.shape)
-    np.subtract(q, q_seen, out=arg[0])
+    np.subtract(q, q_seen, arg[0])
     arg[1] = qdot
-    if law.virtual:
-        np.subtract(theta, q, out=arg[2])
+    if virtual:
+        np.subtract(theta, q, arg[2])
         np.copyto(arg[1], arg[2], where=law.virtual_mask)   # C2/C4 damp through theta - q
     term = channel(arg, law.exponents, law.levels)
     term *= law.gains
-    return term[0] + term[1], term[2] if law.virtual else None
+    return term[0] + term[1], term[2] if virtual else None
 
 
 def law_potential(law: StackedLaw, q, theta=None) -> np.ndarray:

@@ -21,10 +21,14 @@ L^-T u = u_k - u_{k+1}, one direct LAPACK call, and qdd = L^-1 omega_dot is
 a first difference. The kinetic energy is 1/2 omega^T A omega, so only
 mass_matrix, the sampled bounds and the audit's frozen core build M.
 
-The engine's step evaluates this in place: the two first differences are
-taken on named views of their own buffers, and the solve takes its error
-state from np.errstate used as a decorator, which sets it per call, so no
-errstate object is built per solve and the solve stays re-entrant.
+The engine's step evaluates this in place and through numpy's C entry
+points: the two first differences are taken on named views of their own
+buffers, the Coriolis sum calls the C einsum that np.einsum reaches
+without path optimization, and the solve calls LAPACK's vector gufunc on
+the (..., n) right-hand side, with no signature string and no column
+views. The solve takes its error state from np.errstate used as a
+decorator, which sets it per call, so no errstate object is built per
+solve and the solve stays re-entrant.
 
 The per-joint gravity caps are exact (all links horizontal). The inertia
 eigenvalue bounds and the Coriolis quadratic-growth constant are estimated
@@ -42,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy._core.multiarray import c_einsum as _c_einsum
 from numpy.linalg import _umath_linalg
 
 __all__ = [
@@ -320,8 +325,8 @@ def gravity_kernel(arm: ArmArrays, phi: np.ndarray) -> np.ndarray:
 
 def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x solving a x = b for a stack of symmetric positive-definite (n, n)
-    matrices a and a stack of the same shape of (n, k) right-hand sides b,
-    as np.linalg.solve(a, b).
+    matrices a and a stack of the same shape of (n,) right-hand sides b,
+    as np.linalg.solve(a, b[..., None])[..., 0].
 
     The stack is copied once into a batch-last (n, n, N) layout, so each step
     of the elimination (a = L D L^T, D the pivots) is one contiguous ufunc
@@ -333,21 +338,21 @@ def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     pivot is zero or negative; a NaN pivot gives that system a NaN solution,
     as LAPACK's does.
     """
-    n, k = b.shape[-2:]
+    n = b.shape[-1]
     m = a.reshape(-1, n * n).T.reshape(n, n, -1).copy()
-    x = b.reshape(-1, n * k).T.reshape(n, k, -1).copy()
+    x = b.reshape(-1, n).T.copy()
     with np.errstate(divide="ignore", invalid="ignore"):   # a bad pivot raises below
         for j in range(n - 1):
             ratio = m[j + 1:, j] / m[j, j]
             m[j + 1:, j + 1:] -= ratio[:, None] * m[j, j + 1:]
-            x[j + 1:] -= ratio[:, None] * x[j]
+            x[j + 1:] -= ratio * x[j]
         pivots = m.reshape(n * n, -1)[::n + 1]
         if (pivots <= 0).any():
             raise np.linalg.LinAlgError("matrix is not positive definite")
-        for j in range(n - 1, -1, -1):   # back substitution, one column at a time
+        for j in range(n - 1, -1, -1):   # back substitution, one unknown at a time
             x[j] /= pivots[j]
-            x[:j] -= m[:j, j, None] * x[j]
-    return x.reshape(n * k, -1).T.reshape(b.shape)
+            x[:j] -= m[:j, j] * x[j]
+    return x.T.reshape(b.shape)
 
 
 def _raise_singular(err, flag):
@@ -360,11 +365,14 @@ def _raise_singular(err, flag):
 @np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
              under="ignore")
 def _lapack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(a, b) for float stacks a (..., n, n) and b (..., n, k):
-    the same LAPACK gufunc under the same error state, without the wrapper's
-    type and shape handling. Raises np.linalg.LinAlgError("Singular matrix")
-    for an exactly singular member; a NaN member solves to NaN."""
-    return _umath_linalg.solve(a, b, signature="dd->d")
+    """np.linalg.solve(a, b[..., None])[..., 0] for float64 stacks
+    a (..., n, n) and b (..., n): the same LAPACK dgesv on one column, as
+    numpy's vector gufunc, under the same error state and without the
+    wrapper's type and shape handling (float64 operands select the double
+    loop, so no signature is passed). Raises
+    np.linalg.LinAlgError("Singular matrix") for an exactly singular member;
+    a NaN member solves to NaN."""
+    return _umath_linalg.solve1(a, b)
 
 
 def acceleration_kernel(arm: ArmArrays, phi: np.ndarray, omega: np.ndarray,
@@ -374,17 +382,19 @@ def acceleration_kernel(arm: ArmArrays, phi: np.ndarray, omega: np.ndarray,
     u = 0 at rest gives qdd = 0 exactly. Builds neither M nor C.
 
     ``solve(a, b)`` solves the link-coordinate systems A omega_dot = rhs,
-    A = G o cos(phi_a - phi_b), and raises np.linalg.LinAlgError when it
-    cannot: one direct LAPACK call by default (for an exactly singular A),
-    or _spd_solve (for a zero or negative pivot), which is faster on large
-    stacks and slower on small ones. Both give a NaN A a NaN solution."""
+    A = G o cos(phi_a - phi_b), for (..., n) right-hand sides, and raises
+    np.linalg.LinAlgError when it cannot: one direct LAPACK call by default
+    (for an exactly singular A), or _spd_solve (for a zero or negative
+    pivot), which is faster on large stacks and slower on small ones. Both
+    give a NaN A a NaN solution."""
     diff = _differences(phi)
-    rhs = u - np.einsum("...ab,...b->...a", _coriolis_factor(arm, diff), omega * omega)
+    # the C routine np.einsum calls (optimize=False), without its wrapper
+    rhs = u - _c_einsum("...ab,...b->...a", _coriolis_factor(arm, diff), omega * omega)
     # the slices are named views: an augmented assignment to a subscript
     # would copy the result back onto itself
     head = rhs[..., :-1]
     head -= u[..., 1:]   # L^-T u
-    acc = solve(_link_inertia(arm, diff), rhs[..., None])[..., 0]   # omega_dot
+    acc = solve(_link_inertia(arm, diff), rhs)   # omega_dot
     tail = acc[..., 1:]
     tail -= acc[..., :-1]   # L^-1; ufuncs buffer the overlapping operands
     return acc
@@ -393,7 +403,7 @@ def acceleration_kernel(arm: ArmArrays, phi: np.ndarray, omega: np.ndarray,
 def kinetic_kernel(arm: ArmArrays, phi: np.ndarray, qdot: np.ndarray) -> np.ndarray:
     """Kinetic energy 1/2 qd^T M qd = 1/2 omega^T A omega."""
     omega, a = link_angles(qdot), _link_inertia(arm, _differences(phi))
-    return 0.5 * np.einsum("...a,...ab,...b->...", omega, a, omega)
+    return 0.5 * _c_einsum("...a,...ab,...b->...", omega, a, omega)
 
 
 # --- single-state functions -----------------------------------------------

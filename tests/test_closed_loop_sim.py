@@ -1,7 +1,9 @@
 """Integration-loop tests: stepping, traces, monitors and ledgers."""
 
 import itertools
+import re
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -945,6 +947,52 @@ class TestTraceCsv:
                                 for i, line in enumerate(lines)))
         with pytest.raises(ValueError, match=f"{columns} columns, a trace has 3 \\+ 10 n"):
             ft.SimTrace.from_csv(path)
+
+    @staticmethod
+    def _special_trace(n: int) -> ft.SimTrace:
+        # random values with NaN theta columns, -0.0 and +-inf spread over the fields
+        rng = np.random.default_rng([n, 36])
+        rows = 7
+        per_joint = {name: rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-20, 20, (rows, n))
+                     for _, name in closed_loop_sim._TRACE_COLUMNS
+                     if name not in closed_loop_sim._SAMPLE_FIELDS}
+        per_joint["th_l"][:] = np.nan
+        per_joint["th_r"][:] = np.nan
+        per_joint["q_l"][0] = -0.0
+        per_joint["qd_r"][1] = np.inf
+        per_joint["tau_l"][2] = -np.inf
+        per_joint["f_r"][3, -1] = 0.0
+        energy = rng.normal(size=rows)
+        energy[4] = -0.0
+        return ft.SimTrace(t=np.arange(rows) * 1e-3, err_norm=np.abs(rng.normal(size=rows)),
+                           energy=energy, **per_joint)
+
+    @pytest.mark.parametrize("block", [256, 3], ids=["one-block", "three-blocks"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bytes_equal_savetxt(self, tmp_path, n, block, monkeypatch):
+        trace = self._special_trace(n)
+        np.savetxt(tmp_path / "ref.csv", trace.matrix(), fmt="%.17g", delimiter=",",
+                   header=trace.header(), comments="")
+        monkeypatch.setattr(closed_loop_sim, "_CSV_BLOCK", block)
+        trace.to_csv(tmp_path / "path.csv")
+        with open(tmp_path / "file.csv", "w") as fh:   # an open file
+            trace.to_csv(fh)
+        expected = (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "path.csv").read_bytes() == expected
+        assert (tmp_path / "file.csv").read_bytes() == expected
+        back = ft.SimTrace.from_csv(tmp_path / "path.csv")
+        assert np.array_equal(back.matrix(), trace.matrix(), equal_nan=True)
+        assert np.array_equal(np.signbit(back.matrix()), np.signbit(trace.matrix()))
+
+    def test_rejects_a_file_without_samples(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        ft.run(_scenario(horizon=0.05)).to_csv(path)
+        for body in ("", "\n", " \n\n"):
+            path.write_text(path.read_text().splitlines()[0] + "\n" + body)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no samples$"):
+                    ft.SimTrace.from_csv(path)
 
 
 class TestEnergyAudit:

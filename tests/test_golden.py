@@ -8,7 +8,11 @@ c1_sim, and c4_sim (Euler and RK4) and c3_sim (Euler) slices with the
 force pulse moved inside the slice. Only every ``STRIDE``-th recorded
 sample is stored; the c4_sim RK4 and c3_sim pulse rows were added later,
 recorded from the engine before it was evaluated in place, without
-re-recording the others.
+re-recording the others. So were the two rows of a heterogeneous 3-link
+pair (a C1 Euler and a C2 RK4 slice), recorded from the engine before its
+Coriolis sum and solve called numpy's C entry points directly: at n = 2
+each Coriolis row has one nonzero term, so only n >= 3 can see a change in
+the order that sum is taken in.
 
 Regenerate (only when a change of the model itself is intended) with
 
@@ -22,6 +26,7 @@ import numpy as np
 import pytest
 
 import ftteleop as ft
+from conftest import random_chain
 
 GOLDEN = Path(__file__).with_name("golden_traces.npz")
 BUNDLED = ("c1_sim", "c2_sim", "c3_sim", "c4_sim", "c1_spring")
@@ -43,6 +48,17 @@ def golden_scenarios() -> dict:
                       ("c3_sim_pulse", "c3_sim_euler")):   # the pulse inside the slice
         base = out[base]
         out[key] = replace(base, profile_r=replace(base.profile_r, start=0.2, stop=0.3))
+    # a heterogeneous 3-link pair, with the bundled gains
+    arms = [ft.RobotParams(**random_chain(np.random.default_rng(seed), 3)) for seed in (31, 32)]
+    for key, base in (("chain3_c1_euler", "c1_sim_rk4"), ("chain3_c2_rk4", "c2_sim_rk4")):
+        base = out[base]
+        config = ft.ControllerConfig.build(
+            variant=base.config.variant, n=3, weights=base.config.weights, k_s=6.0,
+            **({"d_s": 8.0} if base.config.variant == "C1" else {"k_c": 20.0, "d_c": 8.0}))
+        out[key] = replace(base, params_l=arms[0], params_r=arms[1], config=config,
+                           q0_l=np.array([1.0, -0.4, 0.6]), q0_r=np.array([1.3, 0.3, -0.2]),
+                           qd0_l=np.array([0.0, 0.5, -0.3]), qd0_r=None, theta0_l=None,
+                           theta0_r=None, integrator=key.rsplit("_", 1)[1])
     return {key: replace(s, label=key) for key, s in out.items()}
 
 

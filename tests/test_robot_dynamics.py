@@ -323,28 +323,34 @@ def _spd_stack(rng, size, n):
     return g @ np.swapaxes(g, -1, -2) + 0.5 * n * np.eye(n)
 
 
+def _numpy_solve(a, b):
+    """np.linalg.solve on a stack of (n,) right-hand sides, as one column each."""
+    return np.linalg.solve(a, b[..., None])[..., 0]
+
+
 class TestSpdSolve:
-    """The stacked elimination the audit's full field solves with."""
+    """The stacked elimination the audit's full field solves with, on (n,)
+    right-hand sides."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("size", [1, 7, 6656])
     def test_matches_lapack(self, n, size):
         rng = np.random.default_rng([n, size, 19])
         a = _spd_stack(rng, size, n)
-        for k in (1, 3):
-            b = rng.normal(size=(size, n, k))
+        for draw in range(2):
+            b = rng.normal(size=(size, n))
             x = robot_dynamics._spd_solve(a, b)
-            ref = np.linalg.solve(a, b)
-            assert x.shape == ref.shape
-            err = np.linalg.norm(x - ref, axis=-2) / np.linalg.norm(ref, axis=-2)
-            assert err.max() <= 1e-12, f"k={k}: {err.max():.2e}"
+            ref = _numpy_solve(a, b)
+            assert x.shape == ref.shape == b.shape
+            err = np.linalg.norm(x - ref, axis=-1) / np.linalg.norm(ref, axis=-1)
+            assert err.max() <= 1e-12, f"draw {draw}: {err.max():.2e}"
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_members_do_not_depend_on_the_stack(self, n):
         # every operation is elementwise along the stack, so bit for bit
         rng = np.random.default_rng([n, 20])
         a = _spd_stack(rng, 6656, n).reshape(52, 128, n, n)
-        b = rng.normal(size=(52, 128, n, 1))
+        b = rng.normal(size=(52, 128, n))
         x = robot_dynamics._spd_solve(a, b)
         for index in [(0, 0), (3, 77), (51, 127)] + [tuple(i) for i in rng.integers(0, 52, (5, 2))]:
             np.testing.assert_array_equal(robot_dynamics._spd_solve(a[index], b[index]), x[index])
@@ -361,7 +367,7 @@ class TestSpdSolve:
         a = _spd_stack(rng, 9, 2)
         a[4] = bad
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-            robot_dynamics._spd_solve(a, rng.normal(size=(9, 2, 1)))
+            robot_dynamics._spd_solve(a, rng.normal(size=(9, 2)))
 
     @pytest.mark.parametrize("bad", [
         [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, np.nan]], [[1.0, np.nan], [np.nan, 1.0]],
@@ -371,32 +377,32 @@ class TestSpdSolve:
         rng = np.random.default_rng(22)
         a = _spd_stack(rng, 9, 2)
         a[4] = bad
-        b = rng.normal(size=(9, 2, 1))
+        b = rng.normal(size=(9, 2))
         x = robot_dynamics._spd_solve(a, b)
-        assert np.isnan(np.linalg.solve(a, b)[4]).any() and np.isnan(x[4]).any()
+        assert np.isnan(_numpy_solve(a, b)[4]).any() and np.isnan(x[4]).any()
         good = np.arange(9) != 4
         np.testing.assert_array_equal(x[good], robot_dynamics._spd_solve(a[good], b[good]))
 
 
 class TestLapackSolve:
-    """The direct LAPACK call the engine and forward_dynamics solve with."""
+    """The direct LAPACK call the engine and forward_dynamics solve with, on
+    (n,) right-hand sides."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("size", [1, 7, 64])
     def test_equals_numpy_solve(self, n, size):
         rng = np.random.default_rng([n, size, 23])
         a = _spd_stack(rng, size, n)
-        for k in (1, 3):
-            b = rng.normal(size=(size, n, k))
+        for b in (rng.normal(size=(size, n)), rng.normal(size=(2, size, n))):
             x = robot_dynamics._lapack_solve(a, b)
             assert x.shape == b.shape and x.dtype == float
-            np.testing.assert_array_equal(x, np.linalg.solve(a, b))
+            np.testing.assert_array_equal(x, _numpy_solve(a, b))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_members_do_not_depend_on_the_stack(self, n):
         rng = np.random.default_rng([n, 24])
         a = _spd_stack(rng, 64, n)
-        b = rng.normal(size=(64, n, 1))
+        b = rng.normal(size=(64, n))
         x = robot_dynamics._lapack_solve(a, b)
         for index in range(64):
             np.testing.assert_array_equal(
@@ -407,7 +413,7 @@ class TestLapackSolve:
         a = _spd_stack(rng, 9, 2)
         a[4] = 0.0
         with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
-            robot_dynamics._lapack_solve(a, rng.normal(size=(9, 2, 1)))
+            robot_dynamics._lapack_solve(a, rng.normal(size=(9, 2)))
 
     @pytest.mark.parametrize("bad", [
         [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, np.nan]], [[1.0, np.nan], [np.nan, 1.0]],
@@ -416,7 +422,7 @@ class TestLapackSolve:
         rng = np.random.default_rng(26)
         a = _spd_stack(rng, 9, 2)
         a[4] = bad
-        b = rng.normal(size=(9, 2, 1))
+        b = rng.normal(size=(9, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             x = robot_dynamics._lapack_solve(a, b)
@@ -429,11 +435,11 @@ class TestLapackSolve:
         rng = np.random.default_rng(27)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            robot_dynamics._lapack_solve(_spd_stack(rng, 16, 3), rng.normal(size=(16, 3, 1)))
+            robot_dynamics._lapack_solve(_spd_stack(rng, 16, 3), rng.normal(size=(16, 3)))
 
     def test_the_error_state_is_restored(self):
         rng = np.random.default_rng(28)
-        a, b = _spd_stack(rng, 9, 2), rng.normal(size=(9, 2, 1))
+        a, b = _spd_stack(rng, 9, 2), rng.normal(size=(9, 2))
         before = np.geterr(), np.geterrcall()
         robot_dynamics._lapack_solve(a, b)
         assert (np.geterr(), np.geterrcall()) == before
@@ -445,8 +451,8 @@ class TestLapackSolve:
     def test_inside_a_raising_error_state(self):
         # the solve's own error state applies inside the caller's
         rng = np.random.default_rng(29)
-        a, b = _spd_stack(rng, 9, 2), rng.normal(size=(9, 2, 1))
-        expected = np.linalg.solve(a, b)
+        a, b = _spd_stack(rng, 9, 2), rng.normal(size=(9, 2))
+        expected = _numpy_solve(a, b)
         with np.errstate(all="raise"):
             np.testing.assert_array_equal(robot_dynamics._lapack_solve(a, b), expected)
             a[4] = 0.0
@@ -457,10 +463,10 @@ class TestLapackSolve:
     def test_threads_get_their_own_outcome(self):
         # one thread solves a singular stack, the other an SPD one, at once
         rng = np.random.default_rng(30)
-        spd, b = _spd_stack(rng, 64, 2), rng.normal(size=(64, 2, 1))
+        spd, b = _spd_stack(rng, 64, 2), rng.normal(size=(64, 2))
         singular = spd.copy()
         singular[17] = 0.0
-        expected = np.linalg.solve(spd, b)
+        expected = _numpy_solve(spd, b)
         start, rounds = threading.Barrier(2), 300
         outcomes = {"singular": [], "spd": []}
 
@@ -481,23 +487,40 @@ class TestLapackSolve:
             thread.join()
         assert outcomes == {"singular": ["Singular matrix"] * rounds, "spd": ["equal"] * rounds}
 
-    def test_the_engine_does_not_reach_numpy_solve(self):
-        # the kernel binds its default solve at import, so watch the calls
-        # rather than patch the name
-        wrapper = inspect.unwrap(np.linalg.solve).__code__
+    def test_the_engine_does_not_reach_numpy_solve_or_einsum(self):
+        # the kernels bind the C entry points at import, so watch the calls
+        # rather than patch the names
+        wrappers = {inspect.unwrap(np.linalg.solve).__code__: "solve",
+                    inspect.unwrap(np.einsum).__code__: "einsum"}
         calls = []
         scenario = replace(ft.read_bundled_scenario("c1_sim"), horizon=0.01)
         params = ft.RobotParams(**BENCHMARK)
-        sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code is wrapper
-                       and calls.append(frame))
+        sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code in wrappers
+                       and calls.append(wrappers[frame.f_code]))
         try:
             ft.run(scenario)
             ft.run(replace(scenario, integrator="rk4"))
             ft.forward_dynamics(params, ft.RobotState(q=np.ones(2), qdot=np.ones(2)), np.zeros(2))
             np.linalg.solve(np.eye(2), np.ones(2))   # the watch itself works
+            np.einsum("ab,b->a", np.eye(2), np.ones(2))
         finally:
             sys.setprofile(None)
-        assert len(calls) == 1
+        assert calls == ["solve", "einsum"]
+
+
+class TestCEinsum:
+    """The C einsum the Coriolis sum and the kinetic energy call directly."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    def test_equals_numpy_einsum(self, n, size):
+        rng = np.random.default_rng([n, size, 35])
+        s, w = rng.normal(size=(size, 2, n, n)), rng.normal(size=(size, 2, n))
+        for spec, operands in (("...ab,...b->...a", (s, w)),
+                               ("...a,...ab,...b->...", (w, s, w))):
+            x = robot_dynamics._c_einsum(spec, *operands)
+            assert x.dtype == float
+            np.testing.assert_array_equal(x, np.einsum(spec, *operands))
 
 
 class TestEnergies:

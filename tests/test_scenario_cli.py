@@ -231,7 +231,7 @@ class TestCli:
             fh.write("t,ql1,ql2\n0,1.0")
             raise OSError("no space left on device")
 
-        with mock.patch("numpy.savetxt", side_effect=fail_partway), \
+        with mock.patch.object(ft.SimTrace, "to_csv", side_effect=fail_partway), \
                 pytest.raises(OSError, match="no space left"):
             run_command(["simulate", cfg_path, "--out", str(out)])
         assert sorted(p.name for p in out.iterdir()) == []
