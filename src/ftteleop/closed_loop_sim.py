@@ -12,7 +12,16 @@ written expressions, so every value keeps its bits, and the pulse part of
 the external force is cached between the edges of the stacked windows.
 The step sizes the updates multiply by (dt, dt/2, dt/6 and 2) are built
 once per group as 0-d float64 arrays, which give the same IEEE products
-without numpy converting a Python float on every multiply.
+without numpy converting a Python float on every multiply, and the link
+solve writes the accelerations straight into the step's own dx[1] block.
+
+Each group's step loop, and each step and rk4_step, runs under one fresh
+np.errstate(all="ignore"), not one error state per solve. An instability
+is reported only by name: the finite check after each update raises
+SimulationUnstableError naming the member and the time, and numpy emits
+no warning and raises no FloatingPointError on the way, whatever error
+state or warning filter the caller has set. The caller's error state is
+restored when the run returns or raises.
 
 The recorded trace carries the full state, torques, forces, the inter-robot
 error norm and the shaped total energy at a decimated sample interval, and
@@ -29,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .controllers import (
     LOCAL,
@@ -72,6 +82,11 @@ __all__ = [
     "PassivityLedger",
     "state_bounds_from_energy",
 ]
+
+# the link solve of the engine: the vector LAPACK gufunc behind
+# np.linalg.solve, bare; the step loop runs under an error state that ignores
+# every floating-point error, so a failed solve is a NaN that check_finite names
+_solve = _umath_linalg.solve1
 
 
 class ScenarioError(ValueError):
@@ -525,12 +540,8 @@ class _Batch:
         link = link_angles(x[:2])   # phi and omega
         dx = np.empty_like(x)
         dx[0] = qdot
-        try:
-            dx[1] = acceleration_kernel(self.arms, link[0], link[1],
-                                        tau if f is None else tau + f)
-        except np.linalg.LinAlgError:
-            self.check_finite(x, t)
-            raise
+        acceleration_kernel(self.arms, link[0], link[1], tau if f is None else tau + f,
+                            _solve, dx[1])
         if theta_dot is not None:
             dx[2] = theta_dot
         return dx, tau, f
@@ -576,9 +587,10 @@ def _advance(update, state, config, params_l, params_r, profiles, dt: float) -> 
     law, x = _stacked(config, state.local, state.remote, state.ctrl)
     batch = _Batch(stack_arm_arrays([(params_l, params_r)]), law,
                    _stack_forces([profiles], config.n), ["step"], [0])
-    dx = batch.rhs(state.time, x)[0]
-    return _teleop_state(update(batch, state.time, x, dx, _StepSize.of(dt))[:, 0],
-                         state.time + dt)
+    with np.errstate(all="ignore"):   # a non-finite state is named by check_finite
+        dx = batch.rhs(state.time, x)[0]
+        x = update(batch, state.time, x, dx, _StepSize.of(dt))
+    return _teleop_state(x[:, 0], state.time + dt)
 
 
 def step(state: TeleopState, config: ControllerConfig, params_l: RobotParams,
@@ -766,25 +778,28 @@ def _integrate(scenarios, integrator: str, dt: float, every: int,
     ring = (np.empty((min(delay_steps, cohorts[0].last) + 1,) + x[0].shape)
             if delay_steps else None)
     size, t = _StepSize.of(dt), 0.0
-    for k in range(cohorts[0].last + 1):
-        q_seen = None
-        if ring is not None:
-            ring[k % len(ring)] = x[0]
-            q_seen = ring[max(0, k - delay_steps) % len(ring)][:, ::-1]
-        dx, tau, f = batch.rhs(t, x, q_seen)
-        for cohort in live:
-            if k % every == 0 or k == cohort.last:
-                cohort.record(-(-k // every), t, x, tau, f)
-        if k == live[-1].last:
-            live.pop()
-            if not live:
-                break
-            running = slice(live[-1].cols.stop)
-            x, dx, batch = x[:, running], dx[:, running], batch.take(running)
+    # one error state per group: numpy's own warnings and errors stay silent,
+    # and a non-finite state is reported only by check_finite, by name
+    with np.errstate(all="ignore"):
+        for k in range(cohorts[0].last + 1):
+            q_seen = None
             if ring is not None:
-                ring = ring[:, running]
-        x = batch.rk4(t, x, dx, size) if integrator == "rk4" else batch.euler(t, x, dx, size)
-        t = t + dt
+                ring[k % len(ring)] = x[0]
+                q_seen = ring[max(0, k - delay_steps) % len(ring)][:, ::-1]
+            dx, tau, f = batch.rhs(t, x, q_seen)
+            for cohort in live:
+                if k % every == 0 or k == cohort.last:
+                    cohort.record(-(-k // every), t, x, tau, f)
+            if k == live[-1].last:
+                live.pop()
+                if not live:
+                    break
+                running = slice(live[-1].cols.stop)
+                x, dx, batch = x[:, running], dx[:, running], batch.take(running)
+                if ring is not None:
+                    ring = ring[:, running]
+            x = batch.rk4(t, x, dx, size) if integrator == "rk4" else batch.euler(t, x, dx, size)
+            t = t + dt
 
     traces: list = [None] * len(scenarios)
     for cohort in cohorts:

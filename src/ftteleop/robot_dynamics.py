@@ -26,9 +26,12 @@ points: the two first differences are taken on named views of their own
 buffers, the Coriolis sum calls the C einsum that np.einsum reaches
 without path optimization, and the solve calls LAPACK's vector gufunc on
 the (..., n) right-hand side, with no signature string and no column
-views. The solve takes its error state from np.errstate used as a
-decorator, which sets it per call, so no errstate object is built per
-solve and the solve stays re-entrant.
+views. The default solve, _lapack_solve, takes its error state from
+np.errstate used as a decorator, which sets it per call and stays
+re-entrant. The engine instead passes the bare gufunc and its own buffer
+for qdd, and sets one error state per integration, not one per solve:
+there a failed solve is a NaN, and an instability is reported only by
+the engine's finite check, by name.
 
 The per-joint gravity caps are exact (all links horizontal). The inertia
 eigenvalue bounds and the Coriolis quadratic-growth constant are estimated
@@ -376,7 +379,7 @@ def _lapack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def acceleration_kernel(arm: ArmArrays, phi: np.ndarray, omega: np.ndarray,
-                        u: np.ndarray, solve=_lapack_solve) -> np.ndarray:
+                        u: np.ndarray, solve=_lapack_solve, out=None) -> np.ndarray:
     """qdd solving M qdd = u - C(q, qd) qd for u the torque net of gravity,
     given the link angles phi = L q and the link rates omega = L qd, so
     u = 0 at rest gives qdd = 0 exactly. Builds neither M nor C.
@@ -386,7 +389,12 @@ def acceleration_kernel(arm: ArmArrays, phi: np.ndarray, omega: np.ndarray,
     np.linalg.LinAlgError when it cannot: one direct LAPACK call by default
     (for an exactly singular A), or _spd_solve (for a zero or negative
     pivot), which is faster on large stacks and slower on small ones. Both
-    give a NaN A a NaN solution."""
+    give a NaN A a NaN solution. With ``out``, an array of the right-hand
+    side's shape, omega_dot is solved into it, qdd is formed there and it
+    is returned; ``solve`` must then take it as a third argument, as a
+    gufunc does. The engine passes the bare gufunc _umath_linalg.solve1,
+    which under the engine's error state (all ignored) solves an exactly
+    singular A to NaN instead of raising."""
     diff = _differences(phi)
     # the C routine np.einsum calls (optimize=False), without its wrapper
     rhs = u - _c_einsum("...ab,...b->...a", _coriolis_factor(arm, diff), omega * omega)
@@ -394,7 +402,8 @@ def acceleration_kernel(arm: ArmArrays, phi: np.ndarray, omega: np.ndarray,
     # would copy the result back onto itself
     head = rhs[..., :-1]
     head -= u[..., 1:]   # L^-T u
-    acc = solve(_link_inertia(arm, diff), rhs)   # omega_dot
+    a = _link_inertia(arm, diff)
+    acc = solve(a, rhs) if out is None else solve(a, rhs, out)   # omega_dot
     tail = acc[..., 1:]
     tail -= acc[..., :-1]   # L^-1; ufuncs buffer the overlapping operands
     return acc

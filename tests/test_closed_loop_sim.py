@@ -1,5 +1,6 @@
 """Integration-loop tests: stepping, traces, monitors and ledgers."""
 
+import contextlib
 import itertools
 import re
 import tracemalloc
@@ -880,6 +881,108 @@ class TestCheckFinite:
             with pytest.raises(ft.SimulationUnstableError) as info:
                 batch.check_finite(x, 0.25)
         assert str(info.value) == self.MESSAGE.format(first)
+
+
+@contextlib.contextmanager
+def _warnings_as_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+# a caller's settings under which any numpy warning or error would escape
+_CALLER_SETTINGS = {"warnings-as-errors": _warnings_as_errors,
+                    "errstate-raise": lambda: np.errstate(all="raise")}
+
+
+def _wild3():
+    # C3 with unreachable levels steps exactly like C1
+    return ft.ControllerConfig.build(variant="C3", n=2, weights=(1.5, 1.0), k_s=1e6,
+                                     d_s=1e6, delta_p=1e300, delta_d=1e300)
+
+
+def _single_step(update):
+    # q-dot squared overflows in the first Coriolis term
+    robot = ft.RobotState(q=np.array([1.0, -0.4]), qdot=np.array([1e200, -1e200]))
+    params = ft.RobotParams(**BENCHMARK)
+    return update(ft.TeleopState(local=robot, remote=robot), _STIFF, params, params,
+                  (ft.ForceProfile(), ft.ForceProfile()), 1e-3)
+
+
+class TestInstabilityIsNamedOnly:
+    """The unstable rows of TestRun and TestRunBatch, plus a delayed run and
+    single steps, without their errstate wrapper: each raises the same
+    SimulationUnstableError, naming the same member and time, whatever numpy
+    error state or warning filter the caller has set, and the caller's
+    error state is as it was after the run returns or raises."""
+
+    ROWS = {
+        "reported": (lambda: ft.run(_scenario(horizon=10.0, dt=5e-2, config=_STIFF)),
+                     "test", "0.400000"),
+        "across-variants": (lambda: ft.run_batch([
+            _scenario("C2", horizon=1.0, dt=5e-2, label="calm"),
+            _scenario(horizon=1.0, dt=5e-2, label="wild3", config=_wild3()),
+            _scenario(horizon=1.0, dt=5e-2, label="wild1", config=_STIFF)]), "wild3", "0.400000"),
+        "across-variants-reversed": (lambda: ft.run_batch([
+            _scenario(horizon=1.0, dt=5e-2, label="wild1", config=_STIFF),
+            _scenario(horizon=1.0, dt=5e-2, label="wild3", config=_wild3()),
+            _scenario("C2", horizon=1.0, dt=5e-2, label="calm")]), "wild1", "0.400000"),
+        "input-order": (lambda: ft.run_batch([
+            _scenario("C2", horizon=1.0, dt=5e-2, label="calm"),
+            _scenario(horizon=0.6, dt=5e-2, label="wild3", config=_wild3()),
+            _scenario(horizon=1.0, dt=5e-2, label="wild1", config=_STIFF)]), "wild3", "0.400000"),
+        "member": (lambda: ft.run_batch([
+            _scenario(horizon=1.0, dt=5e-2, label="calm"),
+            _scenario(horizon=1.0, dt=5e-2, label="wild", config=_STIFF)]), "wild", "0.400000"),
+        "rk4": (lambda: ft.run(replace(ft.read_bundled_scenario("c1_sim"), integrator="rk4",
+                                       dt=0.2, decimation=0.2)), "c1_sim", "0.800000"),
+        "delayed": (lambda: ft.run(_scenario(horizon=2.0, dt=5e-2, config=_STIFF, delay=0.1)),
+                    "test", "0.400000"),
+        "step": (lambda: _single_step(ft.step), "step", "0.001000"),
+        "rk4-step": (lambda: _single_step(ft.rk4_step), "step", "0.001000"),
+    }
+
+    @pytest.mark.parametrize("setting", list(_CALLER_SETTINGS))
+    @pytest.mark.parametrize("row", list(ROWS))
+    def test_named_whatever_the_caller_set(self, row, setting):
+        unstable, member, t = self.ROWS[row]
+        with _CALLER_SETTINGS[setting]():
+            before = np.geterr()
+            with pytest.raises(ft.SimulationUnstableError) as info:
+                unstable()
+            assert np.geterr() == before
+        assert str(info.value) == (f"{member}: non-finite state at t = {t} s; "
+                                   "reduce dt or soften the gains")
+
+    def test_a_singular_solve_is_named_by_the_finite_check(self):
+        # the engine's solve turns an exactly singular link inertia into NaN
+        # accelerations, and the update after it names the member
+        batch = closed_loop_sim._Batch.of([_scenario(label=f"m{i}") for i in range(3)],
+                                          [2, 0, 1])
+        weights = batch.arms.weights.copy()
+        weights[1, 1] = 0.0   # stacked member 1, input member m0, remote arm
+        batch.arms = batch.arms._replace(weights=weights)
+        x = np.zeros((2, 3, 2, 2))
+        with np.errstate(all="ignore"):
+            dx = batch.rhs(0.0, x)[0]
+            with pytest.raises(ft.SimulationUnstableError, match=r"^m0: .* t = 0.001000 s"):
+                batch.euler(0.0, x, dx, closed_loop_sim._StepSize.of(1e-3))
+        assert np.isnan(dx[1, 1, 1]).all() and np.isfinite(dx[:, [0, 2]]).all()
+
+    @pytest.mark.parametrize("setting", list(_CALLER_SETTINGS))
+    def test_a_stable_run_keeps_the_callers_error_state(self, setting):
+        scenario = replace(ft.read_bundled_scenario("c1_sim"), horizon=0.01)
+        with _CALLER_SETTINGS[setting]():
+            before = np.geterr()
+            ft.run(scenario)
+            ft.run(replace(scenario, integrator="rk4"))
+            ft.run(replace(scenario, delay=2e-3))
+            state = scenario.initial_state()
+            args = (scenario.config, scenario.params_l, scenario.params_r,
+                    (scenario.profile_l, scenario.profile_r), scenario.dt)
+            ft.step(state, *args)
+            ft.rk4_step(state, *args)
+            assert np.geterr() == before
 
 
 class TestConvergenceTime:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 import ftteleop as ft
 from ftteleop import robot_dynamics
@@ -289,6 +290,24 @@ class TestForwardDynamics:
                 single = robot_dynamics.acceleration_kernel(alone, phi[[b]], omega[[b]], u[[b]])
                 np.testing.assert_array_equal(acc[[b]], single, err_msg=f"B={size}, member {b}")
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_kernel_writes_into_out_with_the_same_bits(self, n):
+        # the engine's form: the bare gufunc solves into the step's own
+        # block of dx, and qdd is formed there
+        rng = np.random.default_rng([n, 19])
+        pair = [ft.RobotParams(**random_chain(rng, n)) for _ in range(2)]
+        for size in (1, 7, 64):
+            arms = robot_dynamics.stack_arm_arrays([pair] * size)
+            phi, omega, u = rng.normal(size=(3, size, 2, n)) * 2.0
+            dx = np.full((3, size, 2, n), np.nan)
+            out = dx[1]
+            acc = robot_dynamics.acceleration_kernel(arms, phi, omega, u,
+                                                     _umath_linalg.solve1, out)
+            assert acc is out
+            np.testing.assert_array_equal(out, robot_dynamics.acceleration_kernel(
+                arms, phi, omega, u))
+            assert np.isnan(dx[[0, 2]]).all()   # nothing written outside the block
+
     @pytest.mark.parametrize("size", [1, 16, 1000])
     def test_two_link_coriolis_contraction_equals_the_reduce(self, size):
         # at n = 2 the contraction rounds exactly like the multiply-and-reduce
@@ -489,23 +508,38 @@ class TestLapackSolve:
 
     def test_the_engine_does_not_reach_numpy_solve_or_einsum(self):
         # the kernels bind the C entry points at import, so watch the calls
-        # rather than patch the names
-        wrappers = {inspect.unwrap(np.linalg.solve).__code__: "solve",
-                    inspect.unwrap(np.einsum).__code__: "einsum"}
-        calls = []
+        # rather than patch the names; an error state is entered through
+        # errstate.__enter__ or through the wrapper of a function it decorates
+        watched = {inspect.unwrap(np.linalg.solve).__code__: "solve",
+                   inspect.unwrap(np.einsum).__code__: "einsum",
+                   inspect.unwrap(robot_dynamics._lapack_solve).__code__: "lapack_solve",
+                   np.errstate.__enter__.__code__: "errstate",
+                   robot_dynamics._lapack_solve.__code__: "errstate"}
+
+        def calls(fn):
+            seen = []
+            sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code in watched
+                           and seen.append(watched[frame.f_code]))
+            try:
+                fn()
+            finally:
+                sys.setprofile(None)
+            return seen
+
         scenario = replace(ft.read_bundled_scenario("c1_sim"), horizon=0.01)
+        rk4, delayed = replace(scenario, integrator="rk4"), replace(scenario, delay=2e-3)
         params = ft.RobotParams(**BENCHMARK)
-        sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code in wrappers
-                       and calls.append(wrappers[frame.f_code]))
-        try:
-            ft.run(scenario)
-            ft.run(replace(scenario, integrator="rk4"))
-            ft.forward_dynamics(params, ft.RobotState(q=np.ones(2), qdot=np.ones(2)), np.zeros(2))
-            np.linalg.solve(np.eye(2), np.ones(2))   # the watch itself works
-            np.einsum("ab,b->a", np.eye(2), np.ones(2))
-        finally:
-            sys.setprofile(None)
-        assert calls == ["solve", "einsum"]
+        # one error state per integrated group, and no per-solve wrapper
+        for one_group in (scenario, rk4, delayed):
+            assert calls(lambda: ft.run(one_group)) == ["errstate"]
+        assert calls(lambda: ft.run_batch([scenario, rk4, delayed, scenario])) == ["errstate"] * 3
+        assert calls(lambda: ft.forward_dynamics(
+            params, ft.RobotState(q=np.ones(2), qdot=np.ones(2)), np.zeros(2))) == [
+            "errstate", "lapack_solve"]
+        # the watch itself works
+        seen = calls(lambda: (np.linalg.solve(np.eye(2), np.ones(2)),
+                              np.einsum("ab,b->a", np.eye(2), np.ones(2))))
+        assert "solve" in seen and "einsum" in seen
 
 
 class TestCEinsum:

@@ -2,6 +2,7 @@
 
 import os
 import stat
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -325,6 +326,19 @@ class TestCli:
             code = run_command(["simulate", path, "--dt", "0.2", "--out", str(tmp_path)])
         assert code == 4
         assert "c1_rk4: non-finite state at t =" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, dt, t", [("c1_sim", "0.5", "5.000000"),
+                                             ("c2_sim", "0.05", "1.350000")])
+    def test_unstable_run_is_named_without_a_warning(self, tmp_path, capsys, name, dt, t):
+        # no errstate wrapper: numpy's own warnings would raise here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_command(["simulate", name, "--dt", dt, "--out", str(tmp_path)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err == (f"error: {name}: non-finite state at t = {t} s; "
+                       "reduce dt or soften the gains\n")
+        assert "Warning" not in err
 
     @pytest.mark.parametrize("command, flags, problem", [
         ("simulate", ["--dt", "-1"], "dt must be positive"),
