@@ -176,8 +176,14 @@ class TeleopState:
 
 # the most samples a trace may hold; the engine allocates the record up front
 _MAX_SAMPLES = 10**7
-# the most steps a run may take, round(horizon / dt): hours at one member
+# the most steps a run may take: hours at one member
 _MAX_STEPS = 10**9
+
+
+def _rows(steps: int, stride: int) -> int:
+    """The samples of a run of ``steps`` steps: every ``stride``-th step and the last."""
+    return -(-steps // stride) + 1
+
 
 # scenario-file key of each initial vector, with its Scenario field
 _INITIAL_FIELDS = (("q_local", "q0_l"), ("q_remote", "q0_r"), ("qdot_local", "qd0_l"),
@@ -202,7 +208,8 @@ def _scenario_problems(parts) -> list[str]:
     other value (None included) failed to parse or is named by Scenario, and
     is skipped. An initial vector of None was not given; a [simulation]
     value of None is reported. Each [simulation] number that converts is
-    written back to ``parts`` as a Python float.
+    written back to ``parts`` as a Python float, and once their rules pass,
+    the step counts as ``steps``, ``stride`` and ``delay_steps``.
     """
     params_l, params_r, config, profile_l, profile_r = [
         parts[name] if isinstance(parts[name], kind) else None for _, name, kind in _PARTS]
@@ -216,11 +223,10 @@ def _scenario_problems(parts) -> list[str]:
         problems.append(f"[controller] gains are set for {config.n} joints, "
                         f"the robots have {n}")
     for key, name in _INITIAL_FIELDS:
-        vec = parts[name]
-        if vec is None:
+        if parts[name] is None:
             continue
         try:
-            vec = _real_array(key, vec)
+            vec = _real_array(key, parts[name])
         except ValueError as exc:
             problems.append(f"[initial] {exc}")
             continue
@@ -240,11 +246,9 @@ def _scenario_problems(parts) -> list[str]:
     # included) or beyond the float range is named, and nothing is compared
     wrong = []
     for key in _SIMULATION_NUMBERS:
-        value = parts[key]
-        if value is None:
-            continue
         try:
-            parts[key] = _real_number(key, value)
+            if parts[key] is not None:
+                parts[key] = _real_number(key, parts[key])
         except ValueError as exc:
             wrong.append(f"[simulation] {exc}")
     horizon, dt, decimation, delay = [parts[key] for key in _SIMULATION_NUMBERS]
@@ -270,13 +274,16 @@ def _scenario_problems(parts) -> list[str]:
             elif abs(decimation / dt - round(decimation / dt)) > 1e-9:
                 problems.append("[simulation] decimation must be an integer multiple of dt")
             elif horizon is not None and 0 < horizon < math.inf:
-                samples = horizon / decimation   # inf holds more than any cap
-                if samples > _MAX_SAMPLES or round(samples) + 1 > _MAX_SAMPLES:
+                stride = parts["stride"] = round(decimation / dt)
+                steps = parts["steps"] = None if math.isinf(horizon / dt) else round(horizon / dt)
+                # the rows the engine allocates, or horizon / decimation + 1 (inf exceeds any cap)
+                samples = horizon / decimation + 1 if steps is None else _rows(steps, stride)
+                if samples > _MAX_SAMPLES:
                     problems.append(f"[simulation] the trace must hold at most {_MAX_SAMPLES} "
                                     "samples (horizon / decimation + 1)")
-                elif math.isinf(horizon / dt):
+                elif steps is None:
                     problems.append("[simulation] horizon / dt must be finite")
-                elif round(horizon / dt) > _MAX_STEPS:
+                elif steps > _MAX_STEPS:
                     problems.append(f"[simulation] the run must take at most {_MAX_STEPS} "
                                     "steps (horizon / dt)")
         if decimation is None:
@@ -292,6 +299,8 @@ def _scenario_problems(parts) -> list[str]:
             problems.append("[simulation] delay > 0 requires integrator = euler")
         elif dt is not None and 0 < dt < math.inf and math.isinf(delay / dt):
             problems.append("[simulation] delay / dt must be finite")
+        elif dt is not None and 0 < dt < math.inf:
+            parts["delay_steps"] = round(delay / dt)
 
     # a bounded variant may claim its torque limits only if the gate passes
     if (config is not None and config.is_bounded and len(counts) == 2
@@ -315,7 +324,8 @@ class Scenario:
     [simulation] values and, for C3/C4, the saturation gate) is checked when
     a scenario is built, also by dataclasses.replace; a violation raises
     ScenarioError listing them all. The [simulation] numbers are then held
-    as Python floats.
+    as Python floats, and the derived, read-only fields steps, stride and
+    delay_steps: round(horizon / dt), round(decimation / dt), round(delay / dt).
     """
 
     params_l: RobotParams
@@ -339,6 +349,9 @@ class Scenario:
     trace_path: str | None = None
     report_path: str | None = None
     audit_path: str | None = None
+    steps: int = field(init=False, repr=False)
+    stride: int = field(init=False, repr=False)
+    delay_steps: int = field(init=False, repr=False)
 
     def __post_init__(self):
         # _scenario_problems skips a part that is not of its type (the parser
@@ -352,8 +365,8 @@ class Scenario:
                 problems.append(f"[{section}] must be a {kind.__name__}")
         problems += [f"[initial] missing required key '{key}'"
                      for key, name in _INITIAL_FIELDS[:2] if getattr(self, name) is None]
-        # the rule pass also stores the [simulation] numbers as Python
-        # floats, so that dump_scenario writes text that parses
+        # the rule pass also stores the step counts, and the [simulation]
+        # numbers as Python floats, so that dump_scenario writes text that parses
         problems += _scenario_problems(vars(self))
         if problems:
             raise ScenarioError(problems)
@@ -697,16 +710,6 @@ class SimTrace:
         return bool(np.any(self.f_l != 0.0) or np.any(self.f_r != 0.0))
 
 
-def _schedule(scenario) -> tuple:
-    """What scenarios must share to be integrated together: joint count,
-    integrator, dt, decimation stride and delay steps. Variants and horizons
-    may differ."""
-    dt = float(scenario.dt)
-    delay_steps = int(round(scenario.delay / dt)) if scenario.delay else 0
-    return (scenario.params_l.n, scenario.integrator, dt,
-            max(1, int(round(scenario.decimation / dt))), delay_steps)
-
-
 class _Cohort:
     """The members of a group that share a step count, with their records:
     one row per recorded step, so a group's records hold its members' own
@@ -714,9 +717,9 @@ class _Cohort:
     slice ``cols`` of the stacked state. The force record exists only when
     some member of the group has a force profile (``forced``)."""
 
-    def __init__(self, cols: slice, last: int, every: int, k: int, n: int, forced: bool):
+    def __init__(self, cols: slice, last: int, stride: int, k: int, n: int, forced: bool):
         self.cols, self.last = cols, last
-        rows = (-(-last // every) + 1, cols.stop - cols.start)
+        rows = (_rows(last, stride), cols.stop - cols.start)
         self.t = np.zeros(rows[0])
         self.x = np.zeros(rows + (k, 2, n))
         self.tau = np.zeros(rows + (2, n))
@@ -754,30 +757,29 @@ class _Cohort:
         ]
 
 
-def _integrate(scenarios, integrator: str, dt: float, every: int,
-               delay_steps: int) -> list[SimTrace]:
+def _integrate(scenarios) -> list[SimTrace]:
     """Integrate one group of scenarios together and record their traces.
 
-    Each member runs its own step count and is recorded every ``every``
-    steps and at its last step. The members are stacked longest first, so
-    the running ones are always a prefix: past its last step a member is
-    cut off the end of the stacked state, and is no longer updated,
-    finite-checked or recorded.
+    The members share the integrator, dt, stride and delay steps. Each runs
+    its own step count and is recorded every ``stride`` steps and at its
+    last step. The members are stacked longest first, so the running ones
+    are always a prefix: past its last step a member is cut off the end of
+    the stacked state, and is no longer updated, finite-checked or recorded.
     """
-    steps = [int(round(s.horizon / dt)) for s in scenarios]
-    order = sorted(range(len(scenarios)), key=lambda i: -steps[i])   # stable
+    first = scenarios[0]   # the group's integrator, dt, stride and delay steps
+    order = sorted(range(len(scenarios)), key=lambda i: -scenarios[i].steps)   # stable
     batch = group = _Batch.of(scenarios, order)
     x = np.stack([_initial_array(scenarios[i], batch.law.virtual) for i in order], axis=1)
-    lasts = [steps[i] for i in order]
+    lasts = [scenarios[i].steps for i in order]
     cuts = [b for b in range(len(lasts)) if b == 0 or lasts[b] < lasts[b - 1]] + [len(lasts)]
-    cohorts = [_Cohort(slice(a, b), lasts[a], every, len(x), x.shape[-1], not batch.free)
+    cohorts = [_Cohort(slice(a, b), lasts[a], first.stride, len(x), x.shape[-1], not batch.free)
                for a, b in zip(cuts, cuts[1:])]   # longest first
     live = list(cohorts)
     # transport delay: ring buffer of the last delay_steps + 1 exchanged
     # positions; a delay past the horizon only ever reads the start positions
-    ring = (np.empty((min(delay_steps, cohorts[0].last) + 1,) + x[0].shape)
-            if delay_steps else None)
-    size, t = _StepSize.of(dt), 0.0
+    ring = (np.empty((min(first.delay_steps, cohorts[0].last) + 1,) + x[0].shape)
+            if first.delay_steps else None)
+    size, t = _StepSize.of(first.dt), 0.0
     # one error state per group: numpy's own warnings and errors stay silent,
     # and a non-finite state is reported only by check_finite, by name
     with np.errstate(all="ignore"):
@@ -785,11 +787,11 @@ def _integrate(scenarios, integrator: str, dt: float, every: int,
             q_seen = None
             if ring is not None:
                 ring[k % len(ring)] = x[0]
-                q_seen = ring[max(0, k - delay_steps) % len(ring)][:, ::-1]
+                q_seen = ring[max(0, k - first.delay_steps) % len(ring)][:, ::-1]
             dx, tau, f = batch.rhs(t, x, q_seen)
             for cohort in live:
-                if k % every == 0 or k == cohort.last:
-                    cohort.record(-(-k // every), t, x, tau, f)
+                if k % first.stride == 0 or k == cohort.last:
+                    cohort.record(-(-k // first.stride), t, x, tau, f)
             if k == live[-1].last:
                 live.pop()
                 if not live:
@@ -798,12 +800,12 @@ def _integrate(scenarios, integrator: str, dt: float, every: int,
                 x, dx, batch = x[:, running], dx[:, running], batch.take(running)
                 if ring is not None:
                     ring = ring[:, running]
-            x = batch.rk4(t, x, dx, size) if integrator == "rk4" else batch.euler(t, x, dx, size)
-            t = t + dt
+            x = (batch.rk4 if first.integrator == "rk4" else batch.euler)(t, x, dx, size)
+            t = t + first.dt
 
     traces: list = [None] * len(scenarios)
     for cohort in cohorts:
-        for i, trace in zip(order[cohort.cols], cohort.traces(group.take(cohort.cols), dt)):
+        for i, trace in zip(order[cohort.cols], cohort.traces(group.take(cohort.cols), first.dt)):
             traces[i] = trace
     return traces
 
@@ -811,9 +813,9 @@ def _integrate(scenarios, integrator: str, dt: float, every: int,
 def run_batch(scenarios) -> list[SimTrace]:
     """Integrate many scenarios over [0, horizon]; traces in input order.
 
-    Scenarios that share the joint count, integrator, dt, decimation stride
-    and delay steps are integrated together as one stacked array, whatever
-    their variants and horizons. A member past its horizon is frozen (no
+    Scenarios that share the joint count, integrator, dt, stride and
+    delay_steps are integrated together as one stacked array, whatever their
+    variants and horizons (their steps). A member past its horizon is frozen (no
     longer updated, checked or recorded), so each trace ends at its own
     horizon and equals that of ``run`` on its scenario alone. C1/C3 traces
     hold NaN theta columns. If a member's state stops being finite,
@@ -822,12 +824,11 @@ def run_batch(scenarios) -> list[SimTrace]:
     """
     scenarios = list(scenarios)
     groups: dict[tuple, list[int]] = {}
-    for i, scenario in enumerate(scenarios):
-        groups.setdefault(_schedule(scenario), []).append(i)
+    for i, s in enumerate(scenarios):
+        groups.setdefault((s.config.n, s.integrator, s.dt, s.stride, s.delay_steps), []).append(i)
     traces: list = [None] * len(scenarios)
-    for (_, integrator, dt, every, delay_steps), members in groups.items():
-        group = _integrate([scenarios[i] for i in members], integrator, dt, every, delay_steps)
-        for i, trace in zip(members, group):
+    for members in groups.values():
+        for i, trace in zip(members, _integrate([scenarios[i] for i in members])):
             traces[i] = trace
     return traces
 

@@ -357,10 +357,9 @@ def dump_scenario(cfg: Scenario) -> str:
     section("forces.local", _profile_lines(cfg.profile_l))
     section("forces.remote", _profile_lines(cfg.profile_r))
 
-    lines = [f"horizon = {cfg.horizon!r}", f"dt = {cfg.dt!r}",
-             f"decimation = {cfg.decimation!r}", f"integrator = {cfg.integrator}",
-             f"delay = {cfg.delay!r}"]
-    section("simulation", lines)
+    section("simulation", [f"horizon = {cfg.horizon!r}", f"dt = {cfg.dt!r}",
+                           f"decimation = {cfg.decimation!r}", f"integrator = {cfg.integrator}",
+                           f"delay = {cfg.delay!r}"])
 
     paths = {key: getattr(cfg, f"{key}_path") for key in _OUTPUT_KEYS}
     out_lines = [f"{key} = {path}" for key, path in paths.items() if path]

@@ -372,6 +372,12 @@ class TestScenarioValidation:
                        "decimation = 0.001": "decimation = 1e300"},
             lambda s: dict(dt=1e-3, horizon=1e305, decimation=1e300),
             "[simulation] the run must take at most 1000000000 steps"),
+        # 99 999 994 steps recorded every 10th and at the last: 10^7 + 1 samples,
+        # although round(horizon / decimation) + 1 is 10^7
+        "trace-samples-off-multiple": (
+            "c1_sim", {"horizon = 8.0": "horizon = 9999.9994"},
+            lambda s: dict(horizon=9999.9994),
+            "[simulation] the trace must hold at most 10000000 samples"),
     }
 
     @pytest.mark.parametrize("case", list(_THREE_WAYS))
@@ -382,7 +388,7 @@ class TestScenarioValidation:
         for old, new in edits.items():
             assert text.count(old) == 1
             text = text.replace(old, new)
-        plain = {f.name: getattr(base, f.name) for f in fields(ft.Scenario)}
+        plain = {f.name: getattr(base, f.name) for f in fields(ft.Scenario) if f.init}
         problems = []
         for build in (lambda: ft.parse_scenario(text, label=base.label),
                       lambda: replace(base, **changes(base)),
@@ -399,10 +405,38 @@ class TestScenarioValidation:
         cap = closed_loop_sim._MAX_SAMPLES
         at_cap = replace(base, horizon=(cap - 1) * base.decimation)
         assert round(at_cap.horizon / at_cap.decimation) + 1 == cap
-        with pytest.raises(ft.ScenarioError) as info:
-            replace(base, horizon=cap * base.decimation)
-        assert info.value.problems == [
-            f"[simulation] the trace must hold at most {cap} samples (horizon / decimation + 1)"]
+        # a horizon short of cap samples by a fraction of one still records
+        # its last step in a row of its own: cap + 1 rows
+        for fraction in (0.0, 0.55, 0.6, 0.9):
+            with pytest.raises(ft.ScenarioError) as info:
+                replace(base, horizon=(cap - fraction) * base.decimation)
+            assert info.value.problems == [f"[simulation] the trace must hold at most {cap} "
+                                           "samples (horizon / decimation + 1)"]
+
+    def test_trace_holds_the_rows_the_cap_counts(self):
+        # 105 steps recorded every 10th and at the last: 12 samples, where
+        # round(horizon / decimation) + 1 counts 11
+        s = replace(ft.read_bundled_scenario("c1_sim"), horizon=0.0105)
+        assert ft.run(s).samples == closed_loop_sim._rows(s.steps, s.stride) == 12
+
+    @pytest.mark.parametrize("build, schedule", [
+        (lambda: ft.read_bundled_scenario("c1_sim"), (80000, 10, 0)),
+        (lambda: replace(ft.read_bundled_scenario("c1_sim"), horizon=0.0105), (105, 10, 0)),
+        (lambda: replace(ft.read_bundled_scenario("c1_sim"), dt=5e-4, delay=2e-3),
+         (16000, 2, 4)),
+        (lambda: ft.parse_scenario(ft.dump_scenario(ft.read_bundled_scenario("c3_sim"))
+                                   .replace("horizon = 8.0", "horizon = 0.0105")),
+         (105, 10, 0)),
+    ], ids=["bundled", "replaced", "replaced-delay", "parsed"])
+    def test_schedule_is_derived_once(self, build, schedule):
+        s = build()
+        assert (s.steps, s.stride, s.delay_steps) == schedule
+        assert all(type(v) is int for v in (s.steps, s.stride, s.delay_steps))
+        with pytest.raises(ValueError, match="init=False"):
+            replace(s, steps=1)
+        with pytest.raises(TypeError):
+            ft.Scenario(params_l=s.params_l, params_r=s.params_r, config=s.config,
+                        q0_l=s.q0_l, q0_r=s.q0_r, stride=1)
 
     def test_step_cap_counts_horizon_over_dt(self):
         # the rule reads the step count only; neither scenario is run

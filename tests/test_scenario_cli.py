@@ -1,5 +1,7 @@
 """Scenario-file grammar, validation reporting and the CLI front end."""
 
+import contextlib
+import io
 import os
 import stat
 import warnings
@@ -8,8 +10,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ftteleop as ft
+from ftteleop import cli
 from ftteleop.cli import run_command
 
 FAST_SCENARIO = """
@@ -440,3 +445,38 @@ class TestCli:
 
     def test_no_scenario_given(self, capsys):
         assert run_command(["simulate"]) == 2
+
+
+# a flag value: not a number, beyond or at the edge of the float range, or a
+# plausible step size, delay or tolerance
+_FLAG_VALUES = st.sampled_from(
+    ["nan", "inf", "-inf", "0", "-1", "1e308", "1e-308", "5e-324", "", "abc", str(10**400),
+     "1e-4", "2e-4", "3e-4", "5e-4", "1e-3", "2e-3", "0.05", "0.01"])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(name=st.sampled_from([n[:-4] for n in ft.bundled_scenario_names()]),
+       flags=st.fixed_dictionaries({flag: st.none() | _FLAG_VALUES
+                                    for flag in ("--dt", "--delay", "--tol")}))
+def test_validate_flags_exit_0_or_3_with_named_problems(name, flags):
+    argv = ["validate", name] + [f"{flag}={v}" for flag, v in flags.items() if v is not None]
+    loaded, load, err = [], cli._load, io.StringIO()
+    with (mock.patch.object(cli, "_load", lambda args: loaded.append(load(args)) or loaded[0]),
+          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+          warnings.catch_warnings()):
+        warnings.simplefilter("error")   # a warning would raise out of run_command
+        code = run_command(argv)
+    err = err.getvalue()
+    assert code in (0, 3), (argv, err)
+    assert "Traceback" not in err
+    if code == 3:
+        head, *problems = err.splitlines()
+        if head == "error: invalid scenario:":
+            assert problems and all(p.startswith(("  - [simulation] ", "  - --tol "))
+                                    for p in problems), err
+        else:
+            assert not problems and head.startswith("error: argument --"), err
+    else:
+        s, = loaded
+        assert (s.steps, s.stride, s.delay_steps) == (
+            round(s.horizon / s.dt), round(s.decimation / s.dt), round(s.delay / s.dt))
