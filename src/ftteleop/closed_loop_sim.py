@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .controllers import (
     LOCAL,
@@ -57,6 +56,7 @@ from .robot_dynamics import (
     RobotState,
     _real_array,
     _real_number,
+    _solve1,
     acceleration_kernel,
     gravity_kernel,
     kinetic_kernel,
@@ -82,11 +82,6 @@ __all__ = [
     "PassivityLedger",
     "state_bounds_from_energy",
 ]
-
-# the link solve of the engine: the vector LAPACK gufunc behind
-# np.linalg.solve, bare; the step loop runs under an error state that ignores
-# every floating-point error, so a failed solve is a NaN that check_finite names
-_solve = _umath_linalg.solve1
 
 
 class ScenarioError(ValueError):
@@ -553,8 +548,11 @@ class _Batch:
         link = link_angles(x[:2])   # phi and omega
         dx = np.empty_like(x)
         dx[0] = qdot
+        # the link solve is the vector LAPACK gufunc behind np.linalg.solve,
+        # bare; the step loop runs under an error state that ignores every
+        # floating-point error, so a failed solve is a NaN that check_finite names
         acceleration_kernel(self.arms, link[0], link[1], tau if f is None else tau + f,
-                            _solve, dx[1])
+                            _solve1, dx[1])
         if theta_dot is not None:
             dx[2] = theta_dot
         return dx, tau, f

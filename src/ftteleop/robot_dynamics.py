@@ -38,6 +38,10 @@ eigenvalue bounds and the Coriolis quadratic-growth constant are estimated
 once per parameter set by dense sampling with a safety margin. M and C read
 the angles only through phi_a - phi_b = q_{b+1} + ... + q_a, so they are
 invariant in q_1 and the samples cover the relative angles q_2..q_n alone.
+They read them through cos and sin of those differences, so M(-q) = M(q)
+and C(-q, v) = -C(q, v): negating q flips the sign of every growth form and
+leaves its spectral radius, and the samples hold one point of each pair
+{q, -q} (mod 2 pi) of the grid.
 The growth constant is the exact maximum over the samples, but the forms
 are decomposed only at samples whose Frobenius-norm ceiling reaches it.
 """
@@ -49,8 +53,26 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from numpy._core.multiarray import c_einsum as _c_einsum
-from numpy.linalg import _umath_linalg
+
+# numpy's private C entry points, or, where a numpy lacks them, the public
+# calls that reach the same C routines and give the same bits, more slowly
+try:
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:
+    def _c_einsum(*operands):
+        return np.einsum(*operands, optimize=False)
+try:
+    from numpy.linalg._umath_linalg import solve1 as _solve1
+except ImportError:
+    def _solve1(a, b, out=None):
+        """The vector gufunc's call, written into ``out`` if given. Unlike
+        the gufunc, it raises for an exactly singular member under any error
+        state."""
+        x = np.linalg.solve(a, b[..., None])[..., 0]
+        if out is None:
+            return x
+        out[...] = x
+        return out
 
 __all__ = [
     "RobotParams",
@@ -375,7 +397,7 @@ def _lapack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     loop, so no signature is passed). Raises
     np.linalg.LinAlgError("Singular matrix") for an exactly singular member;
     a NaN member solves to NaN."""
-    return _umath_linalg.solve1(a, b)
+    return _solve1(a, b)
 
 
 def acceleration_kernel(arm: ArmArrays, phi: np.ndarray, omega: np.ndarray,
@@ -392,9 +414,9 @@ def acceleration_kernel(arm: ArmArrays, phi: np.ndarray, omega: np.ndarray,
     give a NaN A a NaN solution. With ``out``, an array of the right-hand
     side's shape, omega_dot is solved into it, qdd is formed there and it
     is returned; ``solve`` must then take it as a third argument, as a
-    gufunc does. The engine passes the bare gufunc _umath_linalg.solve1,
-    which under the engine's error state (all ignored) solves an exactly
-    singular A to NaN instead of raising."""
+    gufunc does. The engine passes the bare gufunc _solve1, which under
+    the engine's error state (all ignored) solves an exactly singular A to
+    NaN instead of raising."""
     diff = _differences(phi)
     # the C routine np.einsum calls (optimize=False), without its wrapper
     rhs = u - _c_einsum("...ab,...b->...a", _coriolis_factor(arm, diff), omega * omega)
@@ -504,13 +526,23 @@ def _growth_ceiling(t: np.ndarray) -> np.ndarray:
 
 
 def _configuration_grid(n: int, target: int) -> np.ndarray:
+    """One point of each pair {q, -q} (mod 2 pi) of the grid with q_1 = 0 and
+    per_joint values of each relative angle q_2..q_n (module docstring)."""
+    if n == 1:
+        return np.zeros((1, 1))
     per_joint = max(2, int(np.ceil(target ** (1.0 / n))))
     axis = np.linspace(-np.pi, np.pi, per_joint, endpoint=False)
     if per_joint % 2:  # put q = 0 on the grid; even counts hold it to rounding
         axis -= axis[per_joint // 2]
-    # q_1 = 0: M and C are invariant in it (module docstring)
-    grid = np.meshgrid(np.zeros(1), *([axis] * (n - 1)), indexing="ij")
-    return np.stack([g.ravel() for g in grid], axis=-1)
+    shape = (per_joint,) * (n - 1)
+    index = np.indices(shape).reshape(n - 1, -1)
+    # -axis[i] is axis[mirror[i]] mod 2 pi; the flat index is the row-major
+    # rank, so a point is kept when it comes no later than its mirror image
+    mirror = (per_joint - per_joint % 2 - index) % per_joint
+    keep = np.arange(index.shape[1]) <= np.ravel_multi_index(mirror, shape)
+    grid = np.zeros((np.count_nonzero(keep), n))
+    grid[:, 1:] = axis[index[:, keep].T]
+    return grid
 
 
 def derive_bounds(params: RobotParams) -> DerivedBounds:
@@ -521,9 +553,11 @@ def derive_bounds(params: RobotParams) -> DerivedBounds:
     Coriolis growth are sampled on a grid over the relative angles
     q_2..q_n, uniform on [-pi, pi)^(n-1) and holding q = 0, with q_1 = 0;
     every quantity is invariant in q_1 and periodic in the others, so the
-    grid covers the reachable set. Sampled extremes carry a x1.05 margin
-    (skipped when the inertia is configuration-independent, e.g. a single
-    pendulum's).
+    grid covers the reachable set. M is even in q and the growth forms odd,
+    so of each pair {q, -q} (mod 2 pi) of the grid only one point is
+    sampled: the other gives the same inertia and growth. Sampled extremes
+    carry a x1.05 margin (skipped when the inertia is
+    configuration-independent, e.g. a single pendulum's).
 
     The growth is the exact maximum of _coriolis_growth over the grid. The
     inertia matrices of all samples are decomposed, but the Coriolis forms

@@ -19,6 +19,9 @@ Regenerate (only when a change of the model itself is intended) with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -90,6 +93,36 @@ def test_mixed_run_batch_matches_golden(golden):
     traces = ft.run_batch(list(scenarios.values()))
     gaps = {key: _gap(trace, golden[key]) for key, trace in zip(scenarios, traces)}
     assert max(gaps.values()) <= TOL, gaps
+
+
+_PUBLIC_FORMS = """
+import sys
+import numpy as np
+import numpy._core.multiarray, numpy.linalg._umath_linalg
+del numpy._core.multiarray.c_einsum, numpy.linalg._umath_linalg.solve1
+import ftteleop as ft
+from ftteleop import robot_dynamics
+from test_golden import golden_scenarios
+bound = (robot_dynamics._c_einsum, robot_dynamics._solve1)
+assert all(f.__module__ == "ftteleop.robot_dynamics" for f in bound), bound
+np.savez(sys.argv[1], **{key: ft.run(s).matrix() for key, s in golden_scenarios().items()})
+"""
+
+
+def test_public_numpy_forms_give_the_same_bits(tmp_path):
+    # a fresh interpreter whose numpy lacks the private C entry points binds
+    # the public forms at import; every slice keeps its bits
+    path = tmp_path / "public.npz"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(ft.__file__).parent.parent), str(Path(__file__).parent),
+        os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", _PUBLIC_FORMS, str(path)],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    with np.load(path) as public:
+        assert sorted(public.files) == sorted(golden_scenarios())
+        for key, s in golden_scenarios().items():
+            np.testing.assert_array_equal(public[key], ft.run(s).matrix(), err_msg=key)
 
 
 if __name__ == "__main__":

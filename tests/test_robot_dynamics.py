@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.linalg import _umath_linalg
 
 import ftteleop as ft
 from ftteleop import robot_dynamics
@@ -302,7 +301,7 @@ class TestForwardDynamics:
             dx = np.full((3, size, 2, n), np.nan)
             out = dx[1]
             acc = robot_dynamics.acceleration_kernel(arms, phi, omega, u,
-                                                     _umath_linalg.solve1, out)
+                                                     robot_dynamics._solve1, out)
             assert acc is out
             np.testing.assert_array_equal(out, robot_dynamics.acceleration_kernel(
                 arms, phi, omega, u))
@@ -617,8 +616,41 @@ class TestDeriveBounds:
         grid = robot_dynamics._configuration_grid(n, 10_000)
         assert np.min(np.max(np.abs(grid), axis=1)) <= 1e-15
         per_joint = max(2, int(np.ceil(10_000 ** (1.0 / n))))
-        assert grid.shape == (per_joint ** (n - 1), n)
+        # half the full grid, plus half its points that are their own mirror
+        # image: each relative angle at 0 or, for an even count, at -pi
+        fixed = 2 ** (n - 1) if per_joint % 2 == 0 else 1
+        assert grid.shape == ((per_joint ** (n - 1) + fixed) // 2, n)
         np.testing.assert_array_equal(grid[:, 0], 0.0)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("per_joint", [4, 5, None], ids=["even", "odd", "bound-target"])
+    def test_grid_and_its_mirror_are_the_full_grid(self, n, per_joint):
+        # the grid keeps one point of each pair {q, -q} (mod 2 pi) of the
+        # full grid over q_2..q_n, with q_1 = 0
+        target = (per_joint - 0.5) ** n if per_joint else robot_dynamics._BOUND_GRID_TARGET
+        per = max(2, int(np.ceil(target ** (1.0 / n))))
+        assert per_joint in (None, per)
+        axis = np.linspace(-np.pi, np.pi, per, endpoint=False)
+        if per % 2:
+            axis -= axis[per // 2]
+        full = np.stack([g.ravel() for g in np.meshgrid(
+            np.zeros(1), *[axis] * (n - 1), indexing="ij")], axis=-1)
+        grid = robot_dynamics._configuration_grid(n, target)
+        assert set(map(tuple, grid)) <= set(map(tuple, full))   # the same axis values
+
+        def indices(q):
+            # each angle's index on the axis, found modulo 2 pi
+            k = np.rint((q - axis[0]) * per / (2 * np.pi))
+            np.testing.assert_allclose(q - axis[0], k * 2 * np.pi / per, rtol=0, atol=1e-12)
+            return [tuple(row) for row in (k % per).astype(int)]
+
+        kept, mirrored = indices(grid), indices(-grid)
+        assert len(set(kept)) == len(kept)   # no point twice
+        assert set(kept) | set(mirrored) == set(indices(full))
+        # and no pair whole: only a point that is its own mirror image is
+        # kept with it
+        own = sum(k == m for k, m in zip(kept, mirrored))
+        assert 2 * len(kept) - own == per ** (n - 1)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_inertia_and_coriolis_ignore_the_first_joint(self, n):
@@ -633,6 +665,18 @@ class TestDeriveBounds:
                                        ft.mass_matrix(params, q), rtol=0, atol=1e-12)
             np.testing.assert_allclose(ft.coriolis_matrix(params, shifted, v),
                                        ft.coriolis_matrix(params, q, v), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_inertia_is_even_and_coriolis_odd_in_q(self, n):
+        # the property behind sampling one point of each pair {q, -q}
+        rng = np.random.default_rng([n, 27])
+        params = ft.RobotParams(**random_chain(rng, n))
+        for _ in range(20):
+            q, v = rng.uniform(-np.pi, np.pi, n), rng.normal(size=n)
+            np.testing.assert_allclose(ft.mass_matrix(params, -q),
+                                       ft.mass_matrix(params, q), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ft.coriolis_matrix(params, -q, v),
+                                       -ft.coriolis_matrix(params, q, v), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_bounds_equal_the_full_torus_grid(self, n):
