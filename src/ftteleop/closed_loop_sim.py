@@ -54,8 +54,6 @@ from .controllers import (
 from .robot_dynamics import (
     RobotParams,
     RobotState,
-    _real_array,
-    _real_number,
     _solve1,
     acceleration_kernel,
     gravity_kernel,
@@ -63,6 +61,7 @@ from .robot_dynamics import (
     link_angles,
     stack_arm_arrays,
 )
+from .scalar_ops import _real_array, _real_number
 
 __all__ = [
     "ForceProfile",
@@ -295,7 +294,13 @@ def _scenario_problems(parts) -> list[str]:
         elif dt is not None and 0 < dt < math.inf and math.isinf(delay / dt):
             problems.append("[simulation] delay / dt must be finite")
         elif dt is not None and 0 < dt < math.inf:
-            parts["delay_steps"] = round(delay / dt)
+            # as for the decimation: rounding would drop a part of a step, and
+            # all of a delay shorter than half a step
+            delay_steps = round(delay / dt)
+            if delay > 0 and (delay_steps < 1 or abs(delay / dt - delay_steps) > 1e-9):
+                problems.append("[simulation] delay must be an integer multiple of dt")
+            else:
+                parts["delay_steps"] = delay_steps
 
     # a bounded variant may claim its torque limits only if the gate passes
     if (config is not None and config.is_bounded and len(counts) == 2

@@ -36,7 +36,7 @@ from .robot_dynamics import (
     link_angles,
     stack_arm_arrays,
 )
-from .scalar_ops import Weights, channel, channel_integral
+from .scalar_ops import Weights, _real_array, _real_number, channel, channel_integral
 
 __all__ = [
     "VARIANTS",
@@ -68,7 +68,7 @@ def _gain(value, shape: tuple, name: str, allow_zero: bool = False) -> np.ndarra
     for the per-robot gains; a scalar or a length-n vector applies to every
     joint (and to both robots), a (2, 1) pair to every joint of each robot.
     """
-    arr = np.asarray(value, dtype=float)
+    arr = _real_array(name, value)
     try:
         out = np.array(np.broadcast_to(arr, shape))
     except ValueError:
@@ -129,7 +129,7 @@ class ControllerConfig:
                     getattr(self, name), (2, n), name, allow_zero=name == "d_s"))
         for name in ("delta_p", "delta_d"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, float(getattr(self, name)))
+                object.__setattr__(self, name, _real_number(name, getattr(self, name)))
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         object.__setattr__(self, "p_pos", self.weights.pos_exponent)
@@ -170,8 +170,8 @@ class ControllerState:
     theta_r: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_l", np.atleast_1d(np.asarray(self.theta_l, float)))
-        object.__setattr__(self, "theta_r", np.atleast_1d(np.asarray(self.theta_r, float)))
+        for name in ("theta_l", "theta_r"):
+            object.__setattr__(self, name, np.atleast_1d(_real_array(name, getattr(self, name))))
         if not (np.all(np.isfinite(self.theta_l)) and np.all(np.isfinite(self.theta_r))):
             raise ValueError("controller state must be finite")
 

@@ -32,13 +32,13 @@ import numpy as np
 from .controllers import ControllerConfig, control_law, stack_laws
 from .robot_dynamics import (
     RobotParams,
-    SingularInertiaError,
     _spd_solve,
     acceleration_kernel,
     inertia_kernel,
     link_angles,
     stack_arm_arrays,
 )
+from .scalar_ops import _real_array, _real_number
 
 __all__ = [
     "HomogeneitySpec",
@@ -86,8 +86,9 @@ class HomogeneitySpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, float))
-        object.__setattr__(self, "eps_grid", np.asarray(self.eps_grid, float))
+        object.__setattr__(self, "weights", _real_array("weights", self.weights))
+        object.__setattr__(self, "eps_grid", _real_array("eps grid", self.eps_grid))
+        object.__setattr__(self, "degree", _real_number("degree", self.degree))
         for name, arr in (("weights", self.weights), ("eps grid", self.eps_grid)):
             if arr.ndim != 1 or arr.size == 0:
                 raise ValueError(f"{name} must be a nonempty 1-D array, got shape {arr.shape}")
@@ -182,22 +183,21 @@ def homogeneous_field(config: ControllerConfig, params_l: RobotParams,
     """Dilation-homogeneous core of the closed loop, inertia frozen at q_c.
 
     The unbounded control law of the configured variant with gravity
-    dropped, accelerating through the inverse inertia at the consensus
-    position. Saturations never enter the core: near the origin the bounded
-    variants coincide with their unbounded counterparts. ``q_c`` must hold
-    n finite entries, else ValueError.
+    dropped, accelerating through the inertia at the consensus position.
+    Saturations never enter the core: near the origin the bounded variants
+    coincide with their unbounded counterparts. Each state's frozen system
+    is solved by the stacked elimination, as in the full field, so a value
+    is bit-identical alone and in any stack. ``q_c`` must hold n finite
+    entries, else ValueError.
     """
     q_c, law, arms = _field_inputs(config, params_l, params_r, q_c)
     law = law._replace(levels=None)
-    inv = np.linalg.inv(inertia_kernel(arms, link_angles(q_c)))[0]   # (2, n, n), one per arm
-    if not np.all(np.isfinite(inv)):
-        raise SingularInertiaError("frozen inertia matrix is singular at the consensus position")
-    inv_t = np.swapaxes(inv, -1, -2)
+    m_c = inertia_kernel(arms, link_angles(q_c))[0, :, None]   # (2, 1, n, n), one per arm
 
     def dynamics(q, qdot, theta):
         tau, theta_dot = control_law(law, q, qdot, theta, q[:, ::-1])
-        # one (N, n) x (n, n) product per arm, not N mat-vecs
-        return np.swapaxes(np.swapaxes(tau, 0, 1) @ inv_t, 0, 1), theta_dot
+        # arm-major (2, N, n), so each step of the solve runs along the N states
+        return np.swapaxes(_spd_solve(m_c, np.swapaxes(tau, 0, 1)), 0, 1), theta_dot
 
     return _error_field(config, 0.0, dynamics)
 

@@ -17,8 +17,8 @@ the vector C qd = L^T [S omega^2] and the quadratic forms
 [C(q, v) v]_k = v^T L^T diag(sum_{a>=k} S_a.) L v behind the growth bound.
 The motion is solved in link coordinates (Featherstone, Rigid Body Dynamics
 Algorithms, 2008): A omega_dot = L^-T u - S omega^2 with
-L^-T u = u_k - u_{k+1}, one direct LAPACK call, and qdd = L^-1 omega_dot is
-a first difference. The kinetic energy is 1/2 omega^T A omega, so only
+L^-T u = u_k - u_{k+1}, one linear solve, and qdd = L^-1 omega_dot is a
+first difference. The kinetic energy is 1/2 omega^T A omega, so only
 mass_matrix, the sampled bounds and the audit's frozen core build M.
 
 The engine's step evaluates this in place and through numpy's C entry
@@ -26,12 +26,11 @@ points: the two first differences are taken on named views of their own
 buffers, the Coriolis sum calls the C einsum that np.einsum reaches
 without path optimization, and the solve calls LAPACK's vector gufunc on
 the (..., n) right-hand side, with no signature string and no column
-views. The default solve, _lapack_solve, takes its error state from
-np.errstate used as a decorator, which sets it per call and stays
-re-entrant. The engine instead passes the bare gufunc and its own buffer
-for qdd, and sets one error state per integration, not one per solve:
-there a failed solve is a NaN, and an instability is reported only by
-the engine's finite check, by name.
+views, into the engine's own buffer for qdd. The engine sets one error
+state per integration, not one per solve: there a failed solve is a NaN,
+and an instability is reported only by the engine's finite check, by
+name. Every other caller solves by _spd_solve, the stacked elimination,
+which raises np.linalg.LinAlgError for a pivot that is not positive.
 
 The per-joint gravity caps are exact (all links horizontal). The inertia
 eigenvalue bounds and the Coriolis quadratic-growth constant are estimated
@@ -48,11 +47,12 @@ are decomposed only at samples whose Frobenius-norm ceiling reaches it.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+
+from .scalar_ops import _real_array, _real_number
 
 # numpy's private C entry points, or, where a numpy lacks them, the public
 # calls that reach the same C routines and give the same bits, more slowly
@@ -125,39 +125,6 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, dtype=float)
     arr.setflags(write=False)
     return arr
-
-
-def _real_number(name: str, value) -> float:
-    """value, a real number (numpy's included) but not a bool, as a Python
-    float, or a ValueError naming ``name`` and the fault."""
-    if type(value) is float:   # first: isinstance against the numbers ABC is slower
-        return value
-    if isinstance(value, (complex, np.complexfloating)):
-        raise ValueError(f"{name} must be a real number")
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a number")
-    try:
-        return float(value)
-    except OverflowError:   # an int beyond the float range
-        raise ValueError(f"{name} must lie within the float range") from None
-
-
-def _real_array(name: str, value) -> np.ndarray:
-    """value as a float array, or a ValueError naming ``name`` and the fault."""
-    try:
-        arr = np.asarray(value)
-        # an object array: numpy would cast None to NaN and parse numeric text
-        if arr.dtype.kind == "O" and not all(isinstance(v, numbers.Real) for v in arr.flat):
-            raise TypeError
-        if arr.dtype.kind not in "USc":
-            return arr.astype(float, copy=False)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be numbers") from None
-    except OverflowError:   # an int beyond the float range
-        raise ValueError(f"{name} must lie within the float range") from None
-    # numpy would parse numeric text (as _real_number does not "0.5"), and
-    # casting a complex array would drop its imaginary part
-    raise ValueError(f"{name} must be {'real ' if arr.dtype.kind == 'c' else ''}numbers")
 
 
 class ArmArrays(NamedTuple):
@@ -273,8 +240,8 @@ class RobotState:
     qdot: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "q", np.atleast_1d(np.asarray(self.q, dtype=float)))
-        object.__setattr__(self, "qdot", np.atleast_1d(np.asarray(self.qdot, dtype=float)))
+        for name in ("q", "qdot"):
+            object.__setattr__(self, name, np.atleast_1d(_real_array(name, getattr(self, name))))
         if self.q.shape != self.qdot.shape or self.q.ndim != 1:
             raise ValueError("q and qdot must be 1-D arrays of equal length")
         if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.qdot))):
@@ -350,73 +317,53 @@ def gravity_kernel(arm: ArmArrays, phi: np.ndarray) -> np.ndarray:
 
 def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x solving a x = b for a stack of symmetric positive-definite (n, n)
-    matrices a and a stack of the same shape of (n,) right-hand sides b,
-    as np.linalg.solve(a, b[..., None])[..., 0].
+    matrices a and a stack of (n,) right-hand sides b, as
+    np.linalg.solve(a, b[..., None])[..., 0]. a's stack has as many axes as
+    b's and need only broadcast to it: a matrix shared along an axis
+    (length 1 there) is factored once.
 
-    The stack is copied once into a batch-last (n, n, N) layout, so each step
-    of the elimination (a = L D L^T, D the pivots) is one contiguous ufunc
-    over all N systems.
+    Both are copied once into a batch-last layout, (n, n, ...) and (n, ...),
+    so each step of the elimination (a = L D L^T, D the pivots) is one
+    contiguous ufunc over all the systems.
     Without pivoting the elimination is backward stable for positive-definite
     matrices (Golub & Van Loan, Matrix Computations, 4th ed., sec. 4.2), and
     every operation is elementwise along the stack, so a system's solution is
-    bit-identical alone and in any stack. Raises np.linalg.LinAlgError if a
-    pivot is zero or negative; a NaN pivot gives that system a NaN solution,
-    as LAPACK's does.
+    bit-identical alone, in any stack and against a broadcast matrix. Raises
+    np.linalg.LinAlgError if a pivot is zero or negative; a NaN pivot gives
+    that system a NaN solution, as LAPACK's does.
     """
     n = b.shape[-1]
-    m = a.reshape(-1, n * n).T.reshape(n, n, -1).copy()
-    x = b.reshape(-1, n).T.copy()
+    m = a.transpose(-2, -1, *range(a.ndim - 2)).copy()
+    x = b.transpose(-1, *range(b.ndim - 1)).copy()
     with np.errstate(divide="ignore", invalid="ignore"):   # a bad pivot raises below
         for j in range(n - 1):
             ratio = m[j + 1:, j] / m[j, j]
             m[j + 1:, j + 1:] -= ratio[:, None] * m[j, j + 1:]
             x[j + 1:] -= ratio * x[j]
-        pivots = m.reshape(n * n, -1)[::n + 1]
+        pivots = m.reshape(n * n, *m.shape[2:])[::n + 1]
         if (pivots <= 0).any():
             raise np.linalg.LinAlgError("matrix is not positive definite")
         for j in range(n - 1, -1, -1):   # back substitution, one unknown at a time
             x[j] /= pivots[j]
             x[:j] -= m[:j, j] * x[j]
-    return x.T.reshape(b.shape)
-
-
-def _raise_singular(err, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-# the decorator form sets the error state per call (numpy keeps its context
-# token per call, not on the shared errstate object), so the solve is
-# re-entrant and thread-safe without building an errstate on every call
-@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
-             under="ignore")
-def _lapack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(a, b[..., None])[..., 0] for float64 stacks
-    a (..., n, n) and b (..., n): the same LAPACK dgesv on one column, as
-    numpy's vector gufunc, under the same error state and without the
-    wrapper's type and shape handling (float64 operands select the double
-    loop, so no signature is passed). Raises
-    np.linalg.LinAlgError("Singular matrix") for an exactly singular member;
-    a NaN member solves to NaN."""
-    return _solve1(a, b)
+    return x.transpose(*range(1, x.ndim), 0)
 
 
 def acceleration_kernel(arm: ArmArrays, phi: np.ndarray, omega: np.ndarray,
-                        u: np.ndarray, solve=_lapack_solve, out=None) -> np.ndarray:
+                        u: np.ndarray, solve, out=None) -> np.ndarray:
     """qdd solving M qdd = u - C(q, qd) qd for u the torque net of gravity,
     given the link angles phi = L q and the link rates omega = L qd, so
     u = 0 at rest gives qdd = 0 exactly. Builds neither M nor C.
 
     ``solve(a, b)`` solves the link-coordinate systems A omega_dot = rhs,
-    A = G o cos(phi_a - phi_b), for (..., n) right-hand sides, and raises
-    np.linalg.LinAlgError when it cannot: one direct LAPACK call by default
-    (for an exactly singular A), or _spd_solve (for a zero or negative
-    pivot), which is faster on large stacks and slower on small ones. Both
-    give a NaN A a NaN solution. With ``out``, an array of the right-hand
+    A = G o cos(phi_a - phi_b), for (..., n) right-hand sides: _spd_solve,
+    which raises np.linalg.LinAlgError for a zero or negative pivot, or the
+    engine's bare gufunc _solve1. With ``out``, an array of the right-hand
     side's shape, omega_dot is solved into it, qdd is formed there and it
     is returned; ``solve`` must then take it as a third argument, as a
-    gufunc does. The engine passes the bare gufunc _solve1, which under
-    the engine's error state (all ignored) solves an exactly singular A to
-    NaN instead of raising."""
+    gufunc does. Under the engine's error state (all ignored) _solve1
+    solves an exactly singular A to NaN instead of raising; both give a
+    NaN A a NaN solution."""
     diff = _differences(phi)
     # the C routine np.einsum calls (optimize=False), without its wrapper
     rhs = u - _c_einsum("...ab,...b->...a", _coriolis_factor(arm, diff), omega * omega)
@@ -475,7 +422,7 @@ def forward_dynamics(params: RobotParams, state: RobotState, tau, f_ext=None) ->
     if f_ext is not None:
         u = u + _check_q(params, f_ext)
     try:
-        return acceleration_kernel(params.arm, phi, link_angles(state.qdot), u)
+        return acceleration_kernel(params.arm, phi, link_angles(state.qdot), u, _spd_solve)
     except np.linalg.LinAlgError as exc:
         raise SingularInertiaError("inertia matrix is singular") from exc
 

@@ -9,10 +9,16 @@ is 64-bit floating point.
 The powers share two unchecked kernels, ``channel`` and its integral
 ``channel_integral``; the control law calls them directly on inputs that
 were validated once, and the public functions check their inputs first.
+The checked constructors (RobotParams, RobotState, ControllerConfig,
+ControllerState, Weights, ForceProfile, HomogeneitySpec, the Scenario
+rules) and the public functions here convert numbers by ``_real_number``
+and ``_real_array``: a value that is not real numbers, or lies beyond the
+float range, is a ValueError naming its field.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,15 +35,48 @@ __all__ = [
 ]
 
 
-def _check_positive(name: str, value: float) -> float:
-    value = float(value)
+def _real_number(name: str, value) -> float:
+    """value, a real number (numpy's included) but not a bool, as a Python
+    float, or a ValueError naming ``name`` and the fault."""
+    if type(value) is float:   # first: isinstance against the numbers ABC is slower
+        return value
+    if isinstance(value, (complex, np.complexfloating)):
+        raise ValueError(f"{name} must be a real number")
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number")
+    try:
+        return float(value)
+    except OverflowError:   # an int beyond the float range
+        raise ValueError(f"{name} must lie within the float range") from None
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """value as a float array, or a ValueError naming ``name`` and the fault."""
+    try:
+        arr = np.asarray(value)
+        # an object array: numpy would cast None to NaN and parse numeric text
+        if arr.dtype.kind == "O" and not all(isinstance(v, numbers.Real) for v in arr.flat):
+            raise TypeError
+        if arr.dtype.kind not in "USc":
+            return arr.astype(float, copy=False)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be numbers") from None
+    except OverflowError:   # an int beyond the float range
+        raise ValueError(f"{name} must lie within the float range") from None
+    # numpy would parse numeric text (as _real_number does not "0.5"), and
+    # casting a complex array would drop its imaginary part
+    raise ValueError(f"{name} must be {'real ' if arr.dtype.kind == 'c' else ''}numbers")
+
+
+def _check_positive(name: str, value) -> float:
+    value = _real_number(name, value)
     if not np.isfinite(value) or value <= 0.0:
         raise ValueError(f"{name} must be a finite positive real, got {value!r}")
     return value
 
 
 def _as_finite_array(name: str, x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
+    arr = _real_array(name, x)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite, got {x!r}")
     return arr
@@ -113,8 +152,8 @@ def s_integral(x, delta: float, p: float):
 def dilate(x, weights, epsilon: float) -> np.ndarray:
     """Anisotropic dilation: component j of x scaled by epsilon^weights[j]."""
     epsilon = _check_positive("epsilon", epsilon)
-    arr = np.asarray(x, dtype=float)
-    w = np.asarray(weights, dtype=float)
+    arr = _real_array("x", x)
+    w = _real_array("weights", weights)
     if arr.shape != w.shape:
         raise ValueError(
             f"x and weights must have equal length, got {arr.shape} vs {w.shape}"
@@ -138,7 +177,7 @@ class Weights:
     r2: float
 
     def __post_init__(self):
-        r1, r2 = float(self.r1), float(self.r2)
+        r1, r2 = _real_number("r1", self.r1), _real_number("r2", self.r2)
         object.__setattr__(self, "r1", r1)
         object.__setattr__(self, "r2", r2)
         if not (np.isfinite(r1) and np.isfinite(r2)) or r2 <= 0.0 or r1 <= 0.0:

@@ -14,7 +14,7 @@ import pytest
 import ftteleop as ft
 from ftteleop import closed_loop_sim
 from ftteleop.controllers import control_law, stack_laws
-from ftteleop.robot_dynamics import acceleration_kernel, link_angles, stack_arm_arrays
+from ftteleop.robot_dynamics import _solve1, acceleration_kernel, link_angles, stack_arm_arrays
 
 from conftest import BENCHMARK, random_chain
 
@@ -52,7 +52,7 @@ class TestStep:
         qdot = np.array([[state.local.qdot, state.remote.qdot]], dtype=float)
         tau, _ = control_law(stack_laws([config]), q, qdot, None, q[:, ::-1])
         acc = acceleration_kernel(stack_arm_arrays([(params, params)]), link_angles(q),
-                                  link_angles(qdot), tau)[0]
+                                  link_angles(qdot), tau, _solve1)[0]
         action = ft.control_action(config, params, params, state.local, state.remote)
         for side, robot, applied in ((0, state.local, action.tau_l),
                                      (1, state.remote, action.tau_r)):
@@ -178,6 +178,9 @@ class TestScenarioValidation:
         (dict(dt=3e-4), "decimation must be an integer multiple of dt"),
         (dict(integrator="rk45"), "integrator must be 'euler' or 'rk4'"),
         (dict(delay=-0.5), "delay must be nonnegative"),
+        # rounded to steps, a part of one would be no delay, and 2.5 would be 2
+        (dict(delay=4e-5), "delay must be an integer multiple of dt"),
+        (dict(delay=2.5e-4), "delay must be an integer multiple of dt"),
         (dict(integrator="rk4", delay=2e-3), "delay > 0 requires integrator = euler"),
         (dict(horizon=np.nan), "horizon must be positive"),
         (dict(horizon=np.inf), "horizon must be finite"),
@@ -206,7 +209,8 @@ class TestScenarioValidation:
         (dict(delay=10**400), "delay must lie within the float range"),
         (dict(dt=-10**400), "dt must lie within the float range"),
     ], ids=["horizon", "dt", "dt-above-decimation", "decimation-multiple", "integrator",
-            "delay", "delay-integrator", "nan-horizon", "inf-horizon", "nan-dt", "inf-dt",
+            "delay", "delay-below-dt", "delay-multiple", "delay-integrator", "nan-horizon",
+            "inf-horizon", "nan-dt", "inf-dt",
             "nan-decimation", "inf-decimation", "none-decimation", "nan-delay", "inf-delay",
             "str-horizon", "str-dt", "str-delay", "str-decimation", "bool-horizon",
             "numpy-bool-delay", "none-integrator", "array-integrator", "overflow-samples",
@@ -364,6 +368,9 @@ class TestScenarioValidation:
                        "decimation = 0.001": "decimation = 1e300"},
             lambda s: dict(horizon=1e305, decimation=1e300),
             "[simulation] horizon / dt must be finite"),
+        "delay-multiple": ("c1_sim", {"delay = 0.0": "delay = 4e-05"},
+                           lambda s: dict(delay=4e-5),
+                           "[simulation] delay must be an integer multiple of dt"),
         "overflow-delay-steps": ("c1_sim", {"delay = 0.0": "delay = 1e308"},
                                  lambda s: dict(delay=1e308),
                                  "[simulation] delay / dt must be finite"),

@@ -8,9 +8,8 @@ touch the implementation's precomputed geometry matrices.
 import inspect
 import itertools
 import sys
-import threading
-import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -274,20 +273,34 @@ class TestForwardDynamics:
                         + ft.gravity_vector(benchmark_params, q) - tau - f)
             assert np.max(np.abs(residual)) < 1e-10
 
+    def test_a_singular_inertia_is_named(self):
+        # a valid arm's link inertia is positive definite; one with its
+        # link-inertia table zeroed is singular everywhere
+        params = ft.RobotParams(**BENCHMARK)
+        arm = params.arm._replace(weights=np.zeros_like(params.arm.weights))
+        object.__setattr__(params, "arm", arm)
+        state = ft.RobotState(q=np.array([0.3, -0.2]), qdot=np.ones(2))
+        with pytest.raises(ft.SingularInertiaError, match="^inertia matrix is singular$"):
+            ft.forward_dynamics(params, state, np.zeros(2))
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_kernel_members_do_not_depend_on_the_batch(self, n):
         # each member of a (B, 2, n) stack equals the member evaluated alone,
         # bit for bit: the engine's batch == alone guarantee rests on this
         rng = np.random.default_rng([n, 17])
         pair = [ft.RobotParams(**random_chain(rng, n)) for _ in range(2)]
-        for size in (1, 7, 64):
+        # under either solve: the engine's gufunc, or the stacked elimination
+        for size, solve in itertools.product(
+                (1, 7, 64), (robot_dynamics._solve1, robot_dynamics._spd_solve)):
             arms = robot_dynamics.stack_arm_arrays([pair] * size)
             phi, omega, u = rng.normal(size=(3, size, 2, n)) * 2.0
-            acc = robot_dynamics.acceleration_kernel(arms, phi, omega, u)
+            acc = robot_dynamics.acceleration_kernel(arms, phi, omega, u, solve)
             alone = robot_dynamics.stack_arm_arrays([pair])
             for b in range(size):
-                single = robot_dynamics.acceleration_kernel(alone, phi[[b]], omega[[b]], u[[b]])
-                np.testing.assert_array_equal(acc[[b]], single, err_msg=f"B={size}, member {b}")
+                single = robot_dynamics.acceleration_kernel(
+                    alone, phi[[b]], omega[[b]], u[[b]], solve)
+                np.testing.assert_array_equal(acc[[b]], single,
+                                              err_msg=f"{solve.__name__}, B={size}, member {b}")
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_kernel_writes_into_out_with_the_same_bits(self, n):
@@ -304,7 +317,7 @@ class TestForwardDynamics:
                                                      robot_dynamics._solve1, out)
             assert acc is out
             np.testing.assert_array_equal(out, robot_dynamics.acceleration_kernel(
-                arms, phi, omega, u))
+                arms, phi, omega, u, robot_dynamics._solve1))
             assert np.isnan(dx[[0, 2]]).all()   # nothing written outside the block
 
     @pytest.mark.parametrize("size", [1, 16, 1000])
@@ -347,8 +360,8 @@ def _numpy_solve(a, b):
 
 
 class TestSpdSolve:
-    """The stacked elimination the audit's full field solves with, on (n,)
-    right-hand sides."""
+    """The stacked elimination that forward_dynamics and the audit's fields
+    solve with, on (n,) right-hand sides."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("size", [1, 7, 6656])
@@ -374,6 +387,17 @@ class TestSpdSolve:
             np.testing.assert_array_equal(robot_dynamics._spd_solve(a[index], b[index]), x[index])
             np.testing.assert_array_equal(
                 robot_dynamics._spd_solve(a[index][None], b[index][None])[0], x[index])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_a_shared_matrix_gives_the_bits_of_its_copies(self, n):
+        # the audit's core: one matrix per arm, (2, 1, n, n), against (2, N, n)
+        # right-hand sides is factored once and solves as its N copies would
+        rng = np.random.default_rng([n, 31])
+        a = _spd_stack(rng, 2, n)[:, None]
+        b = rng.normal(size=(2, 300, n))
+        x = robot_dynamics._spd_solve(a, b)
+        assert x.shape == b.shape
+        np.testing.assert_array_equal(x, robot_dynamics._spd_solve(np.repeat(a, 300, axis=1), b))
 
     @pytest.mark.parametrize("bad", [
         [[0.0, 1.0], [1.0, 2.0]], [[-1.0, 0.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]],
@@ -402,143 +426,44 @@ class TestSpdSolve:
         np.testing.assert_array_equal(x[good], robot_dynamics._spd_solve(a[good], b[good]))
 
 
-class TestLapackSolve:
-    """The direct LAPACK call the engine and forward_dynamics solve with, on
-    (n,) right-hand sides."""
+def test_the_engine_does_not_reach_numpy_solve_or_einsum():
+    # the kernels bind the C entry points at import, so watch the calls
+    # rather than patch the names; an error state is entered through
+    # errstate.__enter__
+    watched = {inspect.unwrap(np.linalg.solve).__code__: "solve",
+               inspect.unwrap(np.einsum).__code__: "einsum",
+               robot_dynamics._spd_solve.__code__: "spd_solve",
+               np.errstate.__enter__.__code__: "errstate"}
 
-    @pytest.mark.parametrize("n", range(1, 7))
-    @pytest.mark.parametrize("size", [1, 7, 64])
-    def test_equals_numpy_solve(self, n, size):
-        rng = np.random.default_rng([n, size, 23])
-        a = _spd_stack(rng, size, n)
-        for b in (rng.normal(size=(size, n)), rng.normal(size=(2, size, n))):
-            x = robot_dynamics._lapack_solve(a, b)
-            assert x.shape == b.shape and x.dtype == float
-            np.testing.assert_array_equal(x, _numpy_solve(a, b))
+    def calls(fn):
+        seen = []
+        sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code in watched
+                       and seen.append(watched[frame.f_code]))
+        try:
+            fn()
+        finally:
+            sys.setprofile(None)
+        return seen
 
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_members_do_not_depend_on_the_stack(self, n):
-        rng = np.random.default_rng([n, 24])
-        a = _spd_stack(rng, 64, n)
-        b = rng.normal(size=(64, n))
-        x = robot_dynamics._lapack_solve(a, b)
-        for index in range(64):
-            np.testing.assert_array_equal(
-                robot_dynamics._lapack_solve(a[[index]], b[[index]]), x[[index]])
-
-    def test_a_zero_member_raises(self):
-        rng = np.random.default_rng(25)
-        a = _spd_stack(rng, 9, 2)
-        a[4] = 0.0
-        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
-            robot_dynamics._lapack_solve(a, rng.normal(size=(9, 2)))
-
-    @pytest.mark.parametrize("bad", [
-        [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, np.nan]], [[1.0, np.nan], [np.nan, 1.0]],
-    ], ids=["nan-first", "nan-second", "nan-off-diagonal"])
-    def test_a_nan_member_solves_to_nan(self, bad):
-        rng = np.random.default_rng(26)
-        a = _spd_stack(rng, 9, 2)
-        a[4] = bad
-        b = rng.normal(size=(9, 2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            x = robot_dynamics._lapack_solve(a, b)
-        assert np.isnan(x[4]).any()
-        good = np.arange(9) != 4
-        assert np.isfinite(x[good]).all()
-        np.testing.assert_array_equal(x[good], robot_dynamics._lapack_solve(a[good], b[good]))
-
-    def test_no_warning_escapes(self):
-        rng = np.random.default_rng(27)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            robot_dynamics._lapack_solve(_spd_stack(rng, 16, 3), rng.normal(size=(16, 3)))
-
-    def test_the_error_state_is_restored(self):
-        rng = np.random.default_rng(28)
-        a, b = _spd_stack(rng, 9, 2), rng.normal(size=(9, 2))
-        before = np.geterr(), np.geterrcall()
-        robot_dynamics._lapack_solve(a, b)
-        assert (np.geterr(), np.geterrcall()) == before
-        a[4] = 0.0
-        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
-            robot_dynamics._lapack_solve(a, b)
-        assert (np.geterr(), np.geterrcall()) == before
-
-    def test_inside_a_raising_error_state(self):
-        # the solve's own error state applies inside the caller's
-        rng = np.random.default_rng(29)
-        a, b = _spd_stack(rng, 9, 2), rng.normal(size=(9, 2))
-        expected = _numpy_solve(a, b)
-        with np.errstate(all="raise"):
-            np.testing.assert_array_equal(robot_dynamics._lapack_solve(a, b), expected)
-            a[4] = 0.0
-            with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
-                robot_dynamics._lapack_solve(a, b)
-            assert np.geterr()["invalid"] == "raise"
-
-    def test_threads_get_their_own_outcome(self):
-        # one thread solves a singular stack, the other an SPD one, at once
-        rng = np.random.default_rng(30)
-        spd, b = _spd_stack(rng, 64, 2), rng.normal(size=(64, 2))
-        singular = spd.copy()
-        singular[17] = 0.0
-        expected = _numpy_solve(spd, b)
-        start, rounds = threading.Barrier(2), 300
-        outcomes = {"singular": [], "spd": []}
-
-        def solve(name, a):
-            start.wait()
-            for _ in range(rounds):
-                try:
-                    x = robot_dynamics._lapack_solve(a, b)
-                    outcomes[name].append("equal" if np.array_equal(x, expected) else "wrong")
-                except np.linalg.LinAlgError as exc:
-                    outcomes[name].append(str(exc))
-
-        threads = [threading.Thread(target=solve, args=(name, a))
-                   for name, a in (("singular", singular), ("spd", spd))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert outcomes == {"singular": ["Singular matrix"] * rounds, "spd": ["equal"] * rounds}
-
-    def test_the_engine_does_not_reach_numpy_solve_or_einsum(self):
-        # the kernels bind the C entry points at import, so watch the calls
-        # rather than patch the names; an error state is entered through
-        # errstate.__enter__ or through the wrapper of a function it decorates
-        watched = {inspect.unwrap(np.linalg.solve).__code__: "solve",
-                   inspect.unwrap(np.einsum).__code__: "einsum",
-                   inspect.unwrap(robot_dynamics._lapack_solve).__code__: "lapack_solve",
-                   np.errstate.__enter__.__code__: "errstate",
-                   robot_dynamics._lapack_solve.__code__: "errstate"}
-
-        def calls(fn):
-            seen = []
-            sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code in watched
-                           and seen.append(watched[frame.f_code]))
-            try:
-                fn()
-            finally:
-                sys.setprofile(None)
-            return seen
-
-        scenario = replace(ft.read_bundled_scenario("c1_sim"), horizon=0.01)
-        rk4, delayed = replace(scenario, integrator="rk4"), replace(scenario, delay=2e-3)
-        params = ft.RobotParams(**BENCHMARK)
-        # one error state per integrated group, and no per-solve wrapper
-        for one_group in (scenario, rk4, delayed):
-            assert calls(lambda: ft.run(one_group)) == ["errstate"]
-        assert calls(lambda: ft.run_batch([scenario, rk4, delayed, scenario])) == ["errstate"] * 3
+    scenario = replace(ft.read_bundled_scenario("c1_sim"), horizon=0.01)
+    rk4, delayed = replace(scenario, integrator="rk4"), replace(scenario, delay=2e-3)
+    params = ft.RobotParams(**BENCHMARK)
+    # one error state per integrated group, and no per-solve wrapper
+    for one_group in (scenario, rk4, delayed):
+        assert calls(lambda: ft.run(one_group)) == ["errstate"]
+    assert calls(lambda: ft.run_batch([scenario, rk4, delayed, scenario])) == ["errstate"] * 3
+    # forward_dynamics solves by the stacked elimination under its own error
+    # state, not by the gufunc. A profiler does not see a C gufunc, but a
+    # caller would look it up in the module, where the patch counts calls
+    with mock.patch.object(robot_dynamics, "_solve1", wraps=robot_dynamics._solve1) as gufunc:
         assert calls(lambda: ft.forward_dynamics(
             params, ft.RobotState(q=np.ones(2), qdot=np.ones(2)), np.zeros(2))) == [
-            "errstate", "lapack_solve"]
-        # the watch itself works
-        seen = calls(lambda: (np.linalg.solve(np.eye(2), np.ones(2)),
-                              np.einsum("ab,b->a", np.eye(2), np.ones(2))))
-        assert "solve" in seen and "einsum" in seen
+            "spd_solve", "errstate"]
+    assert gufunc.call_count == 0
+    # the watch itself works
+    seen = calls(lambda: (np.linalg.solve(np.eye(2), np.ones(2)),
+                          np.einsum("ab,b->a", np.eye(2), np.ones(2))))
+    assert "solve" in seen and "einsum" in seen
 
 
 class TestCEinsum:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import ftteleop as ft
 from ftteleop import Weights, dilate, s_integral, sat_clip, sat_pow, signed_pow
 
 finite_x = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -210,3 +211,53 @@ class TestWeights:
             w = Weights(r1, 1.0)
             assert 0.0 < w.pos_exponent < 1.0
             assert 0.0 < w.vel_exponent < 1.0
+
+
+_C1 = dict(variant="C1", n=2, weights=(1.5, 1.0), k_s=6.0, d_s=8.0)
+_C3 = dict(_C1, variant="C3", delta_p=0.2, delta_d=0.3)
+
+
+@pytest.mark.parametrize("build, problem", [
+    (lambda: ft.ControllerConfig.build(**{**_C1, "k_s": 1 + 1j}), "k_s must be real numbers"),
+    (lambda: ft.ControllerConfig.build(**{**_C1, "d_s": ["8", "8"]}), "d_s must be numbers"),
+    (lambda: ft.ControllerConfig.build(**{**_C1, "d_s": [10**400, 8.0]}),
+     "d_s must lie within the float range"),
+    (lambda: ft.ControllerConfig.build(**{**_C3, "delta_p": 10**400}),
+     "delta_p must lie within the float range"),
+    (lambda: ft.ControllerConfig.build(**{**_C3, "delta_d": "0.3"}),
+     "delta_d must be a number"),
+    (lambda: ft.ControllerConfig.build(**{**_C3, "delta_d": 0.3j}),
+     "delta_d must be a real number"),
+    (lambda: Weights("abc", 1.0), "r1 must be a number"),
+    (lambda: Weights(1.5, "1.0"), "r2 must be a number"),
+    (lambda: Weights(1.5, 1 + 1j), "r2 must be a real number"),
+    (lambda: Weights(10**400, 1.0), "r1 must lie within the float range"),
+    (lambda: ft.RobotState(q=[1j, 0], qdot=[0.0, 0.0]), "q must be real numbers"),
+    (lambda: ft.RobotState(q=[0.0, 0.0], qdot=["1", "0"]), "qdot must be numbers"),
+    (lambda: ft.RobotState(q=[10**400, 0], qdot=[0.0, 0.0]),
+     "q must lie within the float range"),
+    (lambda: ft.ControllerState(theta_l=[0.5j, 0.0], theta_r=[0.0, 0.0]),
+     "theta_l must be real numbers"),
+    (lambda: ft.ControllerState(theta_l=[0.0, 0.0], theta_r=[None, 0.0]),
+     "theta_r must be numbers"),
+    (lambda: ft.HomogeneitySpec(weights=np.ones(4), degree=1j),
+     "degree must be a real number"),
+    (lambda: ft.HomogeneitySpec(weights=np.ones(4), degree="-0.5"), "degree must be a number"),
+    (lambda: ft.HomogeneitySpec(weights=["1", "1"], degree=-0.5), "weights must be numbers"),
+    (lambda: ft.HomogeneitySpec(weights=np.ones(4), degree=-0.5, eps_grid=[1.0, 10**400]),
+     "eps grid must lie within the float range"),
+    (lambda: signed_pow(1.0, "0.5"), "p must be a number"),
+    (lambda: sat_pow([0.5, 1j], 0.5, 1.0), "x must be real numbers"),
+    (lambda: s_integral(1.0, 10**400, 0.5), "delta must lie within the float range"),
+    (lambda: sat_clip(["0.5"], 1.0), "x must be numbers"),
+    (lambda: dilate([1.0, 1.0], [1.5, 1j], 0.5), "weights must be real numbers"),
+], ids=["k_s-complex", "d_s-text", "d_s-huge-int", "delta_p-huge-int", "delta_d-text",
+        "delta_d-complex", "r1-text", "r2-numeric-text", "r2-complex", "r1-huge-int",
+        "q-complex", "qdot-numeric-text", "q-huge-int", "theta_l-complex", "theta_r-none",
+        "degree-complex", "degree-text", "spec-weights-text", "eps-grid-huge-int",
+        "p-text", "x-complex", "delta-huge-int", "clip-x-text", "dilate-weights-complex"])
+def test_constructors_name_input_that_is_not_real_numbers(build, problem):
+    # every numeric input goes through _real_number or _real_array: no bare
+    # TypeError or OverflowError, numpy's own message or parsed numeric text
+    with pytest.raises(ValueError, match=f"^{problem}$"):
+        build()

@@ -355,10 +355,12 @@ class TestCli:
         ("simulate", ["--delay", "nan"], "delay must be nonnegative"),
         ("simulate", ["--delay", "inf"], "delay must be finite"),
         ("simulate", ["--dt", "20"], "dt must not exceed the horizon"),
+        ("simulate", ["--dt", "1e-3", "--delay", "4e-5"],
+         "delay must be an integer multiple of dt"),
     ] + [(command, ["--tol", tol], f"--tol must be positive and finite, got {tol}")
          for command in ("simulate", "compare") for tol in ("-1", "0", "nan", "inf")],
         ids=["negative-dt", "dt-not-dividing-decimation", "negative-delay", "delay-with-rk4",
-             "nan-dt", "inf-dt", "nan-delay", "inf-delay", "dt-above-horizon"]
+             "nan-dt", "inf-dt", "nan-delay", "inf-delay", "dt-above-horizon", "delay-off-dt"]
         + [f"{command}-{tol}-tol" for command in ("simulate", "compare")
            for tol in ("negative", "zero", "nan", "inf")])
     def test_override_validated_like_the_file(self, tmp_path, capsys, command, flags, problem):
