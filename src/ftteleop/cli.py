@@ -84,6 +84,8 @@ def _load(args):
             f"(bundled: {', '.join(bundled_scenario_names())})")
     if not (args.tol > 0 and math.isfinite(args.tol)):   # NaN fails every comparison
         raise ScenarioError([f"--tol must be positive and finite, got {args.tol:g}"])
+    if os.path.exists(args.out) and not os.path.isdir(args.out):   # named before any run
+        raise ScenarioError([f"--out {args.out} is not a directory"])
     overrides = {}
     if args.dt is not None:
         overrides["dt"] = args.dt
@@ -241,10 +243,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
         p.add_argument("--tol", type=float, default=1e-3,
                        help="settling tolerance on the error norm [rad]")
-        p.add_argument("--dt", type=float, help="override the scenario step size [s]")
+        p.add_argument("--dt", type=float, help="override the scenario step size [s]; horizon, "
+                       "decimation and delay are whole steps, a smaller decimation is raised")
         p.add_argument("--seed", type=int, default=0, help="audit sampling seed")
-        p.add_argument("--delay", type=float,
-                       help="experimental: constant exchanged-position delay [s]")
+        p.add_argument("--delay", type=float, help="experimental: constant "
+                       "exchanged-position delay [s], a whole number of dt steps (euler only)")
         p.set_defaults(handler=handler)
     return parser
 

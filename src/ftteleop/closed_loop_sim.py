@@ -185,6 +185,10 @@ _INITIAL_FIELDS = (("q_local", "q0_l"), ("q_remote", "q0_r"), ("qdot_local", "qd
                    ("theta_remote", "theta0_r"))
 # the [simulation] keys that hold numbers, each the Scenario field of that name
 _SIMULATION_NUMBERS = ("horizon", "dt", "decimation", "delay")
+# each [simulation] time in the order its rules run: the Scenario field of its
+# whole number of dt steps and, if it takes at least one, what dt must not exceed
+_TIMES = (("horizon", "steps", "the horizon"), ("dt", None, None),
+          ("decimation", "stride", "the decimation interval"), ("delay", "delay_steps", None))
 
 
 # each part of a Scenario: its scenario-file section, field and type
@@ -245,62 +249,41 @@ def _scenario_problems(parts) -> list[str]:
                 parts[key] = _real_number(key, parts[key])
         except ValueError as exc:
             wrong.append(f"[simulation] {exc}")
-    horizon, dt, decimation, delay = [parts[key] for key in _SIMULATION_NUMBERS]
     problems += wrong
+    dt = parts["dt"]
     if not wrong:
-        # NaN fails every comparison, so "not x > 0" also rejects it
-        if horizon is None or not horizon > 0:
-            problems.append("[simulation] horizon must be positive")
-        elif math.isinf(horizon):
-            problems.append("[simulation] horizon must be finite")
-        if dt is None or not dt > 0:
-            problems.append("[simulation] dt must be positive")
-        elif math.isinf(dt):
-            problems.append("[simulation] dt must be finite")
-        elif decimation is not None:
-            if not dt <= decimation:
-                problems.append("[simulation] dt must not exceed the decimation interval")
-            elif math.isinf(decimation):
-                problems.append("[simulation] decimation must be finite")
-            # every ratio that is rounded to a step count must be finite
-            elif math.isinf(decimation / dt):
-                problems.append("[simulation] decimation / dt must be finite")
-            elif abs(decimation / dt - round(decimation / dt)) > 1e-9:
-                problems.append("[simulation] decimation must be an integer multiple of dt")
-            elif horizon is not None and 0 < horizon < math.inf:
-                stride = parts["stride"] = round(decimation / dt)
-                steps = parts["steps"] = None if math.isinf(horizon / dt) else round(horizon / dt)
-                # the rows the engine allocates, or horizon / decimation + 1 (inf exceeds any cap)
-                samples = horizon / decimation + 1 if steps is None else _rows(steps, stride)
-                if samples > _MAX_SAMPLES:
-                    problems.append(f"[simulation] the trace must hold at most {_MAX_SAMPLES} "
-                                    "samples (horizon / decimation + 1)")
-                elif steps is None:
-                    problems.append("[simulation] horizon / dt must be finite")
-                elif steps > _MAX_STEPS:
-                    problems.append(f"[simulation] the run must take at most {_MAX_STEPS} "
-                                    "steps (horizon / dt)")
-        if decimation is None:
-            problems.append("[simulation] decimation must be positive")
-        # a longer step rounds the horizon to zero steps (a non-finite dt is reported above)
-        if dt is not None and horizon is not None and 0 < horizon < dt < math.inf:
-            problems.append("[simulation] dt must not exceed the horizon")
-        if delay is None or not delay >= 0:
-            problems.append("[simulation] delay must be nonnegative")
-        elif math.isinf(delay):
-            problems.append("[simulation] delay must be finite")
-        elif delay > 0 and integrator != "euler":
-            problems.append("[simulation] delay > 0 requires integrator = euler")
-        elif dt is not None and 0 < dt < math.inf and math.isinf(delay / dt):
-            problems.append("[simulation] delay / dt must be finite")
-        elif dt is not None and 0 < dt < math.inf:
-            # as for the decimation: rounding would drop a part of a step, and
-            # all of a delay shorter than half a step
-            delay_steps = round(delay / dt)
-            if delay > 0 and (delay_steps < 1 or abs(delay / dt - delay_steps) > 1e-9):
-                problems.append("[simulation] delay must be an integer multiple of dt")
+        for key, count, span in _TIMES:
+            value = parts[key]
+            # NaN fails every comparison, so "not x > 0" also rejects it
+            if value is None or not (value >= 0 if key == "delay" else value > 0):
+                problem = f"{key} must be {'nonnegative' if key == 'delay' else 'positive'}"
+            elif math.isinf(value):
+                problem = f"{key} must be finite"
+            elif key == "dt" or dt is None or not 0 < dt < math.inf:   # named in dt's row
+                continue
+            elif math.isinf(value / dt):
+                problem = f"{key} / dt must be finite"
+            elif span and value < dt:
+                problem = f"dt must not exceed {span}"
+            # value / dt misses a whole number by a few of its own ulps; a
+            # positive delay must not round to no delay
+            elif math.isclose(value / dt, steps := round(value / dt), rel_tol=1e-12,
+                              abs_tol=1e-9) and (steps or not value):
+                parts[count] = steps
+                continue
             else:
-                parts["delay_steps"] = delay_steps
+                problem = f"{key} must be an integer multiple of dt"
+            problems.append(f"[simulation] {problem}")
+        # str(): an integrator that is not a string (an array) is named above
+        if parts.get("delay_steps") and str(integrator) != "euler":
+            problems.append("[simulation] delay > 0 requires integrator = euler")
+        if "steps" in parts and "stride" in parts:
+            if _rows(parts["steps"], parts["stride"]) > _MAX_SAMPLES:
+                problems.append(f"[simulation] the trace must hold at most {_MAX_SAMPLES} "
+                                "samples (horizon / decimation + 1)")
+            elif parts["steps"] > _MAX_STEPS:
+                problems.append(f"[simulation] the run must take at most {_MAX_STEPS} "
+                                "steps (horizon / dt)")
 
     # a bounded variant may claim its torque limits only if the gate passes
     if (config is not None and config.is_bounded and len(counts) == 2
@@ -323,9 +306,10 @@ class Scenario:
     scalars or 1-D of that length, the profiles' vector lengths, the
     [simulation] values and, for C3/C4, the saturation gate) is checked when
     a scenario is built, also by dataclasses.replace; a violation raises
-    ScenarioError listing them all. The [simulation] numbers are then held
-    as Python floats, and the derived, read-only fields steps, stride and
-    delay_steps: round(horizon / dt), round(decimation / dt), round(delay / dt).
+    ScenarioError listing them all. The horizon, decimation and delay must
+    each be a whole number of dt steps, held as the derived, read-only
+    fields steps, stride and delay_steps; the [simulation] numbers are held
+    as Python floats.
     """
 
     params_l: RobotParams

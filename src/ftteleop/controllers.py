@@ -137,6 +137,9 @@ class ControllerConfig:
         if self.has_virtual_state:
             if self.k_c is None or self.d_c is None:
                 raise ValueError(f"{self.variant} requires the virtual-state gains k_c and d_c")
+            with np.errstate(over="ignore"):   # the law's theta gain, named if it overflows
+                if not np.isfinite((self.k_c / self.d_c) ** (1.0 / self.p_vel)).all():
+                    raise ValueError("(k_c / d_c)^(1/p_vel) must be finite")
         elif self.d_s is None:
             raise ValueError(f"{self.variant} requires the velocity damping gain d_s")
         if self.is_bounded:
@@ -406,8 +409,9 @@ def validate_saturation(config, params_l: RobotParams, params_r: RobotParams) ->
     # damping gain, and the exponent acting inside its channel's saturation
     gain, p_d = ((config.k_c, config.p_pos) if config.has_virtual_state
                  else (config.d_s, config.p_vel))
-    lit = config.k_s * config.delta_p + gain * config.delta_d
-    imp = config.k_s * config.delta_p**config.p_pos + gain * config.delta_d**p_d
+    with np.errstate(over="ignore"):   # a budget beyond the float range fails the gate as inf
+        lit = config.k_s * config.delta_p + gain * config.delta_d
+        imp = config.k_s * config.delta_p**config.p_pos + gain * config.delta_d**p_d
     conservative = np.maximum(lit, imp)
 
     margin = np.full((2, n), np.inf)

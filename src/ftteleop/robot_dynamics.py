@@ -208,9 +208,14 @@ class RobotParams:
         for k in range(n):
             lever[k, :k] = self.lengths[:k]
             lever[k, k] = self.com_offsets[k]
-        weights = np.einsum("k,ka,kb->ab", self.masses, lever, lever) + np.diag(self.inertias)
-        object.__setattr__(self, "arm", ArmArrays(
-            _readonly(weights), _readonly(self.gravity * (self.masses @ lever))))
+        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite term is named below
+            weights = np.einsum("k,ka,kb->ab", self.masses, lever, lever) + np.diag(self.inertias)
+            torques = self.gravity * (self.masses @ lever)
+        problems = [f"{name} must be finite" for name, term in (("inertia weights", weights),
+                    ("gravity torques", torques)) if not np.isfinite(term).all()]
+        if problems:
+            raise ValueError("invalid robot parameters: " + "; ".join(problems))
+        object.__setattr__(self, "arm", ArmArrays(_readonly(weights), _readonly(torques)))
 
         object.__setattr__(self, "bounds", derive_bounds(self))
         if self.bounds.inertia_max / self.bounds.inertia_min > _MAX_CONDITION:

@@ -27,7 +27,8 @@ A scenario file is INI-style text with '#' comments. Sections:
 
     [simulation]
         horizon, dt, decimation [s]; integrator = euler | rk4; delay [s]
-        (a nonzero delay requires the euler integrator)
+        (horizon, decimation and delay each a whole number of dt steps; a
+        nonzero delay requires the euler integrator)
 
     [output]  (optional)
         trace, report, audit        output file paths (Scenario.<key>_path)

@@ -175,18 +175,25 @@ class TestScenarioValidation:
         (dict(horizon=-1.0), "horizon must be positive"),
         (dict(dt=0.0), "dt must be positive"),
         (dict(dt=2e-3), "dt must not exceed the decimation interval"),
-        (dict(dt=3e-4), "decimation must be an integer multiple of dt"),
+        # 8 s is not a whole number of 0.3 ms steps either
+        (dict(dt=3e-4), ["horizon must be an integer multiple of dt",
+                         "decimation must be an integer multiple of dt"]),
+        # rounded to steps, 3.5 and 4.5 would both run 4 and end past the horizon
+        (dict(horizon=0.00035, decimation=1e-4), "horizon must be an integer multiple of dt"),
+        (dict(horizon=0.00045, decimation=1e-4), "horizon must be an integer multiple of dt"),
         (dict(integrator="rk45"), "integrator must be 'euler' or 'rk4'"),
         (dict(delay=-0.5), "delay must be nonnegative"),
         # rounded to steps, a part of one would be no delay, and 2.5 would be 2
         (dict(delay=4e-5), "delay must be an integer multiple of dt"),
         (dict(delay=2.5e-4), "delay must be an integer multiple of dt"),
         (dict(integrator="rk4", delay=2e-3), "delay > 0 requires integrator = euler"),
+        (dict(integrator=np.array(["euler", "rk4"]), delay=2e-3),
+         ["integrator must be 'euler' or 'rk4'", "delay > 0 requires integrator = euler"]),
         (dict(horizon=np.nan), "horizon must be positive"),
         (dict(horizon=np.inf), "horizon must be finite"),
         (dict(dt=np.nan), "dt must be positive"),
         (dict(dt=np.inf), "dt must be finite"),
-        (dict(decimation=np.nan), "dt must not exceed the decimation interval"),
+        (dict(decimation=np.nan), "decimation must be positive"),
         (dict(decimation=np.inf), "decimation must be finite"),
         (dict(decimation=None), "decimation must be positive"),
         (dict(delay=np.nan), "delay must be nonnegative"),
@@ -199,17 +206,17 @@ class TestScenarioValidation:
         (dict(delay=np.bool_(False)), "delay must be a number"),
         (dict(integrator=None), "integrator must be 'euler' or 'rk4'"),
         (dict(integrator=np.array(["euler", "rk4"])), "integrator must be 'euler' or 'rk4'"),
-        # every ratio the rules or the engine round to a count must be finite
-        (dict(horizon=1e308),
-         "the trace must hold at most 10000000 samples (horizon / decimation + 1)"),
+        # every ratio the rules round to a count must be finite
+        (dict(horizon=1e308), "horizon / dt must be finite"),
         (dict(decimation=1e308), "decimation / dt must be finite"),
         (dict(horizon=1e305, decimation=1e300), "horizon / dt must be finite"),
         (dict(delay=1e308), "delay / dt must be finite"),
         (dict(horizon=10**400), "horizon must lie within the float range"),
         (dict(delay=10**400), "delay must lie within the float range"),
         (dict(dt=-10**400), "dt must lie within the float range"),
-    ], ids=["horizon", "dt", "dt-above-decimation", "decimation-multiple", "integrator",
-            "delay", "delay-below-dt", "delay-multiple", "delay-integrator", "nan-horizon",
+    ], ids=["horizon", "dt", "dt-above-decimation", "decimation-multiple", "horizon-multiple",
+            "horizon-multiple-even", "integrator", "delay", "delay-below-dt", "delay-multiple",
+            "delay-integrator", "array-integrator-delay", "nan-horizon",
             "inf-horizon", "nan-dt", "inf-dt",
             "nan-decimation", "inf-decimation", "none-decimation", "nan-delay", "inf-delay",
             "str-horizon", "str-dt", "str-delay", "str-decimation", "bool-horizon",
@@ -221,7 +228,18 @@ class TestScenarioValidation:
         base = ft.read_bundled_scenario("c1_sim")   # dt 1e-4, decimation 1e-3
         with pytest.raises(ft.ScenarioError) as info:
             replace(base, **changes)
-        assert info.value.problems == [f"[simulation] {problem}"]
+        problems = [problem] if isinstance(problem, str) else problem
+        assert info.value.problems == [f"[simulation] {p}" for p in problems]
+
+    @pytest.mark.parametrize("changes, schedule", [
+        # 21 391 326 steps of 1e-4: value / dt is 4e-9 off the whole number
+        (dict(horizon=2139.1326), (21391326, 10, 0)),
+        (dict(decimation=2139.1326, horizon=4278.2652), (42782652, 21391326, 0)),
+        (dict(delay=2139.1326), (80000, 10, 21391326)),
+    ], ids=["horizon", "decimation", "delay"])
+    def test_whole_steps_test_scales_with_the_count(self, changes, schedule):
+        s = replace(ft.read_bundled_scenario("c1_sim"), **changes)
+        assert (s.steps, s.stride, s.delay_steps) == schedule
 
     @pytest.mark.parametrize("changes, problems", [
         (dict(config=None), ["missing section [controller]"]),
@@ -348,6 +366,9 @@ class TestScenarioValidation:
                            "[simulation] decimation must be finite"),
         "inf-delay": ("c1_sim", {"delay = 0.0": "delay = inf"},
                       lambda s: dict(delay=np.inf), "[simulation] delay must be finite"),
+        "horizon-multiple": ("c1_sim", {"horizon = 8.0": "horizon = 0.00035"},
+                             lambda s: dict(horizon=0.00035),
+                             "[simulation] horizon must be an integer multiple of dt"),
         "dt-above-horizon": ("c1_sim", {"horizon = 8.0": "horizon = 5e-05"},
                              lambda s: dict(horizon=5e-5),
                              "[simulation] dt must not exceed the horizon"),
@@ -359,7 +380,7 @@ class TestScenarioValidation:
                             "[initial] missing required key 'q_local'"),
         "overflow-samples": ("c1_sim", {"horizon = 8.0": "horizon = 1e308"},
                              lambda s: dict(horizon=1e308),
-                             "[simulation] the trace must hold at most 10000000 samples"),
+                             "[simulation] horizon / dt must be finite"),
         "overflow-decimation-steps": ("c1_sim", {"decimation = 0.001": "decimation = 1e308"},
                                       lambda s: dict(decimation=1e308),
                                       "[simulation] decimation / dt must be finite"),
@@ -412,9 +433,9 @@ class TestScenarioValidation:
         cap = closed_loop_sim._MAX_SAMPLES
         at_cap = replace(base, horizon=(cap - 1) * base.decimation)
         assert round(at_cap.horizon / at_cap.decimation) + 1 == cap
-        # a horizon short of cap samples by a fraction of one still records
-        # its last step in a row of its own: cap + 1 rows
-        for fraction in (0.0, 0.55, 0.6, 0.9):
+        # a horizon short of cap samples by a fraction of one (whole steps of
+        # dt) still records its last step in a row of its own: cap + 1 rows
+        for fraction in (0.0, 0.5, 0.6, 0.9):
             with pytest.raises(ft.ScenarioError) as info:
                 replace(base, horizon=(cap - fraction) * base.decimation)
             assert info.value.problems == [f"[simulation] the trace must hold at most {cap} "
@@ -455,10 +476,15 @@ class TestScenarioValidation:
             replace(at_cap, horizon=(cap + 1) * base.dt)
         assert info.value.problems == [
             f"[simulation] the run must take at most {cap} steps (horizon / dt)"]
+        # the whole-steps test scales with the count, but not to half a step
+        with pytest.raises(ft.ScenarioError) as info:
+            replace(at_cap, horizon=(cap - 0.5) * base.dt)
+        assert info.value.problems == ["[simulation] horizon must be an integer multiple of dt"]
 
     @pytest.mark.parametrize("changes", [
         dict(horizon=np.float64(0.05)), dict(horizon=1), dict(delay=np.int64(0)),
-        dict(dt=np.float32(0.0005), decimation=np.float32(0.0005)),
+        dict(dt=np.float32(0.0005), decimation=np.float32(0.0005),
+             horizon=100 * float(np.float32(0.0005))),
     ], ids=["float64-horizon", "int-horizon", "int64-delay", "float32-dt"])
     def test_simulation_numbers_are_stored_as_floats(self, changes):
         # a numpy or int value is kept as the Python float of the same value, so
@@ -469,8 +495,8 @@ class TestScenarioValidation:
             assert type(getattr(s, key)) is float
         assert ft.dump_scenario(ft.parse_scenario(ft.dump_scenario(s))) == ft.dump_scenario(s)
         plain = replace(base, **{key: float(value) for key, value in changes.items()})
-        np.testing.assert_array_equal(ft.run(replace(s, horizon=0.01)).matrix(),
-                                      ft.run(replace(plain, horizon=0.01)).matrix())
+        np.testing.assert_array_equal(ft.run(replace(s, horizon=100 * s.dt)).matrix(),
+                                      ft.run(replace(plain, horizon=100 * plain.dt)).matrix())
 
     def test_one_entry_force_vector_applies_to_every_joint(self):
         base = ft.read_bundled_scenario("c3_sim")

@@ -1,5 +1,6 @@
 """Tests for the four control laws, their exponents and the saturation gate."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -610,6 +611,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="d_c"):
             ft.ControllerConfig.build(variant="C2", n=2, weights=(1.5, 1.0),
                                       k_s=6.0, k_c=1.0, d_c=0.0)
+
+    @pytest.mark.parametrize("variant", ["C2", "C4"])
+    @pytest.mark.parametrize("gains", [dict(k_c=1e308, d_c=8.0), dict(k_c=20.0, d_c=1e-308)],
+                             ids=["huge-k_c", "tiny-d_c"])
+    def test_theta_gain_beyond_the_float_range_rejected(self, variant, gains):
+        # finite gains whose theta gain overflows: named, and no numpy warning
+        levels = dict(delta_p=0.3, delta_d=0.008) if variant == "C4" else {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^\(k_c / d_c\)\^\(1/p_vel\) must be finite$"):
+                ft.ControllerConfig.build(variant=variant, n=2, weights=(1.5, 1.0), k_s=6.0,
+                                          **gains, **levels)
 
     def test_bounded_requires_levels(self):
         with pytest.raises(ValueError, match="delta"):

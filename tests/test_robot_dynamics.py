@@ -8,6 +8,7 @@ touch the implementation's precomputed geometry matrices.
 import inspect
 import itertools
 import sys
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -731,6 +732,18 @@ class TestValidation:
     def test_names_a_field_that_is_not_real_numbers(self, changes, problem):
         with pytest.raises(ValueError, match=f"^invalid robot parameters: {problem}$"):
             ft.RobotParams(**{**BENCHMARK, **changes})
+
+    @pytest.mark.parametrize("changes, problem", [
+        (dict(gravity=1e308), "gravity torques must be finite"),
+        (dict(masses=[1e308, 1e308], lengths=[3.0, 3.0], com_offsets=[3.0, 3.0]),
+         "inertia weights must be finite; gravity torques must be finite"),
+    ], ids=["huge-gravity", "huge-masses"])
+    def test_names_a_term_beyond_the_float_range(self, changes, problem):
+        # finite fields whose products overflow: named, and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^invalid robot parameters: {problem}$"):
+                ft.RobotParams(**{**BENCHMARK, **changes})
 
     def test_accepts_strong_actuators(self):
         params = ft.RobotParams(**BENCHMARK, torque_limits=[40.0, 16.0])

@@ -6,11 +6,12 @@ import os
 import stat
 import warnings
 from dataclasses import replace
+from importlib import resources
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ftteleop as ft
@@ -279,7 +280,7 @@ class TestCli:
         assert "the trace must hold at most 10000000 samples" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edits, problem", [
-        ({"horizon = 0.5": "horizon = 1e308"}, "the trace must hold at most 10000000 samples"),
+        ({"horizon = 0.5": "horizon = 1e308"}, "horizon / dt must be finite"),
         ({"decimation = 1e-2": "decimation = 1e308"}, "decimation / dt must be finite"),
         ({"horizon = 0.5": "horizon = 1e306", "decimation = 1e-2": "decimation = 1e300"},
          "horizon / dt must be finite"),
@@ -293,6 +294,23 @@ class TestCli:
         bad = _write(tmp_path, text)
         assert run_command([command, bad, "--out", str(tmp_path)]) == 3
         assert f"[simulation] {problem}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, edit, problem", [
+        ("c1_sim", ("gravity = 9.81", "gravity = 1e308"),
+         "[robot.local] invalid robot parameters: gravity torques must be finite"),
+        ("c4_sim", ("delta_d = 0.008", "delta_d = 1e308"), "saturation condition violated"),
+        ("c2_sim", ("k_c = 20.0", "k_c = 1e308"),
+         "[controller] (k_c / d_c)^(1/p_vel) must be finite"),
+    ], ids=["gravity-torques", "saturation-budget", "theta-gain"])
+    def test_overflowing_product_is_named_without_a_warning(self, tmp_path, capsys, name,
+                                                            edit, problem):
+        # finite values whose products overflow: named, not a numpy warning
+        # (a traceback under -W error)
+        text = ft.dump_scenario(ft.read_bundled_scenario(name)).replace(*edit, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_command(["validate", _write(tmp_path, text)]) == 3
+        assert problem in capsys.readouterr().err
 
     def test_long_run_exit_code(self, tmp_path, capsys):
         # finite ratios (10^5 samples) but 10^308 steps; validate only, so that
@@ -416,6 +434,22 @@ class TestCli:
         simulate.assert_not_called()
         assert not (tmp_path / "fast_audit.csv").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "compare", "audit"])
+    def test_out_naming_a_file_exit_code(self, tmp_path, capsys, command):
+        # named before the run, not by a traceback when the first output is written
+        cfg_path = _write(tmp_path, FAST_SCENARIO)
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        with mock.patch("ftteleop.cli.run") as simulate, \
+                mock.patch("ftteleop.cli.run_batch") as simulate_batch:
+            code = run_command([command, cfg_path, "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"error: invalid scenario:\n  - --out {out} is not a directory\n"
+        simulate.assert_not_called()
+        simulate_batch.assert_not_called()
+        assert out.read_text() == "not a directory\n"
+
     def test_config_flag_alias(self, tmp_path):
         cfg_path = _write(tmp_path, FAST_SCENARIO)
         assert run_command(["validate", "--config", cfg_path]) == 0
@@ -482,3 +516,83 @@ def test_validate_flags_exit_0_or_3_with_named_problems(name, flags):
         s, = loaded
         assert (s.steps, s.stride, s.delay_steps) == (
             round(s.horizon / s.dt), round(s.decimation / s.dt), round(s.delay / s.dt))
+
+
+def _bundled_sections(name):
+    """The [section] header and 'key = value' lines of a bundled scenario file,
+    comments dropped."""
+    text = resources.files("ftteleop.configs").joinpath(name).read_text(encoding="utf-8")
+    sections = []
+    for line in text.splitlines():
+        line = line.split("#")[0].strip()
+        if line.startswith("["):
+            sections.append((line, []))
+        elif line:
+            sections[-1][1].append(tuple(part.strip() for part in line.split("=", 1)))
+    return sections
+
+
+_BUNDLED_SECTIONS = [_bundled_sections(name) for name in ft.bundled_scenario_names()]
+
+# a value of a scenario file: not a number, non-finite, at an edge of the float
+# range, empty, a vector of the wrong length, a word another key takes, or a
+# time: off a multiple of the bundled dt 1e-4, 21 391 326 steps, or near the
+# sample cap (10^7 rows at decimation 1e-3) and the step cap (10^9 steps)
+_TEXT_VALUES = st.sampled_from(
+    ["nan", "inf", "-inf", "0", "-1", "1e308", "1e-308", "", "abc", "1.0, 2.0, 3.0",
+     str(10**400), "rk4", "C2", "spring_damper", "unlimited",
+     "0.00035", "0.00045", "5e-05", "1e-4", "2e-3", "2139.1326",
+     "9999.998", "9999.999", "9999.9994", "10000.0", "99999.9999", "100000.0", "100000.0001"])
+
+
+@st.composite
+def _mutated_scenario_texts(draw):
+    """A bundled scenario with one or two edits, each of which drops a key,
+    duplicates a section or sets a key (a [simulation] delay included) to a
+    value of the pool."""
+    bundled = draw(st.sampled_from(_BUNDLED_SECTIONS))
+    sections = [(header, list(lines)) for header, lines in bundled]
+    for _ in range(draw(st.integers(1, 2))):
+        header, lines = draw(st.sampled_from(sections))
+        edit = draw(st.sampled_from(["drop", "duplicate", "set", "set", "set"]))
+        if edit == "drop" and lines:
+            lines.pop(draw(st.integers(0, len(lines) - 1)))
+        elif edit == "duplicate":
+            sections.append((header, list(lines)))
+        else:
+            keys = [key for key, _ in lines] + (["delay"] if header == "[simulation]" else [])
+            if keys:
+                key = draw(st.sampled_from(keys))
+                lines[:] = [line for line in lines if line[0] != key]
+                lines.append((key, draw(_TEXT_VALUES)))
+    return "\n".join(f"{header}\n" + "".join(f"{key} = {value}\n" for key, value in lines)
+                     for header, lines in sections)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_mutated_scenario_texts())
+def test_mutated_scenario_text_is_accepted_whole_or_named(tmp_path, text):
+    path = tmp_path / "mutated.cfg"
+    path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+          warnings.catch_warnings()):
+        warnings.simplefilter("error")   # a warning would raise out of run_command
+        code = run_command(["validate", str(path)])
+    assert code in (0, 3), (text, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 3:
+        return
+    s = ft.parse_scenario(text, label="mutated")
+    again = ft.parse_scenario(ft.dump_scenario(s), label="mutated")
+    assert ft.dump_scenario(again) == ft.dump_scenario(s)
+    assert (again.steps, again.stride, again.delay_steps) == (s.steps, s.stride, s.delay_steps)
+    # ten steps of the library run: a trace or a named failure, and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            trace = ft.run(replace(s, horizon=10 * s.dt))
+        except (ft.ScenarioError, ft.SimulationUnstableError):
+            return
+    assert trace.t[-1] == pytest.approx(10 * s.dt, rel=1e-12)
