@@ -38,6 +38,7 @@ from .homogeneity_audit import (
     vanishing_sweep,
 )
 from .scenario import (
+    _OUTPUT_KEYS,
     ScenarioError,
     bundled_scenario_names,
     load_scenario,
@@ -70,6 +71,19 @@ def _write_atomic(path: str, content) -> None:
         raise
 
 
+def _output_problem(name: str, path: str, directory: str) -> str | None:
+    """Named when ``directory``, where ``path`` is written, cannot be made:
+    its nearest existing part is not a directory."""
+    part = os.path.abspath(directory)
+    while not os.path.exists(part):   # the root always exists
+        part = os.path.dirname(part)
+    if os.path.isdir(part):
+        return None
+    if part == os.path.abspath(path):
+        return f"{name} {path} is not a directory"
+    return f"{name} {path} lies under {part}, which is not a directory"
+
+
 def _load(args):
     name = args.scenario or args.config
     if name is None:
@@ -84,8 +98,13 @@ def _load(args):
             f"(bundled: {', '.join(bundled_scenario_names())})")
     if not (args.tol > 0 and math.isfinite(args.tol)):   # NaN fails every comparison
         raise ScenarioError([f"--tol must be positive and finite, got {args.tol:g}"])
-    if os.path.exists(args.out) and not os.path.isdir(args.out):   # named before any run
-        raise ScenarioError([f"--out {args.out} is not a directory"])
+    # an output directory that cannot be made is named before any run
+    outputs = [("--out", args.out, args.out)] + [
+        (f"[output] {key} =", path, os.path.dirname(path))
+        for key in _OUTPUT_KEYS if (path := getattr(cfg, f"{key}_path"))]
+    problems = [p for p in (_output_problem(*output) for output in outputs) if p]
+    if problems:
+        raise ScenarioError(problems)
     overrides = {}
     if args.dt is not None:
         overrides["dt"] = args.dt

@@ -25,9 +25,11 @@ restored when the run returns or raises.
 
 The recorded trace carries the full state, torques, forces, the inter-robot
 error norm and the shaped total energy at a decimated sample interval, and
-can round-trip through CSV at full float64 precision. Post-hoc monitors
-check the analytic energy-decay rate against the sampled energy and build
-the passive-environment energy ledger.
+can round-trip through CSV at full float64 precision. Time is read off the
+scenario's step schedule, never summed: step k runs at t = k * dt, and the
+trace's time column is the step count of each sample times dt. Post-hoc
+monitors check the analytic energy-decay rate against the sampled energy
+and build the passive-environment energy ledger.
 """
 
 from __future__ import annotations
@@ -402,9 +404,10 @@ class _Pulse:
 
     Between two consecutive edges (starts and stops) every window is on or
     off throughout, so the part is recomputed only when t leaves the
-    interval [lo, hi) of the last evaluation: stage times never decrease
-    within a batch, so when t reaches the next edge. The cached array is
-    read-only.
+    interval [lo, hi) of the last evaluation: stage times rise through a
+    batch (up to a rounding error between a step's last stage, t + dt, and
+    the next step's (k + 1) * dt), so when t reaches the next edge. The
+    cached array is read-only.
     """
 
     def __init__(self, forces: _Forces):
@@ -622,7 +625,11 @@ _CSV_BLOCK = 256
 
 @dataclass(eq=False)
 class SimTrace:
-    """Time-indexed record of one closed-loop run (decimated samples)."""
+    """Time-indexed record of one closed-loop run (decimated samples).
+
+    A sample recorded at step k has t = k * dt, from the run's step
+    schedule: every ``stride``-th step and the last, which ends the trace
+    at steps * dt."""
 
     t: np.ndarray
     q_l: np.ndarray
@@ -702,20 +709,20 @@ class _Cohort:
     one row per recorded step, so a group's records hold its members' own
     samples, not B times the longest horizon. The members are the fixed
     slice ``cols`` of the stacked state. The force record exists only when
-    some member of the group has a force profile (``forced``)."""
+    some member of the group has a force profile (``forced``). No time is
+    recorded: the traces' time axis is derived from the schedule, row i at
+    step min(i * stride, last)."""
 
     def __init__(self, cols: slice, last: int, stride: int, k: int, n: int, forced: bool):
-        self.cols, self.last = cols, last
+        self.cols, self.last, self.stride = cols, last, stride
         rows = (_rows(last, stride), cols.stop - cols.start)
-        self.t = np.zeros(rows[0])
         self.x = np.zeros(rows + (k, 2, n))
         self.tau = np.zeros(rows + (2, n))
         self.f = np.zeros(rows + (2, n)) if forced else None
 
-    def record(self, row: int, t: float, x, tau, f) -> None:
+    def record(self, row: int, x, tau, f) -> None:
         """Record one step of the engine state x (k, B, 2, n); f is None
         exactly when the group has no force record."""
-        self.t[row] = t
         self.x[row] = x[:, self.cols].swapaxes(0, 1)
         self.tau[row] = tau[self.cols]
         if f is not None:
@@ -733,8 +740,9 @@ class _Cohort:
             theta = np.where(law.virtual_mask, theta, np.nan)
         err_norm = np.linalg.norm(q[:, :, LOCAL] - q[:, :, REMOTE], axis=-1)
         f = np.zeros_like(self.tau) if self.f is None else self.f   # free motion: zero forces
+        t = np.minimum(np.arange(len(self.x)) * self.stride, self.last) * dt
         return [
-            SimTrace(t=self.t.copy(), q_l=q[:, b, LOCAL], q_r=q[:, b, REMOTE],
+            SimTrace(t=t.copy(), q_l=q[:, b, LOCAL], q_r=q[:, b, REMOTE],
                      qd_l=qdot[:, b, LOCAL], qd_r=qdot[:, b, REMOTE],
                      th_l=theta[:, b, LOCAL], th_r=theta[:, b, REMOTE],
                      tau_l=tau[:, b, LOCAL], tau_r=tau[:, b, REMOTE],
@@ -766,11 +774,12 @@ def _integrate(scenarios) -> list[SimTrace]:
     # positions; a delay past the horizon only ever reads the start positions
     ring = (np.empty((min(first.delay_steps, cohorts[0].last) + 1,) + x[0].shape)
             if first.delay_steps else None)
-    size, t = _StepSize.of(first.dt), 0.0
+    size = _StepSize.of(first.dt)
     # one error state per group: numpy's own warnings and errors stay silent,
     # and a non-finite state is reported only by check_finite, by name
     with np.errstate(all="ignore"):
         for k in range(cohorts[0].last + 1):
+            t = k * first.dt
             q_seen = None
             if ring is not None:
                 ring[k % len(ring)] = x[0]
@@ -778,7 +787,7 @@ def _integrate(scenarios) -> list[SimTrace]:
             dx, tau, f = batch.rhs(t, x, q_seen)
             for cohort in live:
                 if k % first.stride == 0 or k == cohort.last:
-                    cohort.record(-(-k // first.stride), t, x, tau, f)
+                    cohort.record(-(-k // first.stride), x, tau, f)
             if k == live[-1].last:
                 live.pop()
                 if not live:
@@ -788,7 +797,6 @@ def _integrate(scenarios) -> list[SimTrace]:
                 if ring is not None:
                     ring = ring[:, running]
             x = (batch.rk4 if first.integrator == "rk4" else batch.euler)(t, x, dx, size)
-            t = t + first.dt
 
     traces: list = [None] * len(scenarios)
     for cohort in cohorts:
@@ -804,7 +812,9 @@ def run_batch(scenarios) -> list[SimTrace]:
     delay_steps are integrated together as one stacked array, whatever their
     variants and horizons (their steps). A member past its horizon is frozen (no
     longer updated, checked or recorded), so each trace ends at its own
-    horizon and equals that of ``run`` on its scenario alone. C1/C3 traces
+    horizon and equals that of ``run`` on its scenario alone. Each trace's
+    time column is k * dt at the step k of each sample, so its last entry
+    is steps * dt, whatever the batch: no step-by-step sum of dt. C1/C3 traces
     hold NaN theta columns. If a member's state stops being finite,
     SimulationUnstableError names the first such member of its group, in
     input order, and the time.

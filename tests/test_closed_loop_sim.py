@@ -618,6 +618,34 @@ class TestRun:
         assert drift["rk4"] < drift["euler"] * 1e-2
 
 
+class TestTimeAxis:
+    """The time of sample k is its step count times dt, taken from the
+    scenario's step schedule, not summed step by step."""
+
+    def test_ten_steps_end_at_ten_steps(self):
+        c1 = ft.read_bundled_scenario("c1_sim")
+        t = ft.run(replace(c1, horizon=1e-3, decimation=1e-4)).t
+        np.testing.assert_array_equal(t, np.arange(11) * 1e-4)
+
+    def test_last_sample_off_the_stride(self):
+        c1 = ft.read_bundled_scenario("c1_sim")
+        trace = ft.run(replace(c1, horizon=1.5e-3, decimation=1e-3))
+        assert c1.dt == 1e-4
+        assert trace.t.tolist() == [0.0, 0.001, 0.0015]
+
+    def test_staggered_members_end_at_their_horizons(self):
+        horizons = (0.3, 0.1, 0.55, 0.2)
+        scenarios = [_scenario(variant, horizon=h, decimation=2e-2)
+                     for variant, h in zip(("C1", "C4", "C2", "C3"), horizons)]
+        for scenario, trace in zip(scenarios, ft.run_batch(scenarios)):
+            assert trace.t[-1] == scenario.horizon
+            np.testing.assert_array_equal(trace.t, np.minimum(
+                np.arange(trace.samples) * scenario.stride, scenario.steps) * scenario.dt)
+
+    def test_bundled_c1_ends_at_its_horizon(self, c1_run):
+        assert c1_run.trace.t[-1] == c1_run.scenario.horizon == 8.0
+
+
 _PULSE = ft.ForceProfile(kind="pulse", start=0.05, stop=0.1, amplitude=np.array([2.0, -1.0]))
 _SPRING = ft.ForceProfile(kind="spring_damper", stiffness=np.array([30.0, 30.0]),
                           damping=np.array([1.0, 2.0]), anchor=np.zeros(2))
@@ -788,9 +816,7 @@ class TestRunBatch:
         # edges on step times and on RK4 half-step times, one window past the
         # cut of a shorter member, one empty and one past its member's horizon
         dt = 1e-3
-        times = [0.0]
-        for _ in range(100):
-            times.append(times[-1] + dt)   # the engine's own step times
+        times = [k * dt for k in range(101)]   # the engine's own step times
         half = 0.5 * dt
 
         def pulse(start, stop):
@@ -1230,6 +1256,13 @@ class TestForceProfiles:
         np.testing.assert_array_equal(f_r[0.5], np.zeros(2))
         np.testing.assert_array_equal(f_r[1.5], [5.0, 0.0])
         np.testing.assert_array_equal(f_r[2.0], np.zeros(2))
+
+    def test_pulse_starts_on_its_step(self):
+        # at dt 1e-4 the window [0.2, 0.3) holds the steps 2000..2999 exactly
+        pulse = ft.ForceProfile(kind="pulse", start=0.2, stop=0.3, amplitude=np.array([2.0, -1.0]))
+        trace = ft.run(_scenario(horizon=0.35, dt=1e-4, decimation=1e-4, profile_r=pulse))
+        assert trace.samples == 3501
+        np.testing.assert_array_equal(np.flatnonzero(trace.f_r.any(axis=1)), np.arange(2000, 3000))
 
     def test_spring_damper_force(self):
         profile = ft.ForceProfile(kind="spring_damper", stiffness=np.array([10.0, 10.0]),

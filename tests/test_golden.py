@@ -14,6 +14,15 @@ Coriolis sum and solve called numpy's C entry points directly: at n = 2
 each Coriolis row has one nonzero term, so only n >= 3 can see a change in
 the order that sum is taken in.
 
+The c4_sim_pulse and c3_sim_pulse rows were re-recorded, and only they,
+when the engine stopped summing its clock step by step and took t = k dt
+from the step schedule. At dt 1e-4 the running sum read 0.1999999999999943
+at step 2000, so the pulse on [0.2, 0.3) began one step late (steps 2001 to
+3000); it now acts on steps 2000 to 2999. Every state column of both new
+rows equals, bit for bit, the old engine run with each pulse edge lowered by
+1e-9 s. The other 14 rows are kept as recorded: their state columns did not
+move, and their t columns moved by at most 3.9e-14 s, within TOL.
+
 Regenerate (only when a change of the model itself is intended) with
 
     PYTHONPATH=src python tests/test_golden.py

@@ -434,21 +434,50 @@ class TestCli:
         simulate.assert_not_called()
         assert not (tmp_path / "fast_audit.csv").exists()
 
+    @staticmethod
+    def _refused_before_the_run(argv, capsys) -> str:
+        with mock.patch("ftteleop.cli.run") as simulate, \
+                mock.patch("ftteleop.cli.run_batch") as simulate_batch:
+            code = run_command(argv)
+        assert code == 3
+        simulate.assert_not_called()
+        simulate_batch.assert_not_called()
+        return capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["simulate", "compare", "audit"])
     def test_out_naming_a_file_exit_code(self, tmp_path, capsys, command):
         # named before the run, not by a traceback when the first output is written
         cfg_path = _write(tmp_path, FAST_SCENARIO)
         out = tmp_path / "taken"
         out.write_text("not a directory\n")
-        with mock.patch("ftteleop.cli.run") as simulate, \
-                mock.patch("ftteleop.cli.run_batch") as simulate_batch:
-            code = run_command([command, cfg_path, "--out", str(out)])
-        assert code == 3
-        err = capsys.readouterr().err
+        err = self._refused_before_the_run([command, cfg_path, "--out", str(out)], capsys)
         assert err == f"error: invalid scenario:\n  - --out {out} is not a directory\n"
-        simulate.assert_not_called()
-        simulate_batch.assert_not_called()
         assert out.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "audit"])
+    def test_out_under_a_file_exit_code(self, tmp_path, capsys, command):
+        # os.makedirs could not make it: named before the run, not a traceback after it
+        cfg_path = _write(tmp_path, FAST_SCENARIO)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        out = taken / "deeper" / "sub"
+        err = self._refused_before_the_run([command, cfg_path, "--out", str(out)], capsys)
+        assert err == (f"error: invalid scenario:\n  - --out {out} lies under {taken}, "
+                       "which is not a directory\n")
+        assert taken.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("command, key", [
+        ("simulate", "trace"), ("simulate", "report"), ("audit", "audit")])
+    def test_output_path_under_a_file_exit_code(self, tmp_path, capsys, command, key):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        path = taken / "out.txt"
+        cfg_path = _write(tmp_path, FAST_SCENARIO + f"\n[output]\n{key} = {path}\n")
+        err = self._refused_before_the_run(
+            [command, cfg_path, "--out", str(tmp_path / "out")], capsys)
+        assert err == (f"error: invalid scenario:\n  - [output] {key} = {path} lies under "
+                       f"{taken}, which is not a directory\n")
+        assert not (tmp_path / "out").exists()
 
     def test_config_flag_alias(self, tmp_path):
         cfg_path = _write(tmp_path, FAST_SCENARIO)
