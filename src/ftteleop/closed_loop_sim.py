@@ -628,8 +628,8 @@ class SimTrace:
     """Time-indexed record of one closed-loop run (decimated samples).
 
     A sample recorded at step k has t = k * dt, from the run's step
-    schedule: every ``stride``-th step and the last, which ends the trace
-    at steps * dt."""
+    schedule: every ``stride``-th step and the last, at steps * dt. That is
+    the horizon only to rounding: 0.35 at dt 1e-3 ends at 0.35000000000000003."""
 
     t: np.ndarray
     q_l: np.ndarray
@@ -812,10 +812,11 @@ def run_batch(scenarios) -> list[SimTrace]:
     delay_steps are integrated together as one stacked array, whatever their
     variants and horizons (their steps). A member past its horizon is frozen (no
     longer updated, checked or recorded), so each trace ends at its own
-    horizon and equals that of ``run`` on its scenario alone. Each trace's
-    time column is k * dt at the step k of each sample, so its last entry
-    is steps * dt, whatever the batch: no step-by-step sum of dt. C1/C3 traces
-    hold NaN theta columns. If a member's state stops being finite,
+    step count and equals that of ``run`` on its scenario alone. Each trace's
+    time column is k * dt at the step k of each sample, so its last entry is
+    steps * dt, whatever the batch: no step-by-step sum of dt. That equals
+    the horizon only to rounding (350 * 1e-3 = 0.35000000000000003). C1/C3
+    traces hold NaN theta columns. If a member's state stops being finite,
     SimulationUnstableError names the first such member of its group, in
     input order, and the time.
     """

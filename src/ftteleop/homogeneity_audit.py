@@ -6,7 +6,8 @@ the inertia matrix frozen at a consensus position; it scales exactly under
 the anisotropic dilation with degree r2 - r1 (negative in the finite-time
 regime). The remainder - Coriolis forces plus the configuration dependence
 of the inertia - must fade faster than the core as the dilation shrinks
-toward the origin.
+toward the origin. Pairs with one ratio r1 / r2 run one loop, so the audit
+samples its family with r2 = 1: weights r1 / r2 and 1, degree 1 - r1 / r2.
 
 Both facts are audited by sampling: an exact degree check on the core, and a
 shrinking-dilation sweep measuring the worst remainder over a fixed sphere
@@ -15,9 +16,11 @@ evidence for the structure, not a proof.
 
 Both fields map stacks of error-coordinate states of shape (..., dim) to
 their time derivatives of the same shape, so every sample of an audit is
-evaluated in one call of the engine's kernels. Only `sphere_points` needs
-scipy: `scipy.stats` loads on its first call, not on import, so simulating,
-comparing and validating a scenario need numpy only.
+evaluated in one call of the engine's kernels. The law reads only position
+differences, so both fields run it on the error coordinates, with no
+cancellation against q_c; only the full field's arm kernel reads q_c + x.
+Only `sphere_points` needs scipy: `scipy.stats` loads on its first call, not
+on import, so simulating, comparing and validating a scenario need numpy only.
 """
 
 from __future__ import annotations
@@ -107,12 +110,10 @@ class HomogeneitySpec:
     @classmethod
     def for_config(cls, config: ControllerConfig, n: int, samples: int = 256,
                    seed: int = 0) -> "HomogeneitySpec":
-        return cls(
-            weights=stacked_weights(config, n),
-            degree=config.weights.degree,
-            samples=samples,
-            seed=seed,
-        )
+        """The stacked weights and degree divided by r2: the loop's family
+        with r2 = 1, so pairs with one ratio r1 / r2 get one spec."""
+        w = config.weights
+        return cls(stacked_weights(config, n) / w.r2, w.degree / w.r2, samples, seed=seed)
 
 
 @lru_cache(maxsize=32)
@@ -152,14 +153,14 @@ def _field_inputs(config: ControllerConfig, params_l, params_r, q_c):
     return q_c.reshape(config.n), stack_laws([config]), stack_arm_arrays([(params_l, params_r)])
 
 
-def _error_field(config: ControllerConfig, q_c, dynamics):
+def _error_field(config: ControllerConfig, law, accelerate):
     """A field over stacks of error-coordinate states of shape (..., dim).
 
     Each state is laid out as position errors, velocities and, for C2/C4,
     virtual-state mismatches theta - q, each with rows (local, remote) of n
-    joints: the engine's (k, 2, n) layout, flattened. ``dynamics(q, qdot,
-    theta)`` receives positions shifted by q_c as (N, 2, n) stacks and
-    returns the accelerations and the virtual-state rates (None for C1/C3).
+    joints: the engine's (k, 2, n) layout, flattened. The law runs once, on
+    the errors; ``accelerate(err, qdot, tau)`` turns its (N, 2, n) torques
+    into accelerations, and only it reads q_c.
     """
     k = 3 if config.has_virtual_state else 2
     dim = 2 * k * config.n
@@ -169,9 +170,10 @@ def _error_field(config: ControllerConfig, q_c, dynamics):
         if x.shape[-1:] != (dim,):
             raise ValueError(f"states must have last-axis length {dim}, got shape {x.shape}")
         blocks = x.reshape(-1, k, 2, config.n)
-        q, qdot = blocks[:, 0] + q_c, blocks[:, 1]
-        theta = blocks[:, 2] + q if k == 3 else None
-        acc, theta_dot = dynamics(q, qdot, theta)
+        err, qdot = blocks[:, 0].copy(), blocks[:, 1]
+        theta = blocks[:, 2] + err if k == 3 else None
+        tau, theta_dot = control_law(law, err, qdot, theta, err[:, ::-1])
+        acc = accelerate(err, qdot, tau)
         rows = [qdot, acc] if theta_dot is None else [qdot, acc, theta_dot - qdot]
         return np.stack(rows, axis=1).reshape(x.shape)
 
@@ -191,15 +193,13 @@ def homogeneous_field(config: ControllerConfig, params_l: RobotParams,
     entries, else ValueError.
     """
     q_c, law, arms = _field_inputs(config, params_l, params_r, q_c)
-    law = law._replace(levels=None)
     m_c = inertia_kernel(arms, link_angles(q_c))[0, :, None]   # (2, 1, n, n), one per arm
 
-    def dynamics(q, qdot, theta):
-        tau, theta_dot = control_law(law, q, qdot, theta, q[:, ::-1])
+    def accelerate(err, qdot, tau):
         # arm-major (2, N, n), so each step of the solve runs along the N states
-        return np.swapaxes(_spd_solve(m_c, np.swapaxes(tau, 0, 1)), 0, 1), theta_dot
+        return np.swapaxes(_spd_solve(m_c, np.swapaxes(tau, 0, 1)), 0, 1)
 
-    return _error_field(config, 0.0, dynamics)
+    return _error_field(config, law._replace(levels=None), accelerate)
 
 
 def full_field(config: ControllerConfig, params_l: RobotParams,
@@ -215,12 +215,10 @@ def full_field(config: ControllerConfig, params_l: RobotParams,
     """
     q_c, law, arms = _field_inputs(config, params_l, params_r, q_c)
 
-    def dynamics(q, qdot, theta):
-        tau, theta_dot = control_law(law, q, qdot, theta, q[:, ::-1])
-        acc = acceleration_kernel(arms, link_angles(q), link_angles(qdot), tau, _spd_solve)
-        return acc, theta_dot
+    def accelerate(err, qdot, tau):
+        return acceleration_kernel(arms, link_angles(err + q_c), link_angles(qdot), tau, _spd_solve)
 
-    return _error_field(config, q_c, dynamics)
+    return _error_field(config, law, accelerate)
 
 
 def check_degree(field_fn, spec: HomogeneitySpec) -> float:

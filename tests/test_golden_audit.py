@@ -4,9 +4,21 @@
 the consensus position Q_C with sphere seed 201 and 256 samples, the
 ``check_degree`` defect of the frozen-inertia core, the 13
 ``vanishing_sweep`` deviations and their fitted decay slope. The numbers
-were recorded from the audit that evaluated the fields one sample at a time.
+were recorded from the audit that runs the control law on the error
+coordinates. The audit before it formed absolute positions q_c + x and let
+the law take their differences again, which cancelled digits against q_c: its
+deviations differ by up to 5.8e-9 relative (C1/C3) and 1.34e-7 (C2/C4) at the
+smallest epsilon, and its slopes by up to 4e-8. That cancellation set a
+rounding floor, which the error-coordinate law removes:
 
-Regenerate (only when a change of the model itself is intended) with
+- (r1, r2) = (1.9, 1.0) with the c1_sim and c2_sim gains at q_c = (1.15, 0.0):
+  C2's tail rose from 1.09e-6 to 2.22e-5 at slope -0.37; C1 and C2 now fall
+  monotonically at slope 3.800, which is 2 r1 / r2.
+- (3, 2) at q_c = (1.15, 0.5), with the dilation family left unnormalised:
+  the slopes were -0.15 (C1) and -0.98 (C2); they are now 3.000.
+
+Regenerate (only when a change of the model is intended, or a more accurate
+audit, with the evidence for it as above) with
 
     PYTHONPATH=src python tests/test_golden_audit.py
 """

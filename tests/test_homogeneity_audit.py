@@ -1,5 +1,6 @@
 """Tests for the dilation-degree check and the vanishing sweep."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import ftteleop as ft
 from ftteleop import closed_loop_sim, controllers, homogeneity_audit, robot_dynamics
+from ftteleop.cli import run_command
 from ftteleop.homogeneity_audit import HomogeneitySpec, sphere_points
 
 from conftest import BENCHMARK
@@ -18,8 +20,8 @@ def _params():
     return ft.RobotParams(**BENCHMARK)
 
 
-def _config(variant):
-    base = dict(variant=variant, n=2, weights=(1.5, 1.0), k_s=6.0)
+def _config(variant, weights=(1.5, 1.0)):
+    base = dict(variant=variant, n=2, weights=weights, k_s=6.0)
     if variant in ("C1", "C3"):
         base["d_s"] = 8.0
     else:
@@ -72,6 +74,14 @@ class TestSpec:
         spec = HomogeneitySpec.for_config(_config("C1"), 2)
         assert spec.degree == pytest.approx(-0.5)
         assert spec.weights.size == 8
+
+    @pytest.mark.parametrize("variant", ["C1", "C2", "C3", "C4"])
+    def test_for_config_takes_the_family_with_r2_one(self, variant):
+        # (3, 2) runs the same loop as (1.5, 1.0): one dilation family per ratio
+        spec = HomogeneitySpec.for_config(_config(variant), 2)
+        scaled = HomogeneitySpec.for_config(_config(variant, (3.0, 2.0)), 2)
+        np.testing.assert_array_equal(scaled.weights, spec.weights)
+        assert scaled.degree == spec.degree == -0.5
 
     @pytest.mark.parametrize("changes, problem", [
         (dict(samples=0), "samples must be a positive integer"),
@@ -168,10 +178,10 @@ class TestFieldComposition:
         rng = np.random.default_rng(8)
         x = rng.normal(size=12) * 0.1
         remainder = full(x) - core(x)
-        # position rows agree exactly; virtual-state rows only reconstruct
-        # theta - q through physical coordinates, costing one rounding ulp
+        # both fields share one law call on the error coordinates, so the
+        # position and virtual-state rows agree exactly
         np.testing.assert_array_equal(remainder[:4], np.zeros(4))
-        np.testing.assert_allclose(remainder[8:], np.zeros(4), atol=1e-13)
+        np.testing.assert_array_equal(remainder[8:], np.zeros(4))
         assert np.linalg.norm(remainder) > 0.0
 
     @pytest.mark.parametrize("variant", ["C1", "C2", "C3", "C4"])
@@ -271,6 +281,47 @@ class TestVanishingSweep:
         eps, devs = ft.vanishing_sweep(config, params, params, Q_C, spec)
         assert np.all(np.diff(devs[-4:]) <= 0.0)
         assert devs[-1] < devs[0]
+
+    @pytest.mark.parametrize("weights", [(3.0, 2.0), (0.9, 0.6)], ids=str)
+    @pytest.mark.parametrize("variant", ["C1", "C2", "C3", "C4"])
+    def test_sweep_reads_the_weight_ratio_only(self, variant, weights):
+        # pairs with the ratio 1.5 run one loop and get one audit: bit for bit
+        # where the ratio and the normalised family are exact, as at (3, 2)
+        params = _params()
+        devs = []
+        for pair in ((1.5, 1.0), weights):
+            config = _config(variant, pair)
+            spec = HomogeneitySpec.for_config(config, 2, samples=64)
+            devs.append(ft.vanishing_sweep(config, params, params, Q_C, spec)[1])
+        if weights == (3.0, 2.0):
+            np.testing.assert_array_equal(devs[1], devs[0])
+        else:
+            np.testing.assert_allclose(devs[1], devs[0], rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["c1_sim", "c2_sim"])
+    def test_tail_falls_below_the_rounding_floor_of_absolute_positions(self, name):
+        # at q_c2 = 0 the remainder decays as eps^(2 r1 / r2) = eps^3.8. A law
+        # on absolute positions q_c + x cancelled digits against q_c, and its
+        # tail rose at the finest epsilons (c2_sim: slope -0.37)
+        cfg = ft.read_bundled_scenario(name)
+        config = replace(cfg.config, weights=(1.9, 1.0))
+        spec = HomogeneitySpec.for_config(config, 2)
+        eps, devs = ft.vanishing_sweep(config, cfg.params_l, cfg.params_r,
+                                       np.array([1.15, 0.0]), spec)
+        assert np.all(np.diff(devs[-4:]) <= 0.0)
+        assert ft.fitted_decay_slope(eps, devs) == pytest.approx(3.8, abs=0.05)
+
+    @pytest.mark.parametrize("weights", [(0.9, 0.6), (3.0, 2.0)], ids=str)
+    @pytest.mark.parametrize("name", ["c1_sim", "c4_sim"])
+    def test_cli_audit_passes_at_any_weight_scale(self, tmp_path, capsys, name, weights):
+        cfg = ft.read_bundled_scenario(name)
+        cfg = replace(cfg, config=replace(cfg.config, weights=weights))
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(ft.dump_scenario(cfg))
+        code = run_command(["audit", str(path), "--dt", "1e-3", "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "FAIL" not in out
 
     def test_c1_decay_rate_matches_position_weight(self):
         # the remainder is dominated by terms scaling with eps^r1 = eps^1.5
