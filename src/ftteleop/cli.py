@@ -85,9 +85,14 @@ def _output_problem(name: str, path: str, directory: str) -> str | None:
 
 
 def _load(args):
-    name = args.scenario or args.config
+    # a command's parser holds only the flags it reads
+    if "tol" in args and not (args.tol > 0 and math.isfinite(args.tol)):   # NaN fails too
+        raise ScenarioError([f"--tol must be positive and finite, got {args.tol:g}"])
+    if "seed" in args and args.seed < 0:   # argparse already made it an int
+        raise ScenarioError([f"--seed must be a nonnegative integer, got {args.seed}"])
+    name = args.scenario
     if name is None:
-        raise FileNotFoundError("no scenario given (positional argument or --config)")
+        raise FileNotFoundError("no scenario given")
     if os.path.exists(name):
         cfg = load_scenario(name)
     elif name in bundled_scenario_names() or f"{name}.cfg" in bundled_scenario_names():
@@ -96,12 +101,10 @@ def _load(args):
         raise FileNotFoundError(
             f"scenario '{name}' not found on disk and not bundled "
             f"(bundled: {', '.join(bundled_scenario_names())})")
-    if not (args.tol > 0 and math.isfinite(args.tol)):   # NaN fails every comparison
-        raise ScenarioError([f"--tol must be positive and finite, got {args.tol:g}"])
     # an output directory that cannot be made is named before any run
-    outputs = [("--out", args.out, args.out)] + [
-        (f"[output] {key} =", path, os.path.dirname(path))
-        for key in _OUTPUT_KEYS if (path := getattr(cfg, f"{key}_path"))]
+    outputs = [("--out", args.out, args.out)] if "out" in args else []
+    outputs += [(f"[output] {key} =", path, os.path.dirname(path))
+                for key in _OUTPUT_KEYS if (path := getattr(cfg, f"{key}_path"))]
     problems = [p for p in (_output_problem(*output) for output in outputs) if p]
     if problems:
         raise ScenarioError(problems)
@@ -182,8 +185,6 @@ def _cmd_compare(args) -> int:
 
 def _cmd_audit(args) -> int:
     cfg = _load(args)
-    if args.seed < 0:   # argparse already made it an int
-        raise ScenarioError([f"--seed must be a nonnegative integer, got {args.seed}"])
     if not cfg.config.weights.is_finite_time:
         print("audit requires a finite-time weight pair (r1 > r2)")
         return EXIT_CHECK_FAILED
@@ -244,29 +245,38 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+_FLAGS = {   # each flag's argparse settings
+    "--out": dict(default=".", help="output directory (default: cwd)"),
+    "--tol": dict(type=float, default=1e-3, help="settling tolerance on the error norm [rad]"),
+    "--dt": dict(type=float, help="override the scenario step size [s]; horizon, "
+                 "decimation and delay are whole steps, a smaller decimation is raised"),
+    "--delay": dict(type=float, help="experimental: constant exchanged-position delay [s], "
+                    "a whole number of dt steps (euler only)"),
+    "--seed": dict(type=int, default=0, help="audit sampling seed"),
+}
+
+
 @functools.lru_cache(maxsize=None)   # parsing does not change the parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ftteleop",
         description="finite-time energy-shaping teleoperation simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, doc in (
-        ("simulate", _cmd_simulate, "run one scenario and export trace + report"),
-        ("compare", _cmd_compare, "settle-time comparison against the linear twin"),
-        ("audit", _cmd_audit, "homogeneity degree check and vanishing sweep"),
-        ("validate", _cmd_validate, "validate a scenario and print gain margins"),
+    # each command takes only the flags it reads; any other is unrecognized
+    for name, handler, doc, flags in (
+        ("simulate", _cmd_simulate, "run one scenario and export trace + report",
+         ("--out", "--tol", "--dt", "--delay")),
+        ("compare", _cmd_compare, "settle-time comparison against the linear twin",
+         ("--out", "--tol", "--dt", "--delay")),
+        ("audit", _cmd_audit, "homogeneity degree check and vanishing sweep",
+         ("--out", "--dt", "--delay", "--seed")),
+        ("validate", _cmd_validate, "validate a scenario and print gain margins",
+         ("--dt", "--delay")),
     ):
         p = sub.add_parser(name, help=doc)
         p.add_argument("scenario", nargs="?", help="scenario file path or bundled name")
-        p.add_argument("--config", help="alternative way to pass the scenario path")
-        p.add_argument("--out", default=".", help="output directory (default: cwd)")
-        p.add_argument("--tol", type=float, default=1e-3,
-                       help="settling tolerance on the error norm [rad]")
-        p.add_argument("--dt", type=float, help="override the scenario step size [s]; horizon, "
-                       "decimation and delay are whole steps, a smaller decimation is raised")
-        p.add_argument("--seed", type=int, default=0, help="audit sampling seed")
-        p.add_argument("--delay", type=float, help="experimental: constant "
-                       "exchanged-position delay [s], a whole number of dt steps (euler only)")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(handler=handler)
     return parser
 

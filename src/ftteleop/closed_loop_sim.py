@@ -225,6 +225,9 @@ def _scenario_problems(parts) -> list[str]:
     for key, name in _INITIAL_FIELDS:
         if parts[name] is None:
             continue
+        if name.startswith("theta") and config is not None and not config.has_virtual_state:
+            problems.append(f"[initial] {key} applies to C2/C4 only")
+            continue
         try:
             vec = _real_array(key, parts[name])
         except ValueError as exc:
@@ -293,7 +296,7 @@ def _scenario_problems(parts) -> list[str]:
         report = validate_saturation(config, params_l, params_r)
         if not report.ok:
             problems.append(
-                "saturation condition violated (per-joint torque budget must stay "
+                "[controller] saturation condition violated (per-joint torque budget must stay "
                 "below torque_limit - gravity_cap):\n" + report.describe())
     return problems
 
@@ -304,14 +307,14 @@ class Scenario:
 
     Every rule that ties the parts together (both robots, the controller and
     the profiles are of their types and the robots and controller share the
-    joint count, q0_l and q0_r are given, the initial vectors are real numbers,
-    scalars or 1-D of that length, the profiles' vector lengths, the
-    [simulation] values and, for C3/C4, the saturation gate) is checked when
-    a scenario is built, also by dataclasses.replace; a violation raises
-    ScenarioError listing them all. The horizon, decimation and delay must
-    each be a whole number of dt steps, held as the derived, read-only
-    fields steps, stride and delay_steps; the [simulation] numbers are held
-    as Python floats.
+    joint count, q0_l and q0_r are given, theta0_l and theta0_r only for C2/C4,
+    the initial vectors are real numbers, scalars or 1-D of that length, the
+    profiles' vector lengths, the [simulation] values and, for C3/C4, the
+    saturation gate) is checked when a scenario is built, also by
+    dataclasses.replace; a violation raises ScenarioError listing them all.
+    The horizon, decimation and delay must each be a whole number of dt
+    steps, held as the derived, read-only fields steps, stride and
+    delay_steps; the [simulation] numbers are held as Python floats.
     """
 
     params_l: RobotParams
@@ -455,8 +458,7 @@ def _initial_array(scenario: Scenario, virtual: bool) -> np.ndarray:
     q0 = (s.q0_l, s.q0_r)
     rows = [q0, [np.zeros(n) if v is None else v for v in (s.qd0_l, s.qd0_r)]]
     if virtual:
-        theta0 = (s.theta0_l, s.theta0_r) if s.config.has_virtual_state else (None, None)
-        rows.append([q if v is None else v for q, v in zip(q0, theta0)])
+        rows.append([q if v is None else v for q, v in zip(q0, (s.theta0_l, s.theta0_r))])
     # reshape: at n = 1 a scalar passes the validator's size check
     return np.array([[np.reshape(v, n) for v in row] for row in rows], dtype=float)
 

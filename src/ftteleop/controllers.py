@@ -91,11 +91,11 @@ class ControllerConfig:
     k_s is the shared inter-robot stiffness (per joint). d_s (C1/C3), k_c and
     d_c (C2/C4) are per-robot per-joint arrays with rows (local, remote).
     delta_p / delta_d are the saturation levels of the proportional and
-    damping channels (C3/C4 only; C1/C2 reject them). The weight pair may be
-    a Weights or an (r1, r2) pair, and n is a positive integer. Gains may be
-    given as scalars, per-joint vectors or (2, n) pairs; they are normalized
-    and checked on construction, also by dataclasses.replace, and a bad value
-    raises ValueError.
+    damping channels (C3/C4 only). A variant rejects the gains it does not
+    read. The weight pair may be a Weights or an (r1, r2) pair, and n is a
+    positive integer. Gains may be given as scalars, per-joint vectors or
+    (2, n) pairs; they are normalized and checked on construction, also by
+    dataclasses.replace, and a bad value raises ValueError.
     """
 
     variant: str
@@ -140,8 +140,12 @@ class ControllerConfig:
             with np.errstate(over="ignore"):   # the law's theta gain, named if it overflows
                 if not np.isfinite((self.k_c / self.d_c) ** (1.0 / self.p_vel)).all():
                     raise ValueError("(k_c / d_c)^(1/p_vel) must be finite")
+            if self.d_s is not None:
+                raise ValueError("d_s applies to C1/C3 only")
         elif self.d_s is None:
             raise ValueError(f"{self.variant} requires the velocity damping gain d_s")
+        elif self.k_c is not None or self.d_c is not None:
+            raise ValueError("k_c and d_c apply to C2/C4 only")
         if self.is_bounded:
             if self.delta_p is None or self.delta_d is None:
                 raise ValueError(f"{self.variant} requires saturation levels delta_p and delta_d")

@@ -18,7 +18,7 @@ A scenario file is INI-style text with '#' comments. Sections:
     [initial]
         q_local, q_remote            start positions [rad]
         qdot_local, qdot_remote     optional, default rest
-        theta_local, theta_remote    optional, default = start positions
+        theta_local, theta_remote    C2/C4 only, optional, default = start positions
 
     [forces.local] / [forces.remote]
         kind = zero | pulse | spring_damper
@@ -241,7 +241,10 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
     try:
         parser.read_string(text, source=label)
     except configparser.Error as exc:
-        raise ScenarioError([str(exc)]) from exc
+        if getattr(exc, "section", None) is None:
+            raise ScenarioError([str(exc)]) from exc
+        given = "section" if getattr(exc, "option", None) is None else f"key '{exc.option}'"
+        raise ScenarioError([f"[{exc.section}] {given} given twice (line {exc.lineno})"]) from exc
 
     problems: list[str] = []
     parts = {"label": label}   # Scenario field name -> value

@@ -282,8 +282,9 @@ class TestScenarioValidation:
         for (_, shape), (name, key) in itertools.product(_SHAPES, _INITIAL)],
         ids=[key + suffix for (suffix, _), (_, key) in itertools.product(_SHAPES, _INITIAL)])
     def test_replace_checks_initial_length(self, name, key, value):
-        # only a scalar (at n = 1) or a 1-D vector can be written back
-        base = ft.read_bundled_scenario("c1_sim")
+        # only a scalar (at n = 1) or a 1-D vector can be written back; C2
+        # reads theta
+        base = ft.read_bundled_scenario("c2_sim")
         with pytest.raises(ft.ScenarioError) as info:
             replace(base, **{name: value})
         assert info.value.problems == [f"[initial] {key} must have 2 entries"]
@@ -352,7 +353,12 @@ class TestScenarioValidation:
         "saturation-gate": (
             "c3_sim", {"delta_p = 0.2": "delta_p = 5.0", "delta_d = 0.3": "delta_d = 5.0"},
             lambda s: dict(config=replace(s.config, delta_p=5.0, delta_d=5.0)),
-            "saturation condition violated"),
+            "[controller] saturation condition violated"),
+        "theta-on-state-feedback": (
+            "c1_sim", {"qdot_remote = 0.0, 0.0\n": "qdot_remote = 0.0, 0.0\n"
+                                                   "theta_remote = 1.3, 0.3\n"},
+            lambda s: dict(theta0_r=np.array([1.3, 0.3])),
+            "[initial] theta_remote applies to C2/C4 only"),
         "profile-length": (
             "c3_sim", {"amplitude = 9.0, -6.0": "amplitude = 9.0, -6.0, 1.0"},
             lambda s: dict(profile_r=replace(s.profile_r, amplitude=[9.0, -6.0, 1.0])),

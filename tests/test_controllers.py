@@ -639,6 +639,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=r"^delta_p and delta_d apply to C3/C4 only$"):
             replace(_config(variant), **levels)
 
+    @pytest.mark.parametrize("variant, gains, problem", [
+        ("C2", dict(d_s=8.0), "d_s applies to C1/C3 only"),
+        ("C4", dict(d_s=8.0), "d_s applies to C1/C3 only"),
+        ("C1", dict(k_c=20.0), "k_c and d_c apply to C2/C4 only"),
+        ("C1", dict(d_c=8.0), "k_c and d_c apply to C2/C4 only"),
+        ("C3", dict(k_c=20.0, d_c=8.0), "k_c and d_c apply to C2/C4 only"),
+    ], ids=["C2-d_s", "C4-d_s", "C1-k_c", "C1-d_c", "C3-both"])
+    def test_variant_rejects_gains_it_does_not_read(self, variant, gains, problem):
+        # the law would ignore them, and dump_scenario would write them back
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            _config(variant, **gains)
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            replace(_config(variant), **gains)
+
     def test_per_robot_gains(self):
         config = ft.ControllerConfig.build(
             variant="C1", n=2, weights=(1.5, 1.0), k_s=[6.0, 5.0],

@@ -1,8 +1,11 @@
 """Scenario-file grammar, validation reporting and the CLI front end."""
 
+import argparse
 import contextlib
 import io
+import math
 import os
+import re
 import stat
 import warnings
 from dataclasses import replace
@@ -63,6 +66,11 @@ def _write(tmp_path, text, name="fast.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def _argv(command, path, tmp_path):
+    """A command line for ``path``; validate writes nothing, so takes no --out."""
+    return [command, path] + ([] if command == "validate" else ["--out", str(tmp_path)])
 
 
 class TestLoadScenario:
@@ -129,6 +137,15 @@ class TestLoadScenario:
         message = str(info.value)
         assert "[robot.local]" in message
         assert "[initial]" in message
+
+    @pytest.mark.parametrize("text, problem", [
+        ("[initial]\nq_local = 1.0\n\n[initial]\n", "[initial] section given twice (line 4)"),
+        ("[controller]\nk_s = 6.0\nK_S = 5.0\n", "[controller] key 'k_s' given twice (line 3)"),
+    ], ids=["section", "key"])
+    def test_duplicate_names_its_section(self, text, problem):
+        with pytest.raises(ft.ScenarioError) as info:
+            ft.parse_scenario(text)
+        assert info.value.problems == [problem]
 
     def test_parse_error_carries_line_number(self, tmp_path):
         text = FAST_SCENARIO.replace("k_s = 6.0", "k_s 6.0")
@@ -276,7 +293,7 @@ class TestCli:
     @pytest.mark.parametrize("command", ["validate", "simulate"])
     def test_oversized_trace_exit_code(self, tmp_path, capsys, command):
         bad = _write(tmp_path, FAST_SCENARIO.replace("horizon = 0.5", "horizon = 1e6"))
-        assert run_command([command, bad, "--out", str(tmp_path)]) == 3
+        assert run_command(_argv(command, bad, tmp_path)) == 3
         assert "the trace must hold at most 10000000 samples" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edits, problem", [
@@ -292,7 +309,7 @@ class TestCli:
         for old, new in edits.items():
             text = text.replace(old, new)
         bad = _write(tmp_path, text)
-        assert run_command([command, bad, "--out", str(tmp_path)]) == 3
+        assert run_command(_argv(command, bad, tmp_path)) == 3
         assert f"[simulation] {problem}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, edit, problem", [
@@ -324,14 +341,25 @@ class TestCli:
     @pytest.mark.parametrize("command", ["validate", "simulate"])
     def test_non_finite_robot_vector_exit_code(self, tmp_path, capsys, command):
         bad = _write(tmp_path, FAST_SCENARIO.replace("masses = 1.8, 1.6", "masses = nan, 1.6", 1))
-        assert run_command([command, bad, "--out", str(tmp_path)]) == 3
+        assert run_command(_argv(command, bad, tmp_path)) == 3
         assert "[robot.local] invalid robot parameters: masses must be finite" \
             in capsys.readouterr().err
 
     def test_levels_on_unbounded_variant_exit_code(self, tmp_path, capsys):
         bad = _write(tmp_path, FAST_SCENARIO.replace("d_s = 8.0", "d_s = 8.0\ndelta_p = 0.2"))
-        assert run_command(["validate", bad, "--out", str(tmp_path)]) == 3
+        assert run_command(["validate", bad]) == 3
         assert "[controller] delta_p and delta_d apply to C3/C4 only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, edit, problem", [
+        ("c1_sim", ("d_s = 8.0, 8.0", "d_s = 8.0, 8.0\nk_c = 20.0"),
+         "[controller] k_c and d_c apply to C2/C4 only"),
+        ("c2_sim", ("d_c = 8.0, 8.0", "d_c = 8.0, 8.0\nd_s = 8.0"),
+         "[controller] d_s applies to C1/C3 only"),
+    ], ids=["k_c-on-C1", "d_s-on-C2"])
+    def test_unread_gain_exit_code(self, tmp_path, capsys, name, edit, problem):
+        text = ft.dump_scenario(ft.read_bundled_scenario(name)).replace(*edit, 1)
+        assert run_command(["validate", _write(tmp_path, text)]) == 3
+        assert f"  - {problem}\n" in capsys.readouterr().err
 
     def test_unstable_exit_code(self, tmp_path, capsys):
         text = FAST_SCENARIO.replace("k_s = 6.0", "k_s = 1e9")
@@ -395,8 +423,8 @@ class TestCli:
         assert run_command(["simulate", _write(tmp_path, text), "--out", str(tmp_path),
                             "--delay", "1e9"]) == 0
 
-    def test_validate_passes_on_bundled_bounded(self, tmp_path, capsys):
-        code = run_command(["validate", "c3_sim", "--out", str(tmp_path)])
+    def test_validate_passes_on_bundled_bounded(self, capsys):
+        code = run_command(["validate", "c3_sim"])
         assert code == 0
         out = capsys.readouterr().out
         assert "margin" in out
@@ -479,34 +507,46 @@ class TestCli:
                        f"{taken}, which is not a directory\n")
         assert not (tmp_path / "out").exists()
 
-    def test_config_flag_alias(self, tmp_path):
-        cfg_path = _write(tmp_path, FAST_SCENARIO)
-        assert run_command(["validate", "--config", cfg_path]) == 0
-
     @pytest.mark.parametrize("argv, flag", [
         (["simulate", "c1_sim", "--dt", "abc"], "argument --dt: invalid float value: 'abc'"),
         (["audit", "c4_sim", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
-        (["audit", "c4_sim", "--tol", "x"], "argument --tol: invalid float value: 'x'"),
+        (["compare", "c4_sim", "--tol", "x"], "argument --tol: invalid float value: 'x'"),
         (["simulate", "c1_sim", "--bogus"], "unrecognized arguments: --bogus"),
         (["simulate", "c1_sim", "--dt"], "argument --dt: expected one argument"),
         (["bogus"], "argument command: invalid choice: 'bogus'"),
+        # a flag the command does not read
+        (["simulate", "c1_sim", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["simulate", "c1_sim", "--seed", "-1"], "unrecognized arguments: --seed -1"),
+        (["compare", "c1_sim", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["validate", "c1_sim", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["validate", "c1_sim", "--tol", "1"], "unrecognized arguments: --tol 1"),
+        (["validate", "c1_sim", "--out", "d"], "unrecognized arguments: --out d"),
+        (["audit", "c4_sim", "--tol", "1"], "unrecognized arguments: --tol 1"),
+        (["simulate", "--config", "f"], "unrecognized arguments: --config ("),   # f: the scenario
     ], ids=["float-dt", "float-seed", "str-tol", "unknown-flag", "dt-without-value",
-            "unknown-command"])
+            "unknown-command", "simulate-seed", "simulate-negative-seed", "compare-seed",
+            "validate-seed", "validate-tol", "validate-out", "audit-tol", "simulate-config"])
     def test_malformed_flag_exit_code(self, capsys, argv, flag):
         # the invalid-flag code, returned rather than raised, and nothing is run
-        with mock.patch("ftteleop.cli.run") as simulate:
-            assert run_command(argv) == 3
-        err = capsys.readouterr().err
+        err = self._refused_before_the_run(argv, capsys)
         assert flag in err
         assert "Traceback" not in err
-        simulate.assert_not_called()
 
-    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
-    def test_help_exits_zero(self, capsys, argv):
+    @pytest.mark.parametrize("argv, flags", [
+        (["--help"], set()),
+        (["simulate", "--help"], {"--out", "--tol", "--dt", "--delay"}),
+        (["compare", "--help"], {"--out", "--tol", "--dt", "--delay"}),
+        (["audit", "--help"], {"--out", "--dt", "--delay", "--seed"}),
+        (["validate", "--help"], {"--dt", "--delay"}),
+    ], ids=["top", "simulate", "compare", "audit", "validate"])
+    def test_help_exits_zero(self, capsys, argv, flags):
+        # each command lists exactly the flags it reads
         with pytest.raises(SystemExit) as info:
             run_command(argv)
         assert info.value.code == 0
-        assert "usage: ftteleop" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "usage: ftteleop" in out
+        assert set(re.findall(r"--\w+", out)) == flags | {"--help"}
 
     def test_no_scenario_given(self, capsys):
         assert run_command(["simulate"]) == 2
@@ -522,7 +562,7 @@ _FLAG_VALUES = st.sampled_from(
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(name=st.sampled_from([n[:-4] for n in ft.bundled_scenario_names()]),
        flags=st.fixed_dictionaries({flag: st.none() | _FLAG_VALUES
-                                    for flag in ("--dt", "--delay", "--tol")}))
+                                    for flag in ("--dt", "--delay")}))
 def test_validate_flags_exit_0_or_3_with_named_problems(name, flags):
     argv = ["validate", name] + [f"{flag}={v}" for flag, v in flags.items() if v is not None]
     loaded, load, err = [], cli._load, io.StringIO()
@@ -537,14 +577,38 @@ def test_validate_flags_exit_0_or_3_with_named_problems(name, flags):
     if code == 3:
         head, *problems = err.splitlines()
         if head == "error: invalid scenario:":
-            assert problems and all(p.startswith(("  - [simulation] ", "  - --tol "))
-                                    for p in problems), err
+            assert problems and all(p.startswith("  - [simulation] ") for p in problems), err
         else:
             assert not problems and head.startswith("error: argument --"), err
     else:
         s, = loaded
         assert (s.steps, s.stride, s.delay_steps) == (
             round(s.horizon / s.dt), round(s.decimation / s.dt), round(s.delay / s.dt))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(name=st.sampled_from([n[:-4] for n in ft.bundled_scenario_names()]),
+       flags=st.fixed_dictionaries({flag: st.none() | _FLAG_VALUES
+                                    for flag in ("--dt", "--delay", "--tol")}))
+def test_compare_flags_load_or_are_named(name, flags):
+    # parsed and loaded only: nothing runs
+    argv = ["compare", name] + [f"{flag}={v}" for flag, v in flags.items() if v is not None]
+    try:
+        args = cli._build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        assert str(exc).startswith("argument --"), argv
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            s = cli._load(args)
+        except ft.ScenarioError as exc:
+            assert exc.problems and all(p.startswith(("[simulation] ", "--tol "))
+                                        for p in exc.problems), (argv, exc.problems)
+            return
+    assert args.tol > 0 and math.isfinite(args.tol), argv
+    assert (s.steps, s.stride, s.delay_steps) == (
+        round(s.horizon / s.dt), round(s.decimation / s.dt), round(s.delay / s.dt))
 
 
 def _bundled_sections(name):
@@ -612,6 +676,9 @@ def test_mutated_scenario_text_is_accepted_whole_or_named(tmp_path, text):
     assert code in (0, 3), (text, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code == 3:
+        # every problem names its section (the saturation report's lines follow its problem)
+        problems = [line for line in err.getvalue().splitlines() if line.startswith("  - ")]
+        assert problems and all(p.startswith("  - [") for p in problems), err.getvalue()
         return
     s = ft.parse_scenario(text, label="mutated")
     again = ft.parse_scenario(ft.dump_scenario(s), label="mutated")
