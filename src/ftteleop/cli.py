@@ -256,23 +256,27 @@ _FLAGS = {   # each flag's argparse settings
 }
 
 
+# each command's handler, help line and flags: it takes only the flags it
+# reads, any other is unrecognized
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "run one scenario and export trace + report",
+                 ("--out", "--tol", "--dt", "--delay")),
+    "compare": (_cmd_compare, "settle-time comparison against the linear twin",
+                ("--out", "--tol", "--dt", "--delay")),
+    "audit": (_cmd_audit, "homogeneity degree check and vanishing sweep",
+              ("--out", "--dt", "--delay", "--seed")),
+    "validate": (_cmd_validate, "validate a scenario and print gain margins",
+                 ("--dt", "--delay")),
+}
+
+
 @functools.lru_cache(maxsize=None)   # parsing does not change the parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ftteleop",
         description="finite-time energy-shaping teleoperation simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-    # each command takes only the flags it reads; any other is unrecognized
-    for name, handler, doc, flags in (
-        ("simulate", _cmd_simulate, "run one scenario and export trace + report",
-         ("--out", "--tol", "--dt", "--delay")),
-        ("compare", _cmd_compare, "settle-time comparison against the linear twin",
-         ("--out", "--tol", "--dt", "--delay")),
-        ("audit", _cmd_audit, "homogeneity degree check and vanishing sweep",
-         ("--out", "--dt", "--delay", "--seed")),
-        ("validate", _cmd_validate, "validate a scenario and print gain margins",
-         ("--dt", "--delay")),
-    ):
+    for name, (handler, doc, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=doc)
         p.add_argument("scenario", nargs="?", help="scenario file path or bundled name")
         for flag in flags:
@@ -282,10 +286,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args = _build_parser().parse_args(argv)
     except argparse.ArgumentError as exc:
-        print(f"error: {exc} (see ftteleop --help)", file=sys.stderr)
+        # a command's flags are listed by its own help, not by the top-level one
+        prog = f"ftteleop {argv[0]}" if argv and argv[0] in _COMMANDS else "ftteleop"
+        print(f"error: {exc} (see {prog} --help)", file=sys.stderr)
         return EXIT_BAD_SCENARIO
     try:
         return args.handler(args)

@@ -101,6 +101,11 @@ class SimulationUnstableError(RuntimeError):
     """
 
 
+# the per-joint vectors of a force profile: a pulse reads amplitude, a
+# spring_damper the other three
+_PROFILE_VECTORS = ("amplitude", "stiffness", "damping", "anchor")
+
+
 @dataclass(frozen=True, eq=False)
 class ForceProfile:
     """Scripted external force acting on one robot.
@@ -111,6 +116,10 @@ class ForceProfile:
         spring_damper: passive environment -stiffness*(q - anchor) - damping*qd
             with nonnegative coefficients, so it can only inject the energy
             initially stored in the spring.
+
+    A field that the kind does not read is refused, not dropped: amplitude
+    and a nonzero start or stop only on a pulse, stiffness, damping and
+    anchor only on a spring_damper.
     """
 
     kind: str = "zero"
@@ -126,13 +135,19 @@ class ForceProfile:
             raise ValueError(f"unknown force profile kind {self.kind!r}")
         for name in ("start", "stop"):
             object.__setattr__(self, name, _real_number(name, getattr(self, name)))
-        for name in ("amplitude", "stiffness", "damping", "anchor"):
+        for name in _PROFILE_VECTORS:
             value = getattr(self, name)
             if value is not None:
                 value = np.atleast_1d(_real_array(name, value))
                 if not np.isfinite(value).all():
                     raise ValueError(f"{name} must be finite")
                 object.__setattr__(self, name, value)
+        given = [name for name in ("start", "stop") if getattr(self, name) != 0.0]
+        given += [name for name in _PROFILE_VECTORS if getattr(self, name) is not None]
+        for name in given:
+            kind = "pulse" if name in ("start", "stop", "amplitude") else "spring_damper"
+            if kind != self.kind:
+                raise ValueError(f"{name} applies to {kind} profiles only")
         if self.kind == "pulse":
             if self.amplitude is None:
                 raise ValueError("pulse profile requires an amplitude vector")
@@ -238,7 +253,7 @@ def _scenario_problems(parts) -> list[str]:
         if not np.isfinite(vec).all():
             problems.append(f"[initial] {key} must be finite")
     for side, profile in (("local", profile_l), ("remote", profile_r)):
-        for name in ("amplitude", "stiffness", "damping", "anchor"):
+        for name in _PROFILE_VECTORS:
             vec = getattr(profile, name, None)
             if vec is not None and n is not None and vec.shape not in ((1,), (n,)):
                 problems.append(f"[forces.{side}] {name} must have 1 or {n} entries")
@@ -892,17 +907,21 @@ def energy_audit(trace: SimTrace, config: ControllerConfig,
     the sampled energy rises by more than the discretization tolerance
     0.5 dt max(1, H(0)) per recorded interval: linear in dt (so it halves
     with the step) yet far below the rise a sign error in the dissipation
-    would cause.
+    would cause. The tolerance needs the run's step, not the sample
+    interval: a trace without a positive finite ``dt`` (one read by
+    ``SimTrace.from_csv(path)``) raises ValueError.
     """
     if trace.has_forces():
         raise ValueError("energy audit requires a free-motion trace (all forces zero)")
+    if not (math.isfinite(trace.dt) and trace.dt > 0):
+        raise ValueError(f"energy audit requires the run's step dt > 0, got dt = {trace.dt!r}: "
+                         "read a CSV trace with SimTrace.from_csv(path, dt=...)")
     pair = lambda local, remote: np.stack([local, remote], axis=1)[:, None]
     theta = pair(trace.th_l, trace.th_r) if config.has_virtual_state else None
     hdot = law_dissipation(stack_laws([config]), pair(trace.q_l, trace.q_r),
                            pair(trace.qd_l, trace.qd_r), theta)[:, 0]
     hdot_numeric = np.diff(trace.energy) / np.diff(trace.t)
-    dt = trace.dt if math.isfinite(trace.dt) else float(np.min(np.diff(trace.t)))
-    step_increase_tol = 0.5 * dt * max(1.0, abs(float(trace.energy[0])))
+    step_increase_tol = 0.5 * trace.dt * max(1.0, abs(float(trace.energy[0])))
     rising = np.flatnonzero(np.diff(trace.energy) > step_increase_tol)
     positive = np.flatnonzero(hdot > 0.0)
     return EnergyAudit(

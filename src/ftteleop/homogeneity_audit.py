@@ -11,8 +11,11 @@ samples its family with r2 = 1: weights r1 / r2 and 1, degree 1 - r1 / r2.
 
 Both facts are audited by sampling: an exact degree check on the core, and a
 shrinking-dilation sweep measuring the worst remainder over a fixed sphere
-of directions. Sampling can falsify but not certify the limit; the audit is
-evidence for the structure, not a proof.
+of directions. Every audit runs one plan, 256 directions and 13 epsilons
+from 1 down to 1e-3 (`HomogeneitySpec.samples` and `.eps_grid`); a spec
+sets only the weights, the degree and the seed of the sphere. Sampling can
+falsify but not certify the limit; the audit is evidence for the
+structure, not a proof.
 
 Both fields map stacks of error-coordinate states of shape (..., dim) to
 their time derivatives of the same shape, so every sample of an audit is
@@ -29,6 +32,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -79,41 +83,36 @@ def _is_integer(value) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class HomogeneitySpec:
-    """Sampling plan for one audit: weights, claimed degree, sphere size and
-    the decreasing dilation grid."""
+    """What one audit claims: weights, degree and the keyword-only sphere seed.
+    The sampling plan, 256 ``samples`` and the read-only ``eps_grid``, is fixed."""
+
+    samples: ClassVar[int] = 256
+    eps_grid: ClassVar[np.ndarray] = np.geomspace(1.0, 1e-3, 13)
+    eps_grid.setflags(write=False)
 
     weights: np.ndarray
     degree: float
-    samples: int = 256
-    eps_grid: np.ndarray = field(default_factory=lambda: np.geomspace(1.0, 1e-3, 13))
-    seed: int = 0
+    seed: int = field(default=0, kw_only=True)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _real_array("weights", self.weights))
-        object.__setattr__(self, "eps_grid", _real_array("eps grid", self.eps_grid))
         object.__setattr__(self, "degree", _real_number("degree", self.degree))
-        for name, arr in (("weights", self.weights), ("eps grid", self.eps_grid)):
-            if arr.ndim != 1 or arr.size == 0:
-                raise ValueError(f"{name} must be a nonempty 1-D array, got shape {arr.shape}")
+        if self.weights.ndim != 1 or self.weights.size == 0:
+            raise ValueError("weights must be a nonempty 1-D array, "
+                             f"got shape {self.weights.shape}")
         if not np.all((self.weights > 0) & np.isfinite(self.weights)):
             raise ValueError("weights must be positive and finite")
         if not math.isfinite(self.degree):
             raise ValueError(f"degree must be finite, got {self.degree!r}")
-        if not _is_integer(self.samples) or self.samples < 1:
-            raise ValueError(f"samples must be a positive integer, got {self.samples!r}")
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not (np.all((self.eps_grid > 0) & np.isfinite(self.eps_grid))
-                and np.all(np.diff(self.eps_grid) < 0)):
-            raise ValueError("eps grid must be strictly decreasing positive finite reals")
 
     @classmethod
-    def for_config(cls, config: ControllerConfig, n: int, samples: int = 256,
-                   seed: int = 0) -> "HomogeneitySpec":
+    def for_config(cls, config: ControllerConfig, n: int, seed: int = 0) -> "HomogeneitySpec":
         """The stacked weights and degree divided by r2: the loop's family
         with r2 = 1, so pairs with one ratio r1 / r2 get one spec."""
         w = config.weights
-        return cls(stacked_weights(config, n) / w.r2, w.degree / w.r2, samples, seed=seed)
+        return cls(stacked_weights(config, n) / w.r2, w.degree / w.r2, seed=seed)
 
 
 @lru_cache(maxsize=32)
@@ -246,16 +245,20 @@ def vanishing_sweep(config: ControllerConfig, params_l: RobotParams,
     largest norm distance to the core. A sound homogeneous approximation
     sends the column to zero as epsilon does.
 
-    Returns (eps_grid, deviations).
+    Returns (eps_grid, deviations). Raises FloatingPointError naming the
+    largest epsilon whose deviation is not finite: a field value that
+    overflows, in the full field or in the unsaturated core, or a norm that
+    overflows although every value is finite.
     """
     points = sphere_points(spec.weights.size, spec.samples, spec.seed)
     core_values = homogeneous_field(config, params_l, params_r, q_c)(points)
     fd = full_field(config, params_l, params_r, q_c)(_dilations(spec, points))
-    bad = ~np.all(np.isfinite(fd), axis=(1, 2))
-    if np.any(bad):
-        raise FloatingPointError(f"full field non-finite at eps={spec.eps_grid[bad.argmax()]}")
     back = spec.eps_grid[:, None, None] ** -(spec.degree + spec.weights)
     devs = np.linalg.norm(back * fd - core_values, axis=-1).max(axis=1)
+    bad = ~np.isfinite(devs)
+    if np.any(bad):
+        eps = spec.eps_grid[bad.argmax()]
+        raise FloatingPointError(f"sweep deviation non-finite at eps={eps}")
     return spec.eps_grid.copy(), devs
 
 

@@ -156,7 +156,7 @@ def test_criterion_05_homogeneity_degree(benchmark_params, consensus_q):
     worst = 0.0
     for variant in ("C1", "C2", "C3", "C4"):
         config = _variant_config(variant)
-        spec = HomogeneitySpec.for_config(config, 2, samples=128)
+        spec = HomogeneitySpec.for_config(config, 2)
         core = ft.homogeneous_field(config, benchmark_params, benchmark_params, consensus_q)
         defect = ft.check_degree(core, spec)
         worst = max(worst, defect)
@@ -169,7 +169,7 @@ def test_criterion_05_homogeneity_degree(benchmark_params, consensus_q):
 def test_criterion_06_vanishing_condition(benchmark_params, consensus_q):
     """Remainder sweep shrinks 100x over three decades with slope >= 1."""
     config = _variant_config("C1")
-    spec = HomogeneitySpec.for_config(config, 2, samples=128)
+    spec = HomogeneitySpec.for_config(config, 2)
     eps, devs = ft.vanishing_sweep(config, benchmark_params, benchmark_params,
                                    consensus_q, spec)
     slope = ft.fitted_decay_slope(eps, devs)

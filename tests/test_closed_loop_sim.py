@@ -1205,6 +1205,32 @@ class TestEnergyAudit:
         with pytest.raises(ValueError, match="free-motion"):
             ft.energy_audit(trace, scenario.config, scenario.params_l, scenario.params_r)
 
+    def test_needs_the_step_of_a_reloaded_trace(self, tmp_path, c1_run):
+        # the sample interval is not the step: at decimation 10 dt it made the
+        # tolerance 10 times too loose, and a rise flagged in memory passed
+        cfg, trace = c1_run.scenario, c1_run.trace
+        args = (cfg.config, cfg.params_l, cfg.params_r)
+        tol = ft.energy_audit(trace, *args).step_increase_tol
+        lifted = replace(trace, energy=trace.energy.copy())
+        lifted.energy[-1000:] += 3 * tol
+        rise = [trace.samples - 1001]   # the interval into the first lifted sample
+        assert ft.energy_audit(lifted, *args).flagged.tolist() == rise
+        lifted.to_csv(tmp_path / "lifted.csv")
+        with pytest.raises(ValueError, match=r"^energy audit requires the run's step dt > 0, "
+                                             r"got dt = nan: read a CSV trace with "
+                                             r"SimTrace\.from_csv\(path, dt=\.\.\.\)$"):
+            ft.energy_audit(ft.SimTrace.from_csv(tmp_path / "lifted.csv"), *args)
+        reloaded = ft.SimTrace.from_csv(tmp_path / "lifted.csv", dt=cfg.dt)
+        audit = ft.energy_audit(reloaded, *args)
+        assert audit.step_increase_tol == tol
+        assert audit.flagged.tolist() == rise
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-4, np.inf], ids=str)
+    def test_refuses_a_trace_without_a_step(self, c1_run, dt):
+        cfg = c1_run.scenario
+        with pytest.raises(ValueError, match=f"got dt = {dt!r}:"):
+            ft.energy_audit(replace(c1_run.trace, dt=dt), cfg.config, cfg.params_l, cfg.params_r)
+
     @pytest.mark.parametrize("variant", ["C1", "C2", "C3", "C4"])
     def test_clean_free_motion(self, variant):
         scenario = _scenario(variant, horizon=1.0, dt=1e-4, decimation=1e-3)
@@ -1285,6 +1311,25 @@ class TestForceProfiles:
     def test_rejects_bad_pulse_window(self):
         with pytest.raises(ValueError):
             ft.ForceProfile(kind="pulse", start=2.0, stop=1.0, amplitude=np.ones(2))
+
+    @pytest.mark.parametrize("kind, extra, problem", [
+        ("pulse", dict(stiffness=[5.0], anchor=[0.0]), "stiffness applies to spring_damper"),
+        ("pulse", dict(damping=np.ones(2)), "damping applies to spring_damper"),
+        ("zero", dict(amplitude=[3, 4]), "amplitude applies to pulse"),
+        ("zero", dict(anchor=np.zeros(2)), "anchor applies to spring_damper"),
+        ("zero", dict(stop=1.0), "stop applies to pulse"),
+        ("spring_damper", dict(amplitude=np.ones(2)), "amplitude applies to pulse"),
+        ("spring_damper", dict(start=0.5), "start applies to pulse"),
+    ], ids=["pulse-spring", "pulse-damping", "zero-amplitude", "zero-anchor", "zero-stop",
+            "spring-amplitude", "spring-start"])
+    def test_rejects_fields_its_kind_does_not_read(self, kind, extra, problem):
+        # a dump would silently drop the field; the rule pass named the wrong
+        # length of a field no run reads
+        fields = {"pulse": dict(start=0.0, stop=1.0, amplitude=np.ones(2)),
+                  "spring_damper": dict(stiffness=np.ones(2), anchor=np.zeros(2)),
+                  "zero": {}}[kind]
+        with pytest.raises(ValueError, match=f"^{problem} profiles only$"):
+            ft.ForceProfile(kind=kind, **{**fields, **extra})
 
     @pytest.mark.parametrize("start, stop", [(np.float64(3.0), 4), (0, np.int64(1))],
                              ids=["float64-start", "int64-stop"])

@@ -1,9 +1,9 @@
 """Golden audit numbers: the homogeneity audit must keep its recorded results.
 
 ``golden_audit.json`` holds, for the bundled c1_sim .. c4_sim scenarios at
-the consensus position Q_C with sphere seed 201 and 256 samples, the
-``check_degree`` defect of the frozen-inertia core, the 13
-``vanishing_sweep`` deviations and their fitted decay slope. The numbers
+the consensus position Q_C with sphere seed 201 (the audit's fixed plan of
+256 directions), the ``check_degree`` defect of the frozen-inertia core, the
+13 ``vanishing_sweep`` deviations and their fitted decay slope. The numbers
 were recorded from the audit that runs the control law on the error
 coordinates. The audit before it formed absolute positions q_c + x and let
 the law take their differences again, which cancelled digits against q_c: its
@@ -35,12 +35,11 @@ GOLDEN = Path(__file__).with_name("golden_audit.json")
 SCENARIOS = ("c1_sim", "c2_sim", "c3_sim", "c4_sim")
 Q_C = np.array([1.15, -0.05])
 SEED = 201
-SAMPLES = 256
 
 
 def audit(name: str) -> dict:
     cfg = ft.read_bundled_scenario(name)
-    spec = ft.HomogeneitySpec.for_config(cfg.config, cfg.params_l.n, samples=SAMPLES, seed=SEED)
+    spec = ft.HomogeneitySpec.for_config(cfg.config, cfg.params_l.n, seed=SEED)
     defect = ft.check_degree(ft.homogeneous_field(cfg.config, cfg.params_l, cfg.params_r, Q_C),
                              spec)
     eps, devs = ft.vanishing_sweep(cfg.config, cfg.params_l, cfg.params_r, Q_C, spec)

@@ -1,6 +1,6 @@
 """Tests for the dilation-degree check and the vanishing sweep."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -84,47 +84,49 @@ class TestSpec:
         assert scaled.degree == spec.degree == -0.5
 
     @pytest.mark.parametrize("changes, problem", [
-        (dict(samples=0), "samples must be a positive integer"),
-        (dict(samples=-3), "samples must be a positive integer"),
-        (dict(samples=2.5), "samples must be a positive integer"),
-        (dict(samples=True), "samples must be a positive integer"),
         (dict(degree=np.nan), "degree must be finite"),
         (dict(degree=-np.inf), "degree must be finite"),
         (dict(weights=[1.0, np.nan, 1.0, 1.0]), "weights must be positive"),
-        (dict(eps_grid=[1.0, np.nan, 0.1]), "eps grid must be strictly decreasing"),
         (dict(seed=-1), "seed must be a nonnegative integer"),
         (dict(seed=1.5), "seed must be a nonnegative integer"),
         (dict(seed=True), "seed must be a nonnegative integer"),
-        (dict(eps_grid=[]), "eps grid must be a nonempty 1-D array"),
-        (dict(eps_grid=[[1.0, 0.5], [0.2, 0.1]]), "eps grid must be a nonempty 1-D array"),
-        (dict(eps_grid=[np.inf, 1.0, 0.1]), "eps grid must be strictly decreasing positive finite"),
         (dict(weights=np.ones((2, 4))), "weights must be a nonempty 1-D array"),
         (dict(weights=[1.0, np.inf, 1.0, 1.0]), "weights must be positive and finite"),
     ])
-    def test_rejects_bad_samples_degree_and_nan(self, changes, problem):
+    def test_rejects_bad_weights_degree_and_seed(self, changes, problem):
         with pytest.raises(ValueError, match=problem):
             HomogeneitySpec(**{"weights": np.ones(4), "degree": -0.5, **changes})
 
-    def test_accepts_a_numpy_integer_sample_count(self):
-        spec = HomogeneitySpec(weights=np.ones(1), degree=0.0, samples=np.int64(8))
-        assert ft.check_degree(lambda x: x, spec) == 0.0
-
     def test_accepts_a_numpy_integer_seed(self):
-        spec = HomogeneitySpec(weights=np.ones(3), degree=0.0, samples=8, seed=np.int64(4))
+        spec = HomogeneitySpec(weights=np.ones(3), degree=0.0, seed=np.int64(4))
         np.testing.assert_array_equal(ft.check_degree(lambda x: x, spec), 0.0)
         assert spec.seed == 4
 
-    def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError, match="decreasing"):
-            HomogeneitySpec(weights=np.ones(4), degree=-0.5,
-                            eps_grid=np.array([0.1, 0.5, 1.0]))
+    def test_one_sampling_plan(self):
+        # 256 directions and 13 epsilons from 1 to 1e-3 for every audit; the
+        # spec holds only the weights, the degree and the seed
+        spec = HomogeneitySpec.for_config(_config("C2"), 2, seed=5)
+        assert spec.samples == HomogeneitySpec.samples == 256
+        np.testing.assert_array_equal(spec.eps_grid, np.geomspace(1.0, 1e-3, 13))
+        assert not spec.eps_grid.flags.writeable
+        assert [f.name for f in fields(HomogeneitySpec)] == ["weights", "degree", "seed"]
+
+    @pytest.mark.parametrize("args, changes", [
+        ((), dict(samples=64)),
+        ((), dict(eps_grid=[1.0, 0.1])),
+        ((64,), {}),
+    ], ids=["samples", "eps_grid", "positional"])
+    def test_sampling_plan_is_not_settable(self, args, changes):
+        # an old positional sample count must not silently become the seed
+        with pytest.raises(TypeError):
+            HomogeneitySpec(np.ones(4), -0.5, *args, **changes)
 
 
 class TestCheckDegree:
     def test_scalar_power_law(self):
         # |x|^(1/3) with weight 1.5 scales as eps^0.5 = eps^(degree + 1.5),
         # so its degree is -1
-        spec = HomogeneitySpec(weights=np.array([1.5]), degree=-1.0, samples=32)
+        spec = HomogeneitySpec(weights=np.array([1.5]), degree=-1.0)
         defect = ft.check_degree(lambda x: ft.signed_pow(x, 1.0 / 3.0), spec)
         assert defect < 1e-12
 
@@ -132,14 +134,14 @@ class TestCheckDegree:
     def test_core_field_is_exactly_homogeneous(self, variant):
         params = _params()
         config = _config(variant)
-        spec = HomogeneitySpec.for_config(config, 2, samples=64)
+        spec = HomogeneitySpec.for_config(config, 2)
         core = ft.homogeneous_field(config, params, params, Q_C)
         assert ft.check_degree(core, spec) <= 1e-9
 
     def test_full_field_is_not_homogeneous(self):
         params = _params()
         config = _config("C1")
-        spec = HomogeneitySpec.for_config(config, 2, samples=16)
+        spec = HomogeneitySpec.for_config(config, 2)
         full = ft.full_field(config, params, params, Q_C)
         assert ft.check_degree(full, spec) > 0.1
 
@@ -267,7 +269,7 @@ class TestConsensusPosition:
         params, config = _params(), _config("C2")
         args = (config, params, params, np.array(q_c))
         if audit == "vanishing_sweep":
-            args += (HomogeneitySpec.for_config(config, 2, samples=16),)
+            args += (HomogeneitySpec.for_config(config, 2),)
         with pytest.raises(ValueError, match="^q_c must have n finite entries$"):
             getattr(ft, audit)(*args)
 
@@ -277,7 +279,7 @@ class TestVanishingSweep:
     def test_tail_monotone_and_shrinking(self, variant):
         params = _params()
         config = _config(variant)
-        spec = HomogeneitySpec.for_config(config, 2, samples=64)
+        spec = HomogeneitySpec.for_config(config, 2)
         eps, devs = ft.vanishing_sweep(config, params, params, Q_C, spec)
         assert np.all(np.diff(devs[-4:]) <= 0.0)
         assert devs[-1] < devs[0]
@@ -291,7 +293,7 @@ class TestVanishingSweep:
         devs = []
         for pair in ((1.5, 1.0), weights):
             config = _config(variant, pair)
-            spec = HomogeneitySpec.for_config(config, 2, samples=64)
+            spec = HomogeneitySpec.for_config(config, 2)
             devs.append(ft.vanishing_sweep(config, params, params, Q_C, spec)[1])
         if weights == (3.0, 2.0):
             np.testing.assert_array_equal(devs[1], devs[0])
@@ -327,7 +329,7 @@ class TestVanishingSweep:
         # the remainder is dominated by terms scaling with eps^r1 = eps^1.5
         params = _params()
         config = _config("C1")
-        spec = HomogeneitySpec.for_config(config, 2, samples=64)
+        spec = HomogeneitySpec.for_config(config, 2)
         eps, devs = ft.vanishing_sweep(config, params, params, Q_C, spec)
         slope = ft.fitted_decay_slope(eps, devs)
         assert slope == pytest.approx(1.5, abs=0.15)
@@ -338,24 +340,24 @@ class TestVanishingSweep:
         params = _params()
         cfg_plain = _config("C1")
         cfg_sat = _config("C3")
-        spec = HomogeneitySpec.for_config(cfg_plain, 2, samples=32)
+        spec = HomogeneitySpec.for_config(cfg_plain, 2)
         _, devs_plain = ft.vanishing_sweep(cfg_plain, params, params, Q_C, spec)
         _, devs_sat = ft.vanishing_sweep(cfg_sat, params, params, Q_C, spec)
         np.testing.assert_array_equal(devs_plain[-4:], devs_sat[-4:])
         assert not np.array_equal(devs_plain[0], devs_sat[0])
 
-    # a dilation by 1e200 overflows the sphere points to inf, so the link
-    # inertias are NaN: the solve passes NaN through and the sweep names it
+    # at k_s = 1e307 the field values overflow (the full field for C1/C2, the
+    # unsaturated core for C3/C4); at 1e300 every value is finite, about
+    # 2.4e301, but the norm of the deviation overflows: the sweep names both
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("variant", ["C1", "C2", "C3", "C4"])
-    def test_overflowing_dilation_is_named(self, variant):
-        params = _params()
-        config = _config(variant)
-        spec = HomogeneitySpec(weights=ft.stacked_weights(config, 2),
-                               degree=config.weights.degree, samples=16,
-                               eps_grid=[1e200, 1.0, 0.1])
-        with pytest.raises(FloatingPointError, match=r"^full field non-finite at eps=1e\+200$"):
-            ft.vanishing_sweep(config, params, params, Q_C, spec)
+    @pytest.mark.parametrize("k_s", [1e307, 1e300], ids=str)
+    @pytest.mark.parametrize("name", ["c1_sim", "c2_sim", "c3_sim", "c4_sim"])
+    def test_overflowing_sweep_is_named(self, name, k_s):
+        cfg = ft.read_bundled_scenario(name)
+        config = replace(cfg.config, k_s=k_s)
+        spec = HomogeneitySpec.for_config(config, 2)
+        with pytest.raises(FloatingPointError, match=r"^sweep deviation non-finite at eps=1\.0$"):
+            ft.vanishing_sweep(config, cfg.params_l, cfg.params_r, Q_C, spec)
 
     def test_slope_helper_on_synthetic_power_law(self):
         eps = np.geomspace(1.0, 1e-3, 13)

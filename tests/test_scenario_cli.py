@@ -532,6 +532,18 @@ class TestCli:
         assert flag in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, hint", [
+        (["validate", "c1_sim", "--tol", "1e-3"], "ftteleop validate --help"),
+        (["audit", "c4_sim", "--seed", "1.5"], "ftteleop audit --help"),
+        (["bogus", "c1_sim"], "ftteleop --help"),
+        (["--tol", "1e-3", "simulate", "c1_sim"], "ftteleop --help"),
+        ([], "ftteleop --help"),
+    ], ids=["validate", "audit", "unknown-command", "flag-first", "empty"])
+    def test_parse_error_points_at_the_help_that_lists_the_flags(self, capsys, argv, hint):
+        # a command's flags are in its own --help; the top-level one lists commands
+        err = self._refused_before_the_run(argv, capsys)
+        assert err.endswith(f" (see {hint})\n")
+
     @pytest.mark.parametrize("argv, flags", [
         (["--help"], set()),
         (["simulate", "--help"], {"--out", "--tol", "--dt", "--delay"}),
